@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .affine import clip_chain, materialize
 from .affine_group import (
     AffineWeylElement,
     from_word,
@@ -36,6 +35,8 @@ from .affine_group import (
 from .biclosed import full_positive_biclosed
 from .finite import build_system
 from .orders import (
+    CertificationFailed,
+    _reflection_label,
     length_ball,
     lower_covers,
     twisted_length_left,
@@ -46,9 +47,6 @@ from .poset import GradedPoset, PosetEdge, PosetNode
 ALPHA = (1, 0)
 BETA = (0, 1)
 AB = (1, 1)
-
-SIX_CLASSES = ("T", "sasbT", "sbsaT", "sbsasbT", "sbT", "saT")
-
 
 class UnsupportedLength(Exception):
     pass
@@ -121,12 +119,15 @@ F = Fraction
 
 
 def _chains(*specs):
-    out = []
-    for base, lo, hi in specs:
-        c = clip_chain(base, lo, hi)
-        if c is not None:
-            out.append(c)
-    return out
+    """The affine roots (base, k) with ceil(lo) <= k <= floor(hi), per spec.
+
+    Bounds may be fractional in the closed forms; only integer levels count.
+    """
+    return frozenset(
+        (base, k)
+        for base, lo, hi in specs
+        for k in range(ceil(Fraction(lo)), floor(Fraction(hi)) + 1)
+    )
 
 
 def _t(k1, k2):
@@ -157,7 +158,7 @@ def _sb():
     return _refl(BETA, 0)
 
 
-#: name -> (element builder, chain-form builder).  Element builders return
+#: name -> (element builder, root-set builder).  Element builders return
 #: None when the parameters do not give a group element (odd k1/k2).
 CLOSED_FORMS = {
     "s(a+kd), k>=0": (
@@ -356,9 +357,9 @@ CLOSED_FORMS = {
 
 
 def closed_form_set(name, k1=0, k2=0, k=0):
-    """Materialized root set of one closed form (None where empty)."""
+    """Materialized root set of one closed form."""
     _, chains = CLOSED_FORMS[name]
-    return materialize(chains(k1, k2, k))
+    return chains(k1, k2, k)
 
 
 def closed_form_element(name, k1=0, k2=0, k=0):
@@ -464,12 +465,16 @@ def dihedral_decompose(w: AffineWeylElement) -> DihedralDecomposition:
             break
     # minimality in wU: m sends no root on the (a+b) lines negative
     bound = m.max_inversion_level() + 1
-    assert not any(
+    if any(
         m.inverse().in_inversion_set(r)
         for r in _u_subgroup_positive_roots(bound)
-    ), "greedy coset descent did not reach the minimal representative"
+    ):
+        raise CertificationFailed(
+            "greedy coset descent did not reach the minimal representative"
+        )
     z_word = tuple(reversed(letters))
-    assert all(x != y for x, y in zip(z_word, z_word[1:])), "non-alternating"
+    if any(x == y for x, y in zip(z_word, z_word[1:])):
+        raise CertificationFailed(f"non-alternating U-word {z_word}")
     i = _match_prefix_index(m)
     if not z_word:
         form, k = "(uv)^k", 0
@@ -504,14 +509,12 @@ def uvk_u_wi_inversion(k: int, i: int):
     """Closed form for N((uv)^k u w(i)) from the coset-length computation."""
     ci = ceil(Fraction(i, 2))
     fi = floor(Fraction(i, 2))
-    return materialize(
-        _chains(
-            (ALPHA, 0, k - ci),
-            (BETA, 0, k + fi),
-            (AB, 0, 2 * k),
-            (NEG(ALPHA), 1, ci - k - 1),
-            (NEG(BETA), 1, ceil(Fraction(-i, 2)) - k - 1),
-        )
+    return _chains(
+        (ALPHA, 0, k - ci),
+        (BETA, 0, k + fi),
+        (AB, 0, 2 * k),
+        (NEG(ALPHA), 1, ci - k - 1),
+        (NEG(BETA), 1, ceil(Fraction(-i, 2)) - k - 1),
     )
 
 
@@ -563,8 +566,10 @@ def _series(num, denom, d_max):
         c = num[n] if n < len(num) else 0
         for j in range(1, min(n, len(denom) - 1) + 1):
             c -= denom[j] * out[n - j]
-        assert c % denom[0] == 0
-        out.append(c // denom[0])
+        q, rem = divmod(c, denom[0])
+        if rem:
+            raise ArithmeticError(f"coefficient {n} of the series is not integral")
+        out.append(q)
     return out
 
 
@@ -642,8 +647,6 @@ def figure_hasse(word_length_bound: int = 6) -> GradedPoset:
         for refl_root, w2 in lower_covers(w, B):
             if w2 in ball:
                 kind = "weak" if weak_leq(w2, w, B, side="left") else "strong"
-                name = d.root_name(refl_root[0])
-                k = refl_root[1]
-                label = f"s[{name}{'+' if k >= 0 else ''}{k}d]" if k else f"s[{name}]"
+                label = _reflection_label(d, refl_root)
                 edges.append(PosetEdge(w2, w, label, kind))
     return GradedPoset(nodes, edges)

@@ -17,17 +17,38 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .affine import (
-    base_zero,
-    is_positive_affine,
-    negate,
-    simple_affine_roots,
-)
 from .finite import CartanDatum, WeylElement, build_system
 
 
 def _frv(vec):
     return tuple(Fraction(x) for x in vec)
+
+
+# ----- affine roots ----------------------------------------------------------
+#
+# An affine root is a pair ``(base, level)``: a finite root plus an integer
+# multiple of delta.  delta pairs to zero with everything, so inner products
+# only ever see the base.
+
+
+def is_positive_affine(datum: CartanDatum, r) -> bool:
+    """(base positive, level >= 0) or (base negative, level >= 1)."""
+    base, level = r
+    if datum.is_positive(base):
+        return level >= 0
+    return level >= 1
+
+
+def negate(r):
+    base, level = r
+    return (tuple(-x for x in base), -level)
+
+
+def simple_affine_roots(datum: CartanDatum):
+    """Delta union {delta - theta}: the simple system of the affine group."""
+    out = [(a, 0) for a in datum.simple_roots]
+    out.append((tuple(-x for x in datum.highest_root), 1))
+    return tuple(out)
 
 
 class AffineWeylElement:
@@ -85,8 +106,8 @@ class AffineWeylElement:
         """Per finite base root, the chain [lo, hi] of N(self); dict base->(lo,hi).
 
         N(w) = positive affine roots r with w^{-1}(r) negative; over base mu
-        this is the chain base_zero(mu) .. c_mu - (1 if u^{-1}(mu) > 0 else 0)
-        where c_mu = (mu, u(v)).
+        this is the chain from the lowest positive level (0 if mu > 0, else
+        1) up to c_mu - (1 if u^{-1}(mu) > 0 else 0), where c_mu = (mu, u(v)).
         """
         if self._chains is None:
             datum = self.datum
@@ -236,11 +257,6 @@ def format_word(letters) -> str:
     return ".".join(map(str, letters)) if letters else "e"
 
 
-def project_pi(w: AffineWeylElement) -> WeylElement:
-    """The canonical projection W~ -> W (kills translations)."""
-    return w.fin
-
-
 # ----- inversion sets as materialized sets ---------------------------------
 
 
@@ -260,86 +276,3 @@ def product_inversion(w: AffineWeylElement, u: AffineWeylElement) -> frozenset:
     w_nu = frozenset(w.apply(r) for r in nu)
     minus_nw = frozenset(negate(r) for r in nw)
     return (nw - w_minus_nu) | (w_nu - minus_nw)
-
-
-def is_straight(w: AffineWeylElement, n_max: int) -> bool:
-    """Bounded straightness certificate: l(w^n) = n*l(w) for 2 <= n <= n_max."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    l1 = w.length()
-    if l1 == 0:
-        return False
-    p = w
-    for n in range(2, n_max + 1):
-        p = p * w
-        if p.length() != n * l1:
-            return False
-    return True
-
-
-# ----- infinite reduced words ----------------------------------------------
-
-
-class InfiniteReducedWord:
-    """An infinite reduced word, by its inversion-set oracle.
-
-    kind "periodic": N(w^infty) = union of N(w^i) for a straight w.
-    kind "canonical": N = B for a biclosed set with classification
-    InfiniteWordInversion (delta2 empty, delta1 proper) -- the canonical
-    form every infinite-word inversion set takes.
-    """
-
-    def __init__(self, kind: str, *, straight=None, biclosed=None):
-        if kind == "periodic":
-            if straight is None:
-                raise ValueError("periodic kind needs a straight element")
-            self.straight = straight
-            self.datum = straight.datum
-        elif kind == "canonical":
-            if biclosed is None:
-                raise ValueError("canonical kind needs a biclosed set")
-            self.biclosed = biclosed
-            self.datum = biclosed.datum
-        else:
-            raise ValueError(f"unknown kind: {kind}")
-        self.kind = kind
-        self._prefix_cache = {}
-
-    def contains(self, r) -> bool:
-        """Membership of a positive affine root in N(word)."""
-        if not is_positive_affine(self.datum, r):
-            raise ValueError("membership is defined on positive affine roots")
-        if self.kind == "canonical":
-            return self.biclosed.contains(r)
-        w = self.straight
-        # r in N(w^m) iff w^{-m}(r) < 0; the sets N(w^m) increase, and the
-        # chain over base(r) grows at least once per order(pi(w)) powers,
-        # so this bound is sufficient.
-        d = _order_of(project_pi(w), self.datum)
-        m_max = d * (abs(r[1]) + 2) + w.length()
-        winv = w.inverse()
-        z = winv
-        for _ in range(m_max):
-            if not is_positive_affine(self.datum, z.apply(r)):
-                return True
-            z = winv * z
-        return False
-
-    def prefix(self, n: int) -> AffineWeylElement:
-        """The length-n prefix element (periodic kind only)."""
-        if self.kind != "periodic":
-            raise ValueError("prefix is defined for periodic words")
-        if n not in self._prefix_cache:
-            word = self.straight.word()
-            letters = [word[i % len(word)] for i in range(n)]
-            self._prefix_cache[n] = from_word(self.datum, letters)
-        return self._prefix_cache[n]
-
-
-def _order_of(u: WeylElement, datum: CartanDatum) -> int:
-    p = u
-    for n in range(1, len(datum.weyl_elements) + 1):
-        if p.is_identity():
-            return n
-        p = p * u
-    raise AssertionError("finite Weyl element of unbounded order")

@@ -14,12 +14,13 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .affine import is_positive_affine, negate
 from .affine_group import (
     AffineWeylElement,
     format_word,
     from_word,
     identity,
+    is_positive_affine,
+    negate,
     parse_word,
 )
 from .finite import (
@@ -28,7 +29,6 @@ from .finite import (
     PositiveSystem,
     WeylElement,
     build_system,
-    finite_biclosed_index,
     standard_positive_system,
 )
 
@@ -82,8 +82,8 @@ class BiclosedSet:
           r in B  iff  (pos_in_P and k >= a)  or  (k <= nw_hi and not
                        (neg_in_P and k <= b))
         where nu = u^{-1}(mu), c = (mu, u(v)) for twist = u t_v,
-        a = c + base_zero(nu), b = c - base_zero(-nu), nw_hi the top of the
-        N(twist) chain over mu (or None).
+        a = c + (0 if nu > 0 else 1), b = c - (0 if nu < 0 else 1), nw_hi the
+        top of the N(twist) chain over mu (or None).
         """
         if self._per_base is None:
             datum = self.datum
@@ -152,27 +152,6 @@ class BiclosedSet:
         u = self.twist.fin
         return frozenset(u.apply(p) for p in self.P_roots)
 
-    def I_of(self) -> FiniteBiclosed:
-        """I_B as an explicit finite biclosed set P(psi', d1', d2')."""
-        roots = self.I_roots()
-        index = finite_biclosed_index(self.datum.type_label)
-        triple = index.get(roots)
-        if triple is None:  # pragma: no cover - would contradict the theory
-            raise AssertionError("I_B is not of the P(psi,d1,d2) form")
-        psi, d1, d2 = triple
-        return FiniteBiclosed(psi, d1, d2)
-
-    def A_nonempty(self, base) -> bool:
-        """Does the chain over `base` meet B at all? (exact, no truncation)"""
-        base = tuple(base)
-        pos_in_P, a, neg_in_P, b, nw_hi = self._base_data()[base]
-        if pos_in_P:
-            return True
-        if nw_hi is None:
-            return False
-        k0 = 0 if self.datum.is_positive(base) else 1
-        return self.count_in_chain(base, k0, nw_hi) > 0
-
     def classify(self) -> str:
         d = frozenset(self.psi.simple_system)
         if self.delta1 == d:
@@ -191,17 +170,6 @@ class BiclosedSet:
         psi_neg = PositiveSystem(self.datum, self.psi.chamber * w0)
         neg = lambda s: [tuple(-x for x in r) for r in s]
         return BiclosedSet(self.twist, psi_neg, neg(self.delta2), neg(self.delta1))
-
-    def materialize_finite(self) -> frozenset:
-        """The root set, valid only for the Finite class.
-
-        With delta1 = Delta the finite part P is empty, so B = N(twist).
-        """
-        if self.classify() != "Finite":
-            raise ValueError("only Finite-class sets materialize")
-        from .affine_group import inversion_set
-
-        return inversion_set(self.twist)
 
     # ----- equality and canonical form ---------------------------------
 

@@ -212,7 +212,6 @@ def _build_parser():
         sp.add_argument("--budgets")
         sp.add_argument("--format")
         sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
     return p
 
 

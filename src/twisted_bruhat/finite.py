@@ -13,7 +13,6 @@ subsets d1, d2.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -414,10 +413,6 @@ class FiniteBiclosed:
         return "P{" + ",".join(names) + "}"
 
 
-def make_P(psi: PositiveSystem, delta1, delta2) -> FiniteBiclosed:
-    return FiniteBiclosed(psi, delta1, delta2)
-
-
 def _cone_pairs(datum: CartanDatum):
     """For each unordered root pair, the roots in their strictly-positive span."""
     table = {}
@@ -452,10 +447,6 @@ def _solve_pair(datum, a, b, g):
             rows[r] = [x - f * y for x, y in zip(rows[r], rows[0])]
     piv = next((r for r in range(1, n) if rows[r][1] != 0), None)
     if piv is None:
-        y = None
-        # b-column zero below: need g-column zero too outside row 0
-        if any(rows[r][2] != 0 for r in range(1, n)):
-            return None
         return None  # degenerate (a,b parallel) -- not used for root pairs
     rows[1], rows[piv] = rows[piv], rows[1]
     d = rows[1][1]
@@ -524,31 +515,6 @@ def enumerate_P_triples(datum: CartanDatum):
                 ):
                     triples.append((psi, frozenset(d1), frozenset(d2)))
     return triples
-
-
-@lru_cache(maxsize=None)
-def finite_biclosed_index(type_label):
-    """Map root-set -> a representing (psi, d1, d2) triple."""
-    datum = build_system(type_label)
-    index = {}
-    for psi, d1, d2 in enumerate_P_triples(datum):
-        fb = FiniteBiclosed(psi, d1, d2)
-        index.setdefault(fb.roots, (psi, d1, d2))
-    return index
-
-
-# ----- serialization -------------------------------------------------------
-
-
-def root_to_json(r) -> str:
-    return json.dumps([str(Fraction(x)) for x in r])
-
-
-def root_from_json(text: str):
-    vals = [Fraction(s) for s in json.loads(text)]
-    if all(v.denominator == 1 for v in vals):
-        return tuple(int(v) for v in vals)
-    return tuple(vals)
 
 
 @lru_cache(maxsize=None)

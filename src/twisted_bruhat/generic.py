@@ -225,19 +225,20 @@ def target_element(cm: CoxeterMatrix) -> CoxElement:
     return from_word(cm, (1, 2, 3, 2, 3, 2, 3, 2, 3))
 
 
+def _reflection_root(t: CoxElement):
+    """The positive root of a reflection: the middle of its palindromic word."""
+    inv = inversion_roots(t)
+    mid = inv[len(inv) // 2]
+    return mid if is_positive_root(mid) else tuple(-x for x in mid)
+
+
 @dataclass
 class ReflectionSubgroup:
     cm: CoxeterMatrix
     generators: tuple  # CoxElement reflections
 
     def generator_roots(self):
-        roots = []
-        for g in self.generators:
-            inv = inversion_roots(g)
-            # the reflection's own root is the middle of its palindromic word
-            mid = inv[len(inv) // 2]
-            roots.append(mid if is_positive_root(mid) else tuple(-x for x in mid))
-        return tuple(roots)
+        return tuple(_reflection_root(g) for g in self.generators)
 
     def positive_roots_to_depth(self, depth: int):
         """Phi_{W'}^+ truncated: orbit of the generator roots under words of
@@ -277,12 +278,6 @@ def canonical_check(sub: ReflectionSubgroup, t: CoxElement) -> bool:
         if _reflection_root(r) in sub_roots
     }
     return hits == {t}
-
-
-def _reflection_root(t: CoxElement):
-    inv = inversion_roots(t)
-    mid = inv[len(inv) // 2]
-    return mid if is_positive_root(mid) else tuple(-x for x in mid)
 
 
 def universal_check(sub: ReflectionSubgroup, budget: int = 12) -> bool:
@@ -380,7 +375,7 @@ def _root_pool(cm: CoxeterMatrix, depth: int):
     return sorted(seen)
 
 
-def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10), scan_budget=64):
+def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10)):
     """Counts of z with z in the twisted interval bounded by e and the target,
     witnessed by explicit l_A-monotone reflection chains of bounded depth.
 
@@ -401,8 +396,8 @@ def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10), scan_budget=64):
     records = []
     for L in budgets:
         pool = [reflection_in(cm, g) for g in _root_pool(cm, L)]
-        up_seen |= _saturate(up_seen, pool, lA, +1, hi_l, L, scan_budget)
-        down_seen |= _saturate(down_seen, pool, lA, -1, lo_l, L, scan_budget)
+        up_seen |= _saturate(up_seen, pool, lA, +1, hi_l, L)
+        down_seen |= _saturate(down_seen, pool, lA, -1, lo_l, L)
         members = up_seen & down_seen
         new = sorted(
             (z for z in members if z not in found),
@@ -421,7 +416,7 @@ def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10), scan_budget=64):
     return records
 
 
-def _saturate(seed, pool, lA, direction, stop_level, max_len, scan_budget):
+def _saturate(seed, pool, lA, direction, stop_level, max_len):
     seen = set(seed)
     frontier = list(seed)
     while frontier:

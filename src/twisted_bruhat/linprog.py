@@ -4,13 +4,19 @@ Decides whether a target vector is a nonnegative combination of finitely
 many generators, entirely over Fraction.  YES answers carry the
 coefficients; NO answers carry a separating functional y with
 y . g <= 0 for every generator g and y . target > 0 (Farkas certificate).
-Both certificates are re-verified by substitution before being returned.
+Both certificates are re-verified by substitution before being returned;
+a certificate that fails its check raises CertificationFailed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+class CertificationFailed(Exception):
+    """A certificate failed its explicit check: cover drift, cone
+    substitution, or interval consistency.  The CLI exits with code 3."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,10 @@ def cone_membership(generators, target) -> ConeCertificate:
                 coeffs[basis[i]] = rhs[i]
         # verify by substitution
         for i in range(m):
-            assert sum(coeffs[j] * gens[j][i] for j in range(n)) == b[i]
-        assert all(c >= 0 for c in coeffs)
+            if sum(coeffs[j] * gens[j][i] for j in range(n)) != b[i]:
+                raise CertificationFailed(f"cone coefficients miss row {i}")
+        if any(c < 0 for c in coeffs):
+            raise CertificationFailed("negative cone coefficient")
         return ConeCertificate(True, tuple(coeffs), ())
 
     # infeasible: y = c_B B^{-1}; B^{-1} sits under the artificial columns
@@ -103,7 +111,8 @@ def cone_membership(generators, target) -> ConeCertificate:
     ]
     # undo the row scaling applied to make rhs nonnegative
     y = tuple(y_scaled[i] * sign[i] for i in range(m))
-    assert _dot(y, b) > 0
-    for g in gens:
-        assert _dot(y, g) <= 0
+    if _dot(y, b) <= 0:
+        raise CertificationFailed("Farkas functional does not separate the target")
+    if any(_dot(y, g) > 0 for g in gens):
+        raise CertificationFailed("Farkas functional is positive on a generator")
     return ConeCertificate(False, (), y)

@@ -23,13 +23,10 @@ from .affine_group import (
     simple_reflections,
 )
 from .biclosed import BiclosedSet, dot_action
+from .linprog import CertificationFailed  # re-exported: orders.CertificationFailed
 from .poset import GradedPoset, PosetEdge, PosetNode
 
 _HARD_CAP = 10**4
-
-
-class CertificationFailed(Exception):
-    """Cover-window drift failed to stabilize within the hard cap."""
 
 
 class NotComparable(Exception):
@@ -214,9 +211,6 @@ def interval(x, y, B) -> GradedPoset:
     if x not in layers[-1]:
         return GradedPoset()
     # keep nodes on some descending path y -> ... -> x
-    down = {}
-    for lo, hi, _ in edges:
-        down.setdefault(hi, set()).add(lo)
     keep = {x}
     frontier = {x}
     up = {}
@@ -230,8 +224,10 @@ def interval(x, y, B) -> GradedPoset:
                     keep.add(z2)
                     nxt.add(z2)
         frontier = nxt
-    keep &= set().union(*layers)
-    assert y in keep
+    if y not in keep:
+        raise CertificationFailed(
+            f"interval [{x!r}, {y!r}]: y is not reachable upward from x"
+        )
     datum = B.datum
     nodes = [
         PosetNode(z, twisted_length_left(z, B), format_word(z.word()))

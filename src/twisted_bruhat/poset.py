@@ -46,12 +46,6 @@ class GradedPoset:
             out[e.lower].append(e.upper)
         return out
 
-    def lower_map(self) -> dict:
-        out = {n.key: [] for n in self.nodes}
-        for e in self.edges:
-            out[e.upper].append(e.lower)
-        return out
-
     def leq(self, a, b) -> bool:
         """Reachability a -> b upward in the Hasse DAG."""
         if a == b:
@@ -70,10 +64,6 @@ class GradedPoset:
                         nxt.append(y)
             frontier = nxt
         return False
-
-    def interval_keys(self, a, b):
-        """All keys z with a <= z <= b inside this poset."""
-        return [k for k in self.keys() if self.leq(a, k) and self.leq(k, b)]
 
     # ----- export ------------------------------------------------------
 

@@ -14,18 +14,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .affine import is_positive_affine, negate
+from .affine_group import is_positive_affine, negate
 from .biclosed import BiclosedSet, dot_action
 from .finite import CartanDatum, _span_roots
-from .linprog import cone_membership
+from .linprog import CertificationFailed, cone_membership
+from .orders import NotComparable  # re-exported: topes.NotComparable
 from .poset import GradedPoset, PosetEdge, PosetNode
 
 
 class DifferentBlocks(Exception):
-    pass
-
-
-class NotComparable(Exception):
     pass
 
 
@@ -179,7 +176,11 @@ def check_convex_truncated(H: Hemispace, level_bound: int, combo_size: int = 3):
                 for g, c in zip(h_roots, cert.coefficients)
                 if c != 0
             ]
-            assert len(support) <= combo_size + (len(target[0]) + 1)
+            if len(support) > combo_size + (len(target[0]) + 1):
+                raise CertificationFailed(
+                    f"cone support of {len(support)} generators exceeds "
+                    "combo_size + dimension"
+                )
             return {
                 "violation": {
                     "target": target,
@@ -576,12 +577,17 @@ def figure_topes():
     for lo, hi in _figure_edges():
         F, G = hs[lo], hs[hi]
         diff = symdiff_positive(F, G)
-        assert len(diff) == 1, (lo, hi, diff)
+        if len(diff) != 1:
+            raise CertificationFailed(
+                f"figure edge {lo} -> {hi} flips {len(diff)} roots"
+            )
         (r,) = diff
         # upward = away from the all-negative hemispace: the lower tope
         # holds the negative root of the flipped pair.
-        assert F.contains(negate(r)) and G.contains(r), (lo, hi, r)
+        if not (F.contains(negate(r)) and G.contains(r)):
+            raise CertificationFailed(f"figure edge {lo} -> {hi} points downward")
         edges.append(PosetEdge(lo, hi, datum.root_name(r[0]), "weak"))
     poset = GradedPoset(nodes, edges)
-    assert poset.check_grading()
+    if not poset.check_grading():
+        raise CertificationFailed("tope figure grading is broken")
     return records, poset

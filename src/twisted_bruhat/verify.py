@@ -30,34 +30,36 @@ from .orders import (
 )
 
 
-def _random_word(datum, rng, max_len):
+def random_word(datum, rng, max_len):
+    """A random affine word of length <= max_len (not necessarily reduced)."""
     n = rng.randint(0, max_len)
     return tuple(rng.randint(1, datum.rank + 1) for _ in range(n))
 
 
-def _random_biclosed(type_label, rng, mixed=False, twist_len=3):
+def random_biclosed(type_label, rng, mixed=False, twist_len=3):
+    """A random w . P(psi, d1, d2)^hat; mixed=True forces d1, d2 nonempty."""
     datum = build_system(type_label)
     triples = enumerate_P_triples(datum)
     if mixed:
         triples = [t for t in triples if t[1] and t[2]]
     psi, d1, d2 = rng.choice(triples)
-    twist = from_word(datum, _random_word(datum, rng, twist_len))
+    twist = from_word(datum, random_word(datum, rng, twist_len))
     return BiclosedSet(twist, psi, d1, d2)
 
 
 def _backends(rng):
     out = [("A2 alcove", a2.alcove_biclosed())]
-    out.append(("A2 random", _random_biclosed("A2", rng)))
-    out.append(("A3 mixed", _random_biclosed("A3", rng, mixed=True)))
-    out.append(("A3 random", _random_biclosed("A3", rng)))
-    out.append(("B2 random", _random_biclosed("B2", rng)))
-    out.append(("G2 random", _random_biclosed("G2", rng)))
+    out.append(("A2 random", random_biclosed("A2", rng)))
+    out.append(("A3 mixed", random_biclosed("A3", rng, mixed=True)))
+    out.append(("A3 random", random_biclosed("A3", rng)))
+    out.append(("B2 random", random_biclosed("B2", rng)))
+    out.append(("G2 random", random_biclosed("G2", rng)))
     return out
 
 
 def _random_comparable_pair(B, rng, max_gap):
     datum = B.datum
-    y = from_word(datum, _random_word(datum, rng, 5))
+    y = from_word(datum, random_word(datum, rng, 5))
     gap = rng.randint(1, max_gap)
     x = y
     for _ in range(gap):
@@ -95,7 +97,7 @@ def check_corank_finiteness(seed=12):
     total = 0
     for name, B in backends:
         for _ in range(20):
-            x = from_word(B.datum, _random_word(B.datum, rng, 4))
+            x = from_word(B.datum, random_word(B.datum, rng, 4))
             n = rng.randint(1, 4)
             layer = downset_corank(x, B, n)
             total += len(layer)
@@ -111,7 +113,7 @@ def check_class_deltas(seed=13):
     mismatches = 0
     cases = 0
     for _ in range(50):
-        w = from_word(datum, _random_word(datum, rng, 6))
+        w = from_word(datum, random_word(datum, rng, 6))
         lw = twisted_length_left(w, B)
         tag = a2.class_of(w)
         for gamma in rays:
@@ -182,7 +184,7 @@ def check_level_sets(seed=16):
     """Fixed-twisted-length sets keep growing with the search radius."""
     rng = random.Random(seed)
     cases = [("A2 word-inversion", a2.alcove_biclosed(), (4, 8, 12))]
-    cases.append(("A3 mixed", _random_biclosed("A3", rng, mixed=True, twist_len=1), (3, 6, 9)))
+    cases.append(("A3 mixed", random_biclosed("A3", rng, mixed=True, twist_len=1), (3, 6, 9)))
     for name, B, radii in cases:
         for k in range(-2, 3):
             sizes = [len(level_set_sample(B, k, r)) for r in radii]
@@ -203,7 +205,7 @@ def check_antichain(seed=17):
     (rank-2 level sets are single lines and stay below 20 there).
     """
     rng = random.Random(seed)
-    B = _random_biclosed("A3", rng, mixed=True, twist_len=1)
+    B = random_biclosed("A3", rng, mixed=True, twist_len=1)
     try:
         chain = antichain_at_level(B, 0, 20, 14)
     except Exception as exc:  # TargetNotReached
@@ -218,7 +220,7 @@ def check_no_local_extremum(seed=18):
     cases = [("A2 alcove", a2.alcove_biclosed(), 6)]
     cases.append(("A2 coinversion", a2.alcove_biclosed().complement(), 6))
     cases.append(
-        ("A3 mixed", _random_biclosed("A3", rng, mixed=True, twist_len=1), 4)
+        ("A3 mixed", random_biclosed("A3", rng, mixed=True, twist_len=1), 4)
     )
     for name, B, radius in cases:
         bad = no_local_extremum_check(B, radius)
@@ -268,22 +270,22 @@ def check_convexity_dichotomy(seed=20):
     datumA2 = build_system("A2")
     cases = []
     w = from_word(datumA2, (1, 2, 3))
-    cases.append(("A2 finite N(w)", from_biclosed_h(from_inversion_set(w)), False))
-    cases.append(("A2 alcove", from_biclosed_h(full_positive_biclosed(datumA2)), False))
+    cases.append(("A2 finite N(w)", topes.from_biclosed(from_inversion_set(w)), False))
+    cases.append(("A2 alcove", topes.from_biclosed(full_positive_biclosed(datumA2)), False))
     for i in range(2):
         cases.append(
             (
                 f"A3 mixed {i}",
-                from_biclosed_h(
-                    _random_biclosed("A3", rng, mixed=True, twist_len=1)
+                topes.from_biclosed(
+                    random_biclosed("A3", rng, mixed=True, twist_len=1)
                 ),
                 True,
             )
         )
-    B_inf = _random_biclosed("A3", rng)
+    B_inf = random_biclosed("A3", rng)
     while B_inf.classify() == "Mixed":
-        B_inf = _random_biclosed("A3", rng)
-    cases.append(("A3 non-mixed", from_biclosed_h(B_inf), False))
+        B_inf = random_biclosed("A3", rng)
+    cases.append(("A3 non-mixed", topes.from_biclosed(B_inf), False))
     for name, H, want_violation in cases:
         report = topes.check_convex_truncated(H, level_bound=6, combo_size=3)
         got = report["violation"] is not None
@@ -294,10 +296,6 @@ def check_convexity_dichotomy(seed=20):
                 f"{name}: violation={got}, expected {want_violation}",
             )
     return "convexity dichotomy", True, f"{len(cases)} hemispaces separated"
-
-
-def from_biclosed_h(B):
-    return topes.from_biclosed(B)
 
 
 def check_tope_blocks(seed=21):
@@ -321,7 +319,7 @@ def check_tope_blocks(seed=21):
             )
     failures = 0
     for _ in range(20):
-        w = from_word(datum, _random_word(datum, rng, 6))
+        w = from_word(datum, random_word(datum, rng, 6))
         H2 = topes.from_biclosed(dot_action(w, center_B))
         try:
             rep = topes.interval_lattice_check(center, H2, center)

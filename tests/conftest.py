@@ -5,27 +5,11 @@ import random
 import pytest
 
 from twisted_bruhat import build_system, from_word
-from twisted_bruhat.biclosed import BiclosedSet
-from twisted_bruhat.finite import enumerate_P_triples
-
-
-def random_word(datum, rng, max_len):
-    n = rng.randint(0, max_len)
-    return tuple(rng.randint(1, datum.rank + 1) for _ in range(n))
+from twisted_bruhat.verify import random_biclosed, random_word  # noqa: F401
 
 
 def random_element(datum, rng, max_len):
     return from_word(datum, random_word(datum, rng, max_len))
-
-
-def random_biclosed(type_label, rng, mixed=False, twist_len=3):
-    datum = build_system(type_label)
-    triples = enumerate_P_triples(datum)
-    if mixed:
-        triples = [t for t in triples if t[1] and t[2]]
-    psi, d1, d2 = rng.choice(triples)
-    twist = random_element(datum, rng, twist_len)
-    return BiclosedSet(twist, psi, d1, d2)
 
 
 @pytest.fixture

@@ -153,3 +153,33 @@ def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify"])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_certification_failure_exit_code(capsys, monkeypatch):
+    from twisted_bruhat.orders import CertificationFailed
+
+    def fail(w, B):
+        raise CertificationFailed("ray a did not stabilize")
+
+    monkeypatch.setattr(cli, "covers", fail)
+    code, out, err = run(
+        capsys, ["covers", "--type", "A2", "--biclosed", ALCOVE, "--elem", "e"]
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("certification failure: ray a did not stabilize")
+    assert "Traceback" not in err
+
+
+def test_figure_check_failure_exit_code(capsys, monkeypatch):
+    """A broken tope-figure certificate exits 3, not with an AssertionError."""
+    from twisted_bruhat import topes
+
+    real = topes.symdiff_positive
+    monkeypatch.setattr(
+        topes, "symdiff_positive", lambda F, G: real(F, G) | {((1, 1), 7)}
+    )
+    code, _, err = run(capsys, ["topes"])
+    assert code == 3
+    assert err.startswith("certification failure: figure edge")
+    assert "Traceback" not in err

@@ -4,13 +4,11 @@ import pytest
 
 from twisted_bruhat import build_system
 from twisted_bruhat.finite import (
+    FiniteBiclosed,
     enumerate_biclosed_finite,
     enumerate_P_triples,
     is_biclosed,
     is_two_closed,
-    make_P,
-    root_from_json,
-    root_to_json,
     standard_positive_system,
 )
 
@@ -79,7 +77,7 @@ def test_enumerated_biclosed_are_biclosed(label):
 def test_P_triples_are_two_closed(label):
     d = build_system(label)
     for psi, d1, d2 in enumerate_P_triples(d):
-        P = make_P(psi, d1, d2)
+        P = FiniteBiclosed(psi, d1, d2)
         assert is_two_closed(d, P.roots)
 
 
@@ -95,12 +93,6 @@ def test_root_name_roundtrip():
         d = build_system(label)
         for r in d.roots:
             assert d.parse_root_name(d.root_name(r)) == r
-
-
-def test_root_json_roundtrip():
-    d = build_system("G2")
-    for r in d.roots:
-        assert root_from_json(root_to_json(r)) == r
 
 
 def test_bad_type_label():

@@ -16,7 +16,7 @@ from twisted_bruhat import (
     weak_leq,
 )
 from twisted_bruhat import topes
-from twisted_bruhat.affine import negate
+from twisted_bruhat.affine_group import negate
 from conftest import random_biclosed, random_element
 
 
