@@ -376,26 +376,27 @@ def translation_inversion(k1: int, k2: int):
 
 
 def sphericity(poset: GradedPoset) -> str:
-    """'Spherical' iff every length-2 subinterval has exactly 4 elements."""
+    """'Spherical' iff every length-2 subinterval has exactly 4 elements.
+
+    Hasse edges raise the grade by 1, so the length-2 subintervals [a, b] are
+    the two-edge paths a -> z -> b, and their middles are those z.
+    """
     grades = poset.grading()
     if not grades:
         raise UnsupportedLength("empty interval")
     length = max(grades.values()) - min(grades.values())
     if length not in (2, 3):
         raise UnsupportedLength(f"interval length {length}, want 2 or 3")
-    keys = poset.keys()
-    for a in keys:
-        for b in keys:
-            if grades[b] - grades[a] == 2 and poset.leq(a, b):
-                middles = [
-                    z
-                    for z in keys
-                    if grades[z] == grades[a] + 1
-                    and poset.leq(a, z)
-                    and poset.leq(z, b)
-                ]
-                if len(middles) != 2:
-                    return "NonSpherical"
+    up = {key: set() for key in grades}
+    for e in poset.edges:
+        up[e.lower].add(e.upper)
+    for a in up:
+        middles = {}
+        for z in up[a]:
+            for b in up[z]:
+                middles.setdefault(b, set()).add(z)
+        if any(len(m) != 2 for m in middles.values()):
+            return "NonSpherical"
     return "Spherical"
 
 

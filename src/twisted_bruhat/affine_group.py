@@ -94,7 +94,8 @@ class AffineWeylElement:
     def apply(self, r):
         base, level = r
         shift = self.datum.inner(base, self.trans)
-        assert shift.denominator == 1, "translation not in the coroot lattice"
+        if shift.denominator != 1:
+            raise ValueError("translation not in the coroot lattice")
         return (self.fin.apply(base), level + int(shift))
 
     def inv_apply(self, r):
@@ -117,7 +118,8 @@ class AffineWeylElement:
             chains = {}
             for mu in datum.roots:
                 c = datum.inner(mu, uv)
-                assert c.denominator == 1
+                if c.denominator != 1:
+                    raise ValueError("translation not in the coroot lattice")
                 c = int(c)
                 nu = uinv.apply(mu)
                 hi = c - 1 if datum.is_positive(nu) else c

@@ -94,7 +94,8 @@ class BiclosedSet:
             data = {}
             for mu in datum.roots:
                 c = datum.inner(mu, uv)
-                assert c.denominator == 1
+                if c.denominator != 1:
+                    raise ValueError("twist translation not in the coroot lattice")
                 c = int(c)
                 nu = uinv.apply(mu)
                 pos_in_P = nu in self.P_roots

@@ -341,40 +341,17 @@ def standard_positive_system(datum: CartanDatum) -> PositiveSystem:
     return PositiveSystem(datum, datum.identity())
 
 
-def _span_roots(datum: CartanDatum, simples):
-    """All roots in the rational span of the given simple-subset."""
-    simples = list(simples)
-    if not simples:
-        return frozenset()
-    out = set()
-    for r in datum.roots:
-        # r in span(simples): solve r = sum c_i s_i exactly.
-        if _in_span(datum, simples, r):
-            out.add(r)
-    return frozenset(out)
+def _span_roots(psi: PositiveSystem, simples):
+    """The roots in the span of some simple roots of psi = u(Phi+).
 
-
-def _in_span(datum, vectors, target) -> bool:
-    n = datum.rank
-    rows = [[_fr(v[j]) for v in vectors] + [_fr(target[j])] for j in range(n)]
-    # Gaussian elimination; consistent iff no row reduces to (0...0 | c != 0).
-    k = len(vectors)
-    pivot_row = 0
-    for col in range(k):
-        piv = next(
-            (r for r in range(pivot_row, n) if rows[r][col] != 0), None
-        )
-        if piv is None:
-            continue
-        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-        d = rows[pivot_row][col]
-        rows[pivot_row] = [x / d for x in rows[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-    return all(row[-1] == 0 for row in rows[pivot_row:])
+    The simple roots of psi are the u(a_i), so these roots are the u(r) for
+    the roots r with r_k = 0 whenever u(a_k) is not among `simples`.
+    """
+    u = psi.chamber
+    off = [k for k, img in enumerate(u.imgs) if img not in simples]
+    return frozenset(
+        u.apply(r) for r in psi.datum.roots if all(r[k] == 0 for k in off)
+    )
 
 
 class FiniteBiclosed:
@@ -399,7 +376,7 @@ class FiniteBiclosed:
         self.delta1 = d1
         self.delta2 = d2
         self.roots = frozenset(
-            (psi.roots - _span_roots(datum, d1)) | _span_roots(datum, d2)
+            (psi.roots - _span_roots(psi, d1)) | _span_roots(psi, d2)
         )
 
     def __eq__(self, other):
@@ -418,45 +395,28 @@ def _cone_pairs(datum: CartanDatum):
     table = {}
     roots = datum.roots
     for a, b in itertools.combinations(roots, 2):
-        hits = []
-        for g in roots:
-            if g == a or g == b:
-                continue
-            # g = x*a + y*b with x,y > 0?
-            sol = _solve_pair(datum, a, b, g)
-            if sol is not None and sol[0] > 0 and sol[1] > 0:
-                hits.append(g)
+        hits = tuple(
+            g for g in roots if g != a and g != b and _in_open_cone(a, b, g)
+        )
         if hits:
-            table[frozenset((a, b))] = tuple(hits)
+            table[frozenset((a, b))] = hits
     return table
 
 
-def _solve_pair(datum, a, b, g):
-    n = datum.rank
-    rows = [[_fr(a[j]), _fr(b[j]), _fr(g[j])] for j in range(n)]
-    # two-unknown exact solve
-    piv = next((r for r in range(n) if rows[r][0] != 0), None)
-    if piv is None:
-        return None
-    rows[0], rows[piv] = rows[piv], rows[0]
-    d = rows[0][0]
-    rows[0] = [x / d for x in rows[0]]
-    for r in range(1, n):
-        if rows[r][0] != 0:
-            f = rows[r][0]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[0])]
-    piv = next((r for r in range(1, n) if rows[r][1] != 0), None)
-    if piv is None:
-        return None  # degenerate (a,b parallel) -- not used for root pairs
-    rows[1], rows[piv] = rows[piv], rows[1]
-    d = rows[1][1]
-    rows[1] = [x / d for x in rows[1]]
-    y = rows[1][2]
-    x = rows[0][2] - rows[0][1] * y
-    for r in range(2, n):
-        if rows[r][1] * y != rows[r][2]:
-            return None
-    return (x, y)
+def _in_open_cone(a, b, g) -> bool:
+    """g = x a + y b with x, y > 0, by Cramer's rule on a nonzero 2x2 minor
+    d of (a, b): the solution is x = det(g, b) / d, y = det(a, g) / d."""
+    for i, j in itertools.combinations(range(len(a)), 2):
+        det = lambda p, q: p[i] * q[j] - p[j] * q[i]
+        d = det(a, b)
+        if d:
+            x, y = det(g, b), det(a, g)
+            return (
+                x * d > 0
+                and y * d > 0
+                and all(d * gk == x * ak + y * bk for ak, bk, gk in zip(a, b, g))
+            )
+    return False  # a and b are parallel
 
 
 @lru_cache(maxsize=None)

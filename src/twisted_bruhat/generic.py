@@ -1,13 +1,17 @@
-"""A Gram-matrix Coxeter backend for bonds in {2, 3, inf}.
+"""An integer Coxeter backend for bonds in {2, 3, inf}.
 
 Realizes the rank-3 group W = <s1,s2,s3 | s1^2=s2^2=s3^2=(s1s2)^3=(s1s3)^2=e>,
 its rank-3 universal reflection subgroup W' = <s1, s2s3s2, s3s2s3s2s3>, and a
 bounded-search witness that the twisted interval [e, s1(s2s3s2)(s3s2s3s2s3)]
 is infinite for the twisting set A = N(target^inf).
 
-Elements act on V = Q^rank through the reflection representation with simple
-roots of norm 1 and Gram entries 0 / -1/2 / -1 for bonds 2 / 3 / inf.  This
-representation is faithful, so elements are compared by their matrices.
+Elements act on V = Z^rank, over the simple-root basis, through the
+reflection representation with simple roots of norm 1, whose Gram entries are
+0 / -1/2 / -1 for bonds 2 / 3 / inf.  Everything here uses the doubled form
+B(u, v) = 2(u, v) instead, with entries 2 on the diagonal and 0 / -1 / -2
+off it, so s_gamma(v) = v - B(v, gamma) gamma and every root, matrix entry and
+form value is a plain int.  The representation is faithful, so elements are
+compared by their matrices.
 
 Convention: N(x) = {positive gamma : x^{-1}(gamma) < 0}, matching the affine
 modules, so N(s_{i1}...s_{ik}) = {a_{i1}, s_{i1} a_{i2}, ...} for reduced
@@ -17,7 +21,8 @@ words and Ntilde(x) = {reflections t : alpha_t in N(x)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .linprog import CertificationFailed
 
 INF = "inf"
 
@@ -41,12 +46,11 @@ class CoxeterMatrix:
                 if i != j and self.bonds[i][j] not in (2, 3, INF):
                     raise ValueError("off-diagonal bonds must be 2, 3 or inf")
 
-    def gram(self, i: int, j: int) -> Fraction:
+    def gram(self, i: int, j: int) -> int:
+        """2(a_i, a_j): 2 on the diagonal, else 0 / -1 / -2 for bond 2 / 3 / inf."""
         if i == j:
-            return Fraction(1)
-        return {2: Fraction(0), 3: Fraction(-1, 2), INF: Fraction(-1)}[
-            self.bonds[i][j]
-        ]
+            return 2
+        return {2: 0, 3: -1, INF: -2}[self.bonds[i][j]]
 
 
 def coxeter_2_3_inf() -> CoxeterMatrix:
@@ -55,10 +59,11 @@ def coxeter_2_3_inf() -> CoxeterMatrix:
 
 
 def _simple_vec(cm: CoxeterMatrix, i: int):
-    return tuple(Fraction(int(j == i)) for j in range(cm.rank))
+    return tuple(int(j == i) for j in range(cm.rank))
 
 
-def inner(cm: CoxeterMatrix, u, v) -> Fraction:
+def inner(cm: CoxeterMatrix, u, v) -> int:
+    """The doubled form 2(u, v)."""
     return sum(
         u[i] * cm.gram(i, j) * v[j]
         for i in range(cm.rank)
@@ -68,7 +73,7 @@ def inner(cm: CoxeterMatrix, u, v) -> Fraction:
 
 def reflect_in_root(cm: CoxeterMatrix, gamma, v):
     """s_gamma(v) = v - 2 (v, gamma) gamma  (all roots have norm 1)."""
-    c = 2 * inner(cm, v, gamma)
+    c = inner(cm, v, gamma)
     return tuple(a - c * g for a, g in zip(v, gamma))
 
 
@@ -81,6 +86,21 @@ def is_positive_root(v) -> bool:
     raise ValueError(f"mixed-sign vector is not a root: {v}")
 
 
+def _positive(v):
+    """The positive one of the roots v and -v."""
+    return v if is_positive_root(v) else tuple(-x for x in v)
+
+
+def _act(cols, v):
+    """The vector with coordinates v over the given columns."""
+    out = [0] * len(cols)
+    for coef, col in zip(v, cols):
+        if coef:
+            for k in range(len(out)):
+                out[k] += coef * col[k]
+    return tuple(out)
+
+
 class CoxElement:
     """Group element as the tuple of images of the simple roots."""
 
@@ -88,26 +108,16 @@ class CoxElement:
 
     def __init__(self, cm: CoxeterMatrix, imgs, inv_imgs):
         self.cm = cm
-        self.imgs = tuple(tuple(Fraction(x) for x in col) for col in imgs)
-        self.inv_imgs = tuple(tuple(Fraction(x) for x in col) for col in inv_imgs)
+        self.imgs = tuple(map(tuple, imgs))
+        self.inv_imgs = tuple(map(tuple, inv_imgs))
         self._hash = hash(self.imgs)
         self._word = None
 
     def apply(self, v):
-        out = [Fraction(0)] * self.cm.rank
-        for coef, col in zip(v, self.imgs):
-            if coef:
-                for k in range(self.cm.rank):
-                    out[k] += coef * col[k]
-        return tuple(out)
+        return _act(self.imgs, v)
 
     def inv_apply(self, v):
-        out = [Fraction(0)] * self.cm.rank
-        for coef, col in zip(v, self.inv_imgs):
-            if coef:
-                for k in range(self.cm.rank):
-                    out[k] += coef * col[k]
-        return tuple(out)
+        return _act(self.inv_imgs, v)
 
     def __mul__(self, other: "CoxElement") -> "CoxElement":
         imgs = tuple(self.apply(col) for col in other.imgs)
@@ -161,14 +171,7 @@ def identity(cm: CoxeterMatrix) -> CoxElement:
 
 
 def simple_reflections(cm: CoxeterMatrix):
-    out = []
-    for i in range(cm.rank):
-        a = _simple_vec(cm, i)
-        cols = tuple(
-            reflect_in_root(cm, a, _simple_vec(cm, j)) for j in range(cm.rank)
-        )
-        out.append(CoxElement(cm, cols, cols))
-    return tuple(out)
+    return tuple(reflection_in(cm, _simple_vec(cm, i)) for i in range(cm.rank))
 
 
 def from_word(cm: CoxeterMatrix, letters) -> CoxElement:
@@ -202,10 +205,7 @@ def n_tilde(w: CoxElement, budget: int = 64):
     """Ntilde(w): the reflections whose roots lie in N(w)."""
     if w.length() > budget:
         raise BudgetExceeded(f"l(w) = {w.length()} > budget {budget}")
-    return frozenset(
-        reflection_in(w.cm, g if is_positive_root(g) else tuple(-x for x in g))
-        for g in inversion_roots(w)
-    )
+    return frozenset(reflection_in(w.cm, _positive(g)) for g in inversion_roots(w))
 
 
 # ----- the section-4 instance ----------------------------------------------
@@ -228,8 +228,24 @@ def target_element(cm: CoxeterMatrix) -> CoxElement:
 def _reflection_root(t: CoxElement):
     """The positive root of a reflection: the middle of its palindromic word."""
     inv = inversion_roots(t)
-    mid = inv[len(inv) // 2]
-    return mid if is_positive_root(mid) else tuple(-x for x in mid)
+    return _positive(inv[len(inv) // 2])
+
+
+def _positive_orbit(gens, seed, depth: int):
+    """The positive roots reached from `seed` by <= depth of the reflections
+    `gens`, taking the positive root of each image."""
+    seen = set(seed)
+    frontier = set(seen)
+    for _ in range(depth):
+        nxt = set()
+        for v in frontier:
+            for g in gens:
+                u = _positive(g.apply(v))
+                if u not in seen:
+                    seen.add(u)
+                    nxt.add(u)
+        frontier = nxt
+    return seen
 
 
 @dataclass
@@ -243,22 +259,7 @@ class ReflectionSubgroup:
     def positive_roots_to_depth(self, depth: int):
         """Phi_{W'}^+ truncated: orbit of the generator roots under words of
         length <= depth in the generators."""
-        gens = self.generators
-        seed = set(self.generator_roots())
-        seen = set(seed)
-        frontier = set(seed)
-        for _ in range(depth):
-            nxt = set()
-            for v in frontier:
-                for g in gens:
-                    u = g.apply(v)
-                    if not is_positive_root(u):
-                        u = tuple(-x for x in u)
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.add(u)
-            frontier = nxt
-        return seen
+        return _positive_orbit(self.generators, self.generator_roots(), depth)
 
 
 def w_prime(cm: CoxeterMatrix) -> ReflectionSubgroup:
@@ -282,11 +283,11 @@ def canonical_check(sub: ReflectionSubgroup, t: CoxElement) -> bool:
 
 def universal_check(sub: ReflectionSubgroup, budget: int = 12) -> bool:
     """No relation among the generators up to the budget, and pairwise
-    Gram entries -1 (so every pairwise product has infinite order)."""
+    2(a, b) = -2 (so every pairwise product has infinite order)."""
     roots = sub.generator_roots()
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
-            if inner(sub.cm, roots[i], roots[j]) != -1:
+            if inner(sub.cm, roots[i], roots[j]) != -2:
                 return False
             p = sub.generators[i] * sub.generators[j]
             q = p
@@ -310,7 +311,7 @@ def is_straight_word(w: CoxElement, n_max: int = 4) -> bool:
     return l1 > 0
 
 
-def _height(v) -> Fraction:
+def _height(v) -> int:
     return sum(abs(x) for x in v)
 
 
@@ -358,21 +359,7 @@ def n_tilde_A_in_subgroup(w: CoxElement, sub: ReflectionSubgroup, depth: int):
 def _root_pool(cm: CoxeterMatrix, depth: int):
     """All positive roots obtainable from the simples in <= depth reflections."""
     simples = [_simple_vec(cm, i) for i in range(cm.rank)]
-    gens = simple_reflections(cm)
-    seen = set(map(tuple, simples))
-    frontier = set(seen)
-    for _ in range(depth):
-        nxt = set()
-        for v in frontier:
-            for g in gens:
-                u = g.apply(v)
-                if not is_positive_root(u):
-                    u = tuple(-x for x in u)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.add(u)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(_positive_orbit(simple_reflections(cm), simples, depth))
 
 
 def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10)):
@@ -383,7 +370,8 @@ def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10)):
     records; counts are cumulative and nondecreasing by construction.
     """
     w = target_element(cm)
-    assert is_straight_word(w), "target is not straight"
+    if not is_straight_word(w):
+        raise CertificationFailed("target is not straight")
     e = identity(cm)
     lA = lambda z: twisted_length_A(z, w)
     l_e, l_t = lA(e), lA(w)

@@ -40,31 +40,6 @@ class GradedPoset:
         g = self.grading()
         return all(g[e.upper] - g[e.lower] == 1 for e in self.edges)
 
-    def upper_map(self) -> dict:
-        out = {n.key: [] for n in self.nodes}
-        for e in self.edges:
-            out[e.lower].append(e.upper)
-        return out
-
-    def leq(self, a, b) -> bool:
-        """Reachability a -> b upward in the Hasse DAG."""
-        if a == b:
-            return True
-        up = self.upper_map()
-        seen = {a}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in up[x]:
-                    if y == b:
-                        return True
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return False
-
     # ----- export ------------------------------------------------------
 
     def to_dot(self, name="poset") -> str:

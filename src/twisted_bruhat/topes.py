@@ -298,8 +298,7 @@ def _block_generators(center: Hemispace):
 
     B = center.biclosed
     datum = B.datum
-    d12 = set(B.delta1) | set(B.delta2)
-    span = _span_roots(datum, d12) if d12 else frozenset()
+    span = _span_roots(B.psi, B.delta1 | B.delta2)
     if span == frozenset(datum.roots):
         # W' is the whole affine group; use its simple reflections.
         from .affine_group import simple_reflections

@@ -4,6 +4,7 @@ Convention under test everywhere: N(w) is the inversion set of w^{-1}.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,14 @@ def test_translation_conjugation():
         v = (rng.randint(-2, 2), rng.randint(-2, 2))
         lhs = w * translation(d, v) * w.inverse()
         assert lhs == translation(d, w.fin.apply(v))
+
+
+def test_translation_outside_coroot_lattice_raises():
+    t = translation(build_system("A2"), (Fraction(1, 2), 0))
+    with pytest.raises(ValueError):
+        t.inversion_chains()
+    with pytest.raises(ValueError):
+        t.apply(((0, 1), 0))
 
 
 @pytest.mark.parametrize("label", TYPES)

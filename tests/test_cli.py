@@ -171,6 +171,16 @@ def test_certification_failure_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_sect4_unstraight_target_exit_code(capsys, monkeypatch):
+    from twisted_bruhat import generic
+
+    monkeypatch.setattr(generic, "is_straight_word", lambda w: False)
+    code, out, err = run(capsys, ["sect4", "--budgets", "2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("certification failure: target is not straight")
+
+
 def test_figure_check_failure_exit_code(capsys, monkeypatch):
     """A broken tope-figure certificate exits 3, not with an AssertionError."""
     from twisted_bruhat import topes

@@ -1,10 +1,13 @@
 """Finite root systems, Weyl groups, and finitely biclosed sets."""
 
+import itertools
+
 import pytest
 
 from twisted_bruhat import build_system
 from twisted_bruhat.finite import (
     FiniteBiclosed,
+    _span_roots,
     enumerate_biclosed_finite,
     enumerate_P_triples,
     is_biclosed,
@@ -73,12 +76,28 @@ def test_enumerated_biclosed_are_biclosed(label):
         assert is_biclosed(d, subset)
 
 
-@pytest.mark.parametrize("label", ("A2", "B2"))
+@pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_P_triples_are_two_closed(label):
     d = build_system(label)
     for psi, d1, d2 in enumerate_P_triples(d):
         P = FiniteBiclosed(psi, d1, d2)
         assert is_two_closed(d, P.roots)
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_span_roots_match_integer_combinations(label):
+    """Simple roots of psi form a Z-basis of the root lattice, and root
+    coefficients are at most 3 in rank <= 3, so the roots in span(J) are the
+    roots among the combinations of J with coefficients in [-3, 3]."""
+    d = build_system(label)
+    for psi, d1, d2 in enumerate_P_triples(d):
+        for J in (d1, d2, d1 | d2):
+            J = sorted(J)
+            combos = {
+                tuple(sum(c * r[k] for c, r in zip(cs, J)) for k in range(d.rank))
+                for cs in itertools.product(range(-3, 4), repeat=len(J))
+            }
+            assert _span_roots(psi, J) == frozenset(combos & set(d.roots))
 
 
 def test_positive_system_simple_system():

@@ -1,5 +1,8 @@
 """The (2,3,inf) Coxeter backend and the infinite-interval witness."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from twisted_bruhat import generic
@@ -34,8 +37,6 @@ def test_defining_relations(cm):
 
 
 def test_word_length_and_inversions(cm):
-    import random
-
     rng = random.Random(61)
     for _ in range(60):
         word = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 10)))
@@ -47,14 +48,30 @@ def test_word_length_and_inversions(cm):
 
 
 def test_inverse_and_product(cm):
-    import random
-
     rng = random.Random(62)
     for _ in range(40):
         a = generic.from_word(cm, tuple(rng.randint(1, 3) for _ in range(6)))
         b = generic.from_word(cm, tuple(rng.randint(1, 3) for _ in range(6)))
         assert (a * b).inverse() == b.inverse() * a.inverse()
         assert a * a.inverse() == generic.identity(cm)
+
+
+def test_integer_arithmetic(cm):
+    """Columns and roots are ints, and inner() is twice the norm-1 Gram form."""
+    rng = random.Random(63)
+    for _ in range(20):
+        w = generic.from_word(cm, tuple(rng.randint(1, 3) for _ in range(8)))
+        for col in w.imgs + w.inv_imgs:
+            assert all(type(x) is int for x in col)
+    pool = generic._root_pool(cm, 6)
+    assert all(type(x) is int for r in pool for x in r)
+    half_gram = {1: Fraction(1), 2: Fraction(0), 3: Fraction(-1, 2),
+                 generic.INF: Fraction(-1)}
+    for _ in range(40):
+        u, v = rng.choice(pool), rng.choice(pool)
+        old = sum(u[i] * half_gram[cm.bonds[i][j]] * v[j]
+                  for i in range(3) for j in range(3))
+        assert generic.inner(cm, u, v) == 2 * old
 
 
 def test_r_generators_canonical_and_universal(cm):
@@ -101,8 +118,7 @@ def test_quoted_A_reflections(cm):
 def test_in_A_membership(cm):
     w = generic.target_element(cm)
     # the simple root a1 is an inversion of w itself, hence of w^inf
-    a1 = tuple(generic.Fraction(int(i == 0)) for i in range(3))
-    assert generic.in_A(w, a1)
+    assert generic.in_A(w, (1, 0, 0))
 
 
 def test_budget_exceeded(cm):
@@ -113,7 +129,7 @@ def test_budget_exceeded(cm):
 
 def test_interval_growth_first_steps(cm):
     """Frozen prefix of the growth table (budgets kept small for speed)."""
-    table = generic.interval_growth(cm, budgets=(6, 8))
-    assert [rec["count"] for rec in table] == [0, 15]
+    table = generic.interval_growth(cm, budgets=(6, 8, 9))
+    assert [rec["count"] for rec in table] == [0, 15, 17]
     assert "1.2.3.2.3.2.3.2" in table[1]["new_elements"]
     assert "e" in table[1]["new_elements"]
