@@ -72,6 +72,7 @@ class BiclosedSet:
         self._per_base = None
         self._lB = {}
         self._lBp = {}
+        self._ray_memo = None  # (w, profile): orders._element_profile
 
     # ----- representation-level data ----------------------------------
 

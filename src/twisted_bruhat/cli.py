@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import a2, generic, topes, verify
 from .affine_group import format_word, from_word, parse_word
@@ -51,6 +52,13 @@ def _opt(args, config, name, default=None, cast=str):
     return cast(val) if isinstance(val, str) else val
 
 
+def _format(args, config, default):
+    fmt = _opt(args, config, "format", default)
+    if fmt not in ("jsonl", "dot"):
+        raise UsageError(f"--format must be 'jsonl' or 'dot', got {fmt!r}")
+    return fmt
+
+
 def _emit(args, config, text):
     path = _opt(args, config, "out")
     if path:
@@ -77,8 +85,8 @@ def cmd_interval(args, config):
     datum, B = _load_backend(args, config)
     x = _load_elem(datum, _opt(args, config, "x", "e"))
     y = _load_elem(datum, _opt(args, config, "y", "e"))
+    fmt = _format(args, config, "jsonl")
     poset = interval(x, y, B)
-    fmt = _opt(args, config, "format", "jsonl")
     _emit(args, config, poset.to_dot() if fmt == "dot" else poset.to_jsonl())
     return EXIT_OK
 
@@ -143,15 +151,17 @@ def cmd_poincare(args, config):
 
 def cmd_hasse(args, config):
     bound = _opt(args, config, "bound", 6, int)
+    if bound < 0:
+        raise UsageError(f"--bound must be >= 0, got {bound}")
+    fmt = _format(args, config, "dot")
     poset = a2.figure_hasse(bound)
-    fmt = _opt(args, config, "format", "dot")
     _emit(args, config, poset.to_dot("hasse") if fmt == "dot" else poset.to_jsonl())
     return EXIT_OK
 
 
 def cmd_topes(args, config):
+    fmt = _format(args, config, "jsonl")
     records, poset = topes.figure_topes()
-    fmt = _opt(args, config, "format", "jsonl")
     if fmt == "dot":
         _emit(args, config, poset.to_dot("topes"))
     else:
@@ -164,6 +174,8 @@ def cmd_topes(args, config):
 def cmd_sect4(args, config):
     budgets = _opt(args, config, "budgets", "6,8,9,10")
     budgets = tuple(int(b) for b in str(budgets).split(","))
+    if min(budgets) < 0:
+        raise UsageError(f"--budgets must be >= 0, got {min(budgets)}")
     table = generic.interval_growth(generic.coxeter_2_3_inf(), budgets)
     lines = [json.dumps(rec, sort_keys=True) for rec in table]
     _emit(args, config, "\n".join(lines) + "\n")
@@ -193,6 +205,7 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
     p = argparse.ArgumentParser(prog="twisted-bruhat")
     sub = p.add_subparsers(dest="command", required=True)

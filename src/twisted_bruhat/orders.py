@@ -3,17 +3,27 @@
 Twisted lengths:  l_B(w) = l(w) - 2|N(w^-1) ∩ B|   (left, grades <=_B)
                   l'_B(w) = l(w) - 2|N(w) ∩ B|      (right, grades <='_B)
 
-Cover enumeration scans each reflection ray s_{gamma + k delta} over a
-window of levels k and certifies completeness by drift stabilization: the
-per-step change of l_B along a ray is eventually constant (and even, hence
-of magnitude >= 2), so once it has been constant for h consecutive steps
-(h = Coxeter number) and the value points away from the +-1 band, no
-further covers exist on that ray.
+Cover enumeration scans each reflection ray k -> s_{gamma + k delta} w
+over a window of levels k.  For w = u t_v the inverse of s_{gamma+k delta} w
+is (u^-1 s_gamma) t_{V_k} with V_k affine in k, so over each finite root mu
+its inversion chain runs from lo_mu to an integer top that is affine in k.
+The delta l_B(s_{gamma+k delta} w) - l_B(w) is therefore plain integer
+arithmetic on this ray profile plus B's chain counts; only the covers
+themselves are built as elements.
+
+The window doubles until the drift stabilizes at both ends: the per-step
+change of the delta has been constant (and nonzero) for h consecutive
+steps (h = Coxeter number) with the end value pointing away from the +-1
+band.  The delta is piecewise affine in k with finitely many kinks, so an
+exact check of its values around every kink beyond the window, and of its
+slope past the last one, then proves that no further covers exist on the
+ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .affine_group import (
     AffineWeylElement,
@@ -23,6 +33,7 @@ from .affine_group import (
     simple_reflections,
 )
 from .biclosed import BiclosedSet, dot_action
+from .finite import build_system
 from .linprog import CertificationFailed  # re-exported: orders.CertificationFailed
 from .poset import GradedPoset, PosetEdge, PosetNode
 
@@ -71,19 +82,71 @@ def twisted_length_right(w: AffineWeylElement, B: BiclosedSet) -> int:
 # ----- certified cover search ----------------------------------------------
 
 
-def _ray_deltas(w, B, gamma, lo, hi, cache):
-    """l_B(s_{gamma+k delta} w) - l_B(w) for k in [lo, hi]."""
+@lru_cache(maxsize=None)
+def _ray_pairings(type_label):
+    """Per positive root gamma and root rho: (<rho, gamma^vee>, s_gamma(rho) > 0)."""
+    datum = build_system(type_label)
+    table = {}
+    for gamma in datum.positive_roots:
+        row = table[gamma] = {}
+        for rho in datum.roots:
+            p = int(datum.pairing(rho, gamma))
+            img = tuple(r - p * g for r, g in zip(rho, gamma))
+            row[rho] = (p, datum.is_positive(img))
+    return table
+
+
+def _element_profile(w, B):
+    """l_B(w) and, per root mu, (mu, u(mu), -(mu, v), lo_mu) for w = u t_v.
+
+    covers asks for this once per ray, so B keeps the last one in a single
+    slot; it depends on w only.
+    """
+    memo = B._ray_memo
+    if memo is not None and memo[0] == w:
+        return memo[1]
     datum = B.datum
-    base_val = twisted_length_left(w, B)
-    out = []
-    for k in range(lo, hi + 1):
-        v = cache.get(k)
-        if v is None:
-            t = reflection(datum, (gamma, k))
-            v = twisted_length_left(t * w, B) - base_val
-            cache[k] = v
-        out.append(v)
-    return out
+    terms = []
+    for mu in datum.roots:
+        c = datum.inner(mu, w.trans)
+        if c.denominator != 1:
+            raise ValueError("translation not in the coroot lattice")
+        lo = 0 if datum.is_positive(mu) else 1
+        terms.append((mu, w.fin.apply(mu), -int(c), lo))
+    profile = (twisted_length_left(w, B), tuple(terms))
+    B._ray_memo = (w, profile)
+    return profile
+
+
+def _ray_profile(w, B, gamma):
+    """(base, lines) with Delta(k) = l_B(s_{gamma+k delta} w) - l_B(w) equal
+    to _ray_delta(B, (base, lines), k).
+
+    Over each root mu the chain of N((s_{gamma+k delta} w)^-1) runs from lo
+    to hi = a + b k, with a = -(mu, v) - [s_gamma(u mu) > 0] and
+    b = <u mu, gamma^vee>.  Chains with b = 0 do not move with k and are
+    folded into base.
+    """
+    lB, terms = _element_profile(w, B)
+    row = _ray_pairings(B.datum.type_label)[gamma]
+    moving, fixed = [], []
+    for mu, umu, c, lo in terms:
+        b, positive = row[umu]
+        (moving if b else fixed).append((mu, lo, c - positive, b))
+    base = lB - _ray_delta(B, (0, tuple(fixed)), 0)
+    return base, tuple(moving)
+
+
+def _ray_delta(B, profile, k):
+    """Delta(k) from the profile: sum over chains of |chain| - 2|chain ∩ B|."""
+    base, lines = profile
+    count = B.count_in_chain
+    total = -base
+    for mu, lo, a, b in lines:
+        hi = a + b * k
+        if hi >= lo:
+            total += hi - lo + 1 - 2 * count(mu, lo, hi)
+    return total
 
 
 def _end_certified(values, h, positive_end):
@@ -108,27 +171,76 @@ def _end_certified(values, h, positive_end):
     return None
 
 
+def _check_tail(B, profile, n, drift, positive_end):
+    """Prove that Delta keeps the drift's sign, with |Delta| >= 3, past the
+    window end +n (positive_end) or -n; raise CertificationFailed otherwise.
+
+    Each chain term of Delta is piecewise affine in its top hi, with kinks
+    at lo - 1 and at the thresholds a - 1, b, nw_hi of B._base_data; hi is
+    affine in k.  So Delta is affine between the integers next to its
+    kinks: checking the values at those integers beyond the end and at the
+    first step past it, and that the slope past the last kink does not turn
+    back, covers every k beyond the end.
+    """
+    out = 1 if positive_end else -1
+    sign = 1 if drift > 0 else -1
+    data = B._base_data()
+    steps = {n + 1}
+    for mu, lo, a, b in profile[1]:
+        _, ta, _, tb, nw_hi = data[mu]
+        for t in (lo - 1, ta - 1, tb, nw_hi):
+            if t is None:
+                continue
+            # kink at k = (t - a) / b: the integers on both sides of it
+            for k in ((t - a) // b, -((a - t) // b)):
+                if out * k > n:
+                    steps.add(out * k)
+    last = max(steps)
+    values = {j: _ray_delta(B, profile, out * j) for j in steps | {last + 1}}
+    for j in sorted(values):
+        if sign * values[j] < 3:
+            raise CertificationFailed(
+                f"drift {drift} past k = {out * n} breaks down: "
+                f"Delta({out * j}) = {values[j]}"
+            )
+    if sign * (values[last + 1] - values[last]) < 0:
+        raise CertificationFailed(
+            f"drift {drift} past k = {out * n} breaks down: Delta turns "
+            f"back after k = {out * last}"
+        )
+
+
 def scan_ray(w, B, gamma):
     """Certified window of twisted-length deltas along one reflection ray.
 
-    Returns (window_lo, window_hi, {k: delta}, CoverCertificate).
+    Returns (window_lo, window_hi, {k: delta}, CoverCertificate).  Each
+    delta comes from the integer ray profile, without building the element
+    s_{gamma+k delta} w.  The window doubles until the drift stabilizes at
+    both ends (_end_certified); _check_tail then proves that no k outside
+    it has delta = +-1, so every cover on the ray lies in the window.
     """
     datum = B.datum
     h = datum.coxeter_number
+    profile = _ray_profile(w, B, gamma)
     n = 2 + w.inverse().max_inversion_level() + B.level_star()
-    cache = {}
+    deltas = {}
     while True:
-        values = _ray_deltas(w, B, gamma, -n, n, cache)
+        for k in range(-n, n + 1):
+            if k not in deltas:
+                deltas[k] = _ray_delta(B, profile, k)
+        values = [deltas[k] for k in range(-n, n + 1)]
         drift_pos = _end_certified(values, h, positive_end=True)
         drift_neg = _end_certified(values, h, positive_end=False)
         if drift_pos is not None and drift_neg is not None:
+            _check_tail(B, profile, n, drift_pos, positive_end=True)
+            _check_tail(B, profile, n, drift_neg, positive_end=False)
             cert = CoverCertificate(
                 base_root=gamma,
                 window=(-n, n),
                 drift=(drift_neg, drift_pos),
                 stabilization_evidence=h,
             )
-            return -n, n, cache, cert
+            return -n, n, deltas, cert
         if n >= _HARD_CAP:
             raise CertificationFailed(
                 f"ray {datum.root_name(gamma)} of w={w!r} did not stabilize "
@@ -141,18 +253,21 @@ def covers(w, B):
     """All strong-order covers of w: (lower, upper, certificates).
 
     lower/upper are lists of (reflection affine root, element), sorted by
-    (base canonical order, level).
+    (base canonical order, level).  Only the covers are built as elements;
+    their twisted lengths l_B(w) +- 1 are seeded into B's cache.
     """
     lower, upper, certs = [], [], []
     datum = B.datum
+    lw = twisted_length_left(w, B)
     for gamma in datum.positive_roots:
         lo, hi, deltas, cert = scan_ray(w, B, gamma)
         certs.append(cert)
         for k in range(lo, hi + 1):
-            if deltas[k] == -1:
-                lower.append(((gamma, k), reflection(datum, (gamma, k)) * w))
-            elif deltas[k] == 1:
-                upper.append(((gamma, k), reflection(datum, (gamma, k)) * w))
+            d = deltas[k]
+            if d == 1 or d == -1:
+                z = reflection(datum, (gamma, k)) * w
+                B._lB[z] = lw + d
+                (upper if d == 1 else lower).append(((gamma, k), z))
     lower.sort(key=lambda p: p[0])
     upper.sort(key=lambda p: p[0])
     return lower, upper, certs

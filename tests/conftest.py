@@ -1,11 +1,23 @@
 """Shared helpers: deterministic random words and biclosed sets."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from twisted_bruhat import build_system, from_word
 from twisted_bruhat.verify import random_biclosed, random_word  # noqa: F401
+
+
+def src_env():
+    """The environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 def random_element(datum, rng, max_len):

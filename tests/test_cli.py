@@ -1,11 +1,14 @@
 """CLI subcommands: outputs parse back, exit codes follow the contract."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from twisted_bruhat import cli
 from twisted_bruhat.poset import parse_jsonl
+from conftest import src_env
 
 ALCOVE = "twist:e psi:e d1:{} d2:{}"
 
@@ -135,6 +138,37 @@ def test_usage_errors(capsys, tmp_path):
         capsys, ["covers", "--type", "A2", "--biclosed", ALCOVE, "--elem", "9"]
     )
     assert code == 2
+    # unknown output format, negative bound or budget: by flag or by config
+    interval_a2 = ["interval", "--type", "A2", "--biclosed", ALCOVE, "--y", "3"]
+    for base, key, value in (
+        (["topes"], "format", "xml"),
+        (interval_a2, "format", "xml"),
+        (["hasse"], "bound", "-1"),
+        (["sect4"], "budgets", "2,-3"),
+    ):
+        cfg.write_text(f"{key}={value}\n")
+        for argv in (base + [f"--{key}", value], base + ["--config", str(cfg)]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: --{key} must be"), argv
+
+
+def test_consecutive_calls_match_separate_runs(capsys):
+    """The parser is built once per process; calls must not leak state."""
+    calls = [
+        ["covers", "--type", "B2", "--biclosed", "twist:3 psi:1 d1:{2} d2:{}",
+         "--elem", "1.3"],
+        ["poincare", "--parity", "odd"],
+        ["interval", "--type", "A2", "--biclosed", ALCOVE, "--y", "3",
+         "--format", "dot"],
+    ]
+    together = [run(capsys, argv) for argv in calls]
+    for argv, (code, out, err) in zip(calls, together):
+        alone = subprocess.run(
+            [sys.executable, "-m", "twisted_bruhat.cli", *argv],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
 
 
 def test_verify_exit_codes(capsys, monkeypatch):

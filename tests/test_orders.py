@@ -5,6 +5,7 @@ import random
 import pytest
 
 from twisted_bruhat import (
+    BiclosedSet,
     build_system,
     covers,
     downset_corank,
@@ -16,6 +17,7 @@ from twisted_bruhat import (
     interval,
     inversion_set,
     lower_covers,
+    reflection,
     strong_leq,
     twisted_length_left,
     twisted_length_right,
@@ -23,11 +25,17 @@ from twisted_bruhat import (
     weak_chain,
     weak_leq,
 )
+from twisted_bruhat.finite import enumerate_P_triples
 from twisted_bruhat.orders import (
+    CertificationFailed,
+    _check_tail,
+    _end_certified,
+    _ray_delta,
     antichain_at_level,
     dot_iso_check,
     level_set_sample,
     no_local_extremum_check,
+    scan_ray,
 )
 from conftest import random_biclosed, random_element
 
@@ -56,6 +64,81 @@ def test_cover_deltas_are_plus_minus_one():
                 assert twisted_length_left(lo, B) == lw - 1
             for _, up in upper_covers(w, B):
                 assert twisted_length_left(up, B) == lw + 1
+
+
+def _biclosed_of_each_class(label, rng):
+    """One randomly twisted B per biclosed class that the type has."""
+    d = build_system(label)
+    by_class = {}
+    for psi, d1, d2 in enumerate_P_triples(d):
+        B = BiclosedSet(identity(d), psi, d1, d2)
+        by_class.setdefault(B.classify(), []).append((psi, d1, d2))
+    return [
+        BiclosedSet(random_element(d, rng, 3), *rng.choice(by_class[c]))
+        for c in sorted(by_class)
+    ]
+
+
+def _fresh(B):
+    return BiclosedSet(B.twist, B.psi, B.delta1, B.delta2)
+
+
+def test_scan_ray_matches_element_construction():
+    """Every delta of a certified window equals l_B(s_{g+k d} w) - l_B(w),
+    computed by building the element, on a fresh B."""
+    rng = random.Random(49)
+    classes = set()
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        for B in _biclosed_of_each_class(label, rng):
+            classes.add(B.classify())
+            oracle = _fresh(B)
+            w = random_element(d, rng, 6)
+            lw = twisted_length_left(w, oracle)
+            for gamma in d.positive_roots:
+                lo, hi, deltas, _ = scan_ray(w, B, gamma)
+                for k in range(lo, hi + 1):
+                    z = reflection(d, (gamma, k)) * w
+                    assert deltas[k] == twisted_length_left(z, oracle) - lw
+    assert len(classes) == 5
+
+
+def test_covers_seed_correct_twisted_lengths():
+    rng = random.Random(50)
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        for _ in range(3):
+            B = random_biclosed(label, rng)
+            w = random_element(d, rng, 6)
+            lower, upper, _ = covers(w, B)
+            assert lower or upper
+            oracle = _fresh(B)
+            for z, length in B._lB.items():
+                assert length == twisted_length_left(z, oracle)
+
+
+def test_tail_check_rejects_far_breakpoint():
+    """A hand-built profile with Delta(k) = 2|k| + 1 up to k = 20, where a
+    third chain starts and turns Delta down to 1 at k = 40.  The window
+    |k| <= 10 looks stable; the tail check finds the turn."""
+    d = build_system("A2")
+    B = full_positive_biclosed(d)
+    # (root, lo, a, b): that chain of N((s w)^-1) runs from lo to a + b k
+    rising = (((-1, 0), 1, 0, 2), ((0, -1), 1, 0, -2))
+    far = ((1, 1), 0, -81, 4)
+    bad = (-1, rising + (far,))
+    assert [_ray_delta(B, bad, k) for k in (-3, 0, 20, 21, 40)] == [
+        7, 1, 41, 39, 1,
+    ]
+    window = [_ray_delta(B, bad, k) for k in range(-10, 11)]
+    assert _end_certified(window, d.coxeter_number, positive_end=True) == 2
+    assert _end_certified(window, d.coxeter_number, positive_end=False) == 2
+    _check_tail(B, bad, 10, 2, positive_end=False)
+    with pytest.raises(CertificationFailed):
+        _check_tail(B, bad, 10, 2, positive_end=True)
+    good = (-1, rising)
+    _check_tail(B, good, 10, 2, positive_end=True)
+    _check_tail(B, good, 10, 2, positive_end=False)
 
 
 def test_interval_grading_and_membership():
