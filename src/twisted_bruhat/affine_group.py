@@ -10,6 +10,11 @@ orders): ``inversion_set(w)`` is the set of positive affine roots sent
 negative by ``w^{-1}`` -- i.e. the inversion set of the *inverse*.  With
 this convention N(uv) decomposes by the product formula and
 N(s_1...s_k) = {a_{s_1}, s_1(a_{s_2}), ...} for reduced words.
+
+Products, inverses and inversion chains work on the Fraction translation.
+Reduced words do not: they are read off an integer descent walk over the
+finite group's `WeylTable`, and reflections take s_mu and mu^vee from a
+per-root cache.
 """
 
 from __future__ import annotations
@@ -44,13 +49,6 @@ def negate(r):
     return (tuple(-x for x in base), -level)
 
 
-def simple_affine_roots(datum: CartanDatum):
-    """Delta union {delta - theta}: the simple system of the affine group."""
-    out = [(a, 0) for a in datum.simple_roots]
-    out.append((tuple(-x for x in datum.highest_root), 1))
-    return tuple(out)
-
-
 class AffineWeylElement:
     """Element of the affine Weyl group in (finite part, translation) form."""
 
@@ -69,7 +67,7 @@ class AffineWeylElement:
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         # (u1 t_v1)(u2 t_v2) = u1 u2 t_{u2^{-1}(v1) + v2}
-        u2inv = other._fin_inverse()
+        u2inv = other.fin.inverse()
         v = tuple(
             a + b for a, b in zip(_frv(u2inv.apply(self.trans)), other.trans)
         )
@@ -77,14 +75,11 @@ class AffineWeylElement:
 
     def inverse(self) -> "AffineWeylElement":
         if self._inv is None:
-            uinv = self._fin_inverse()
+            uinv = self.fin.inverse()
             v = tuple(-x for x in _frv(self.fin.apply(self.trans)))
             self._inv = AffineWeylElement(self.datum, uinv, v)
             self._inv._inv = self
         return self._inv
-
-    def _fin_inverse(self) -> WeylElement:
-        return _weyl_inverse(self.datum.type_label, self.fin)
 
     def is_identity(self) -> bool:
         return self.fin.is_identity() and all(x == 0 for x in self.trans)
@@ -113,7 +108,7 @@ class AffineWeylElement:
         if self._chains is None:
             datum = self.datum
             u = self.fin
-            uinv = self._fin_inverse()
+            uinv = u.inverse()
             uv = _frv(u.apply(self.trans))
             chains = {}
             for mu in datum.roots:
@@ -147,22 +142,19 @@ class AffineWeylElement:
         """Canonical reduced word: lexicographically least, 1-based letters.
 
         Letters 1..rank are the finite simple reflections, rank+1 the
-        affine one (s_{delta - theta}).
+        affine one (s_{delta - theta}).  Read off the integer descent walk
+        `WeylTable.reduced_word` from p_k = (a_k, u(v)) for self = u t_v.
         """
         if self._word is None:
-            simples = simple_affine_roots(self.datum)
-            gens = simple_reflections(self.datum)
-            w = self
-            out = []
-            while not w.is_identity():
-                for i, a in enumerate(simples):
-                    if w.in_inversion_set(a):
-                        out.append(i + 1)
-                        w = gens[i] * w
-                        break
-                else:  # pragma: no cover
-                    raise AssertionError("no descent found")
-            self._word = tuple(out)
+            datum = self.datum
+            uv = self.fin.apply(self.trans)
+            p = [datum.inner(a, uv) for a in datum.simple_roots]
+            if any(x.denominator != 1 for x in p):
+                raise ValueError("translation not in the coroot lattice")
+            table = datum.weyl_table()
+            self._word = table.reduced_word(
+                table.index[self.fin], [int(x) for x in p]
+            )
         return self._word
 
     def __eq__(self, other):
@@ -180,16 +172,6 @@ class AffineWeylElement:
         return "Aff[" + (".".join(map(str, w)) if w else "e") + "]"
 
 
-@lru_cache(maxsize=None)
-def _weyl_inverse_table(type_label):
-    datum = build_system(type_label)
-    return {w: w.inverse() for w in datum.weyl_elements}
-
-
-def _weyl_inverse(type_label, w: WeylElement) -> WeylElement:
-    return _weyl_inverse_table(type_label)[w]
-
-
 # ----- constructors --------------------------------------------------------
 
 
@@ -198,14 +180,18 @@ def identity(datum: CartanDatum) -> AffineWeylElement:
 
 
 @lru_cache(maxsize=None)
+def _root_reflection(type_label, mu):
+    """(s_mu, mu^vee) for a finite root mu, built once per root."""
+    datum = build_system(type_label)
+    return datum.reflection(mu), datum.coroot(mu)
+
+
+@lru_cache(maxsize=None)
 def _simple_reflections_cached(type_label):
     datum = build_system(type_label)
-    gens = []
-    for a in datum.simple_roots:
-        gens.append(AffineWeylElement(datum, datum.reflection(a), (0,) * datum.rank))
-    theta = datum.highest_root
+    gens = [reflection(datum, (a, 0)) for a in datum.simple_roots]
     # s_{delta - theta} = s_theta t_{theta^vee}
-    gens.append(AffineWeylElement(datum, datum.reflection(theta), datum.coroot(theta)))
+    gens.append(reflection(datum, (tuple(-x for x in datum.highest_root), 1)))
     return tuple(gens)
 
 
@@ -217,10 +203,8 @@ def simple_reflections(datum: CartanDatum):
 def reflection(datum: CartanDatum, r) -> AffineWeylElement:
     """s_{mu + n delta} = s_mu t_{-n mu^vee} for an affine root r = (mu, n)."""
     mu, n = r
-    if not datum.is_root(mu):
-        raise ValueError(f"not a root: {mu}")
-    v = tuple(-n * x for x in datum.coroot(mu))
-    return AffineWeylElement(datum, datum.reflection(mu), v)
+    s_mu, coroot = _root_reflection(datum.type_label, tuple(mu))
+    return AffineWeylElement(datum, s_mu, tuple(-n * x for x in coroot))
 
 
 def translation(datum: CartanDatum, vec) -> AffineWeylElement:

@@ -52,6 +52,14 @@ def _longest_element(type_label) -> WeylElement:
     raise AssertionError("no longest element")
 
 
+@lru_cache(maxsize=None)
+def _finite_part(psi: PositiveSystem, delta1, delta2) -> FiniteBiclosed:
+    """FiniteBiclosed(psi, d1, d2), built once per triple.  Invalid triples
+    raise and are not stored, so the cache holds at most the finitely many
+    P-triples of each type."""
+    return FiniteBiclosed(psi, delta1, delta2)
+
+
 class BiclosedSet:
     """w . P(psi, d1, d2)^hat with a decidable membership oracle."""
 
@@ -65,7 +73,11 @@ class BiclosedSet:
         self.datum = psi.datum
         self.twist = twist
         self.psi = psi
-        self.finite_part = FiniteBiclosed(psi, delta1, delta2)
+        self.finite_part = _finite_part(
+            psi,
+            frozenset(tuple(r) for r in delta1),
+            frozenset(tuple(r) for r in delta2),
+        )
         self.delta1 = self.finite_part.delta1
         self.delta2 = self.finite_part.delta2
         self.P_roots = self.finite_part.roots
@@ -89,7 +101,7 @@ class BiclosedSet:
         if self._per_base is None:
             datum = self.datum
             u = self.twist.fin
-            uinv = self.twist._fin_inverse()
+            uinv = u.inverse()
             uv = tuple(Fraction(x) for x in u.apply(self.twist.trans))
             nw = self.twist.inversion_chains()
             data = {}

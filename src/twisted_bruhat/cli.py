@@ -30,16 +30,20 @@ class UsageError(Exception):
 
 
 def _read_config(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -62,8 +66,11 @@ def _format(args, config, default):
 def _emit(args, config, text):
     path = _opt(args, config, "out")
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -3,6 +3,7 @@
 Convention under test everywhere: N(w) is the inversion set of w^{-1}.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -118,6 +119,62 @@ def test_translation_outside_coroot_lattice_raises():
         t.inversion_chains()
     with pytest.raises(ValueError):
         t.apply(((0, 1), 0))
+
+
+def _word_by_rebuilding(w):
+    """The former `word()`, kept as the oracle of the descent walk: strip the
+    least simple affine root in N(w) by building s_i * w, until w = e."""
+    d = w.datum
+    simples = [(a, 0) for a in d.simple_roots]
+    simples.append((tuple(-x for x in d.highest_root), 1))
+    gens = simple_reflections(d)
+    out = []
+    while not w.is_identity():
+        i = next(i for i, a in enumerate(simples) if w.in_inversion_set(a))
+        out.append(i + 1)
+        w = gens[i] * w
+    return tuple(out)
+
+
+def _check_word(d, w):
+    word = w.word()
+    assert word == _word_by_rebuilding(w)
+    assert from_word(d, word) == w
+    assert len(word) == w.length()
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_word_matches_rebuilding_oracle(label):
+    d = build_system(label)
+    rng = random.Random(17)
+    for _ in range(500):
+        word = [rng.randint(1, d.rank + 1) for _ in range(rng.randint(0, 16))]
+        _check_word(d, from_word(d, word))
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_word_of_translations(label):
+    """t_lam for lam = sum n_i a_i^vee with |n_i| <= 2; in G2, b^vee = b/3."""
+    d = build_system(label)
+    coroots = [d.coroot(a) for a in d.simple_roots]
+    if label == "G2":
+        assert coroots[1] == (0, Fraction(1, 3))
+    for ns in itertools.product(range(-2, 3), repeat=d.rank):
+        lam = tuple(
+            sum(n * c[j] for n, c in zip(ns, coroots)) for j in range(d.rank)
+        )
+        _check_word(d, translation(d, lam))
+
+
+def test_word_off_the_coroot_lattice_raises():
+    d = build_system("A2")
+    # (a_k, v) is not an integer
+    with pytest.raises(ValueError):
+        translation(d, (Fraction(1, 2), 0)).word()
+    # the coweight (2a + b)/3 pairs integrally with every root; the walk
+    # strips two letters and stops at a length-0 element other than e
+    with pytest.raises(ValueError):
+        translation(d, (Fraction(2, 3), Fraction(1, 3))).word()
 
 
 @pytest.mark.parametrize("label", TYPES)

@@ -18,6 +18,7 @@ from twisted_bruhat import (
     parse_biclosed,
 )
 from twisted_bruhat.biclosed import BiclosedSet, dot_action_pointwise
+from twisted_bruhat.finite import FiniteBiclosed
 from conftest import random_biclosed, random_element
 
 TYPES = ("A2", "A3", "B2", "G2")
@@ -125,6 +126,25 @@ def test_dot_action_composes():
         lhs = dot_action(u, dot_action(v, B))
         rhs = dot_action(u * v, B)
         assert lhs.equals(rhs)
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_dot_action_shares_finite_part(label):
+    """The finite part is memoised per (psi, d1, d2); it must equal a fresh
+    construction, and the twisted set keeps its own twist."""
+    rng = random.Random(38)
+    d = build_system(label)
+    for _ in range(10):
+        B = random_biclosed(label, rng)
+        u = random_element(d, rng, 5)
+        uB = dot_action(u, B)
+        fresh = FiniteBiclosed(B.psi, list(B.delta1), list(B.delta2))
+        P = uB.finite_part
+        assert P is B.finite_part
+        assert (P.psi, P.delta1, P.delta2, P.roots) == (
+            fresh.psi, fresh.delta1, fresh.delta2, fresh.roots
+        )
+        assert uB.twist == u * B.twist
 
 
 def test_dot_action_identity_on_N():

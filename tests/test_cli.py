@@ -130,6 +130,18 @@ def test_usage_errors(capsys, tmp_path):
     cfg.write_text("no equals sign here\n")
     code, _, _ = run(capsys, ["poincare", "--config", str(cfg)])
     assert code == 2
+    # missing or unreadable config file
+    for path in (tmp_path / "absent", tmp_path):
+        code, out, err = run(capsys, ["poincare", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config") and err.count("\n") == 1
+    # unwritable --out, by flag and by config
+    unwritable = str(tmp_path / "absent" / "series.json")
+    cfg.write_text(f"out={unwritable}\n")
+    for argv in (["--out", unwritable], ["--config", str(cfg)]):
+        code, out, err = run(capsys, ["poincare"] + argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
     # unknown subcommand
     code, _, _ = run(capsys, ["frobnicate"])
     assert code == 2

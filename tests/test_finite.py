@@ -63,6 +63,31 @@ def test_word_roundtrip_and_length(label):
         assert len(word) == w.length()
 
 
+def _word_by_descents(w):
+    """The former descent loop, as the oracle of the table walk: strip the
+    least i with w^{-1}(a_i) < 0, i.e. with w(r) = -a_i for a positive r."""
+    d = w.datum
+    out = []
+    while not w.is_identity():
+        i = next(
+            i
+            for i, a in enumerate(d.simple_roots)
+            if any(w.apply(r) == tuple(-x for x in a) for r in d.positive_roots)
+        )
+        out.append(i)
+        w = d.simple_reflection(i) * w
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_table_inverse_and_word(label):
+    d = build_system(label)
+    for w in d.weyl_elements:
+        assert (w * w.inverse()).is_identity()
+        assert (w.inverse() * w).is_identity()
+        assert w.word() == _word_by_descents(w)
+
+
 def test_longest_element_length():
     for label, n_pos in (("A2", 3), ("A3", 6), ("B2", 4), ("G2", 6)):
         d = build_system(label)

@@ -1,0 +1,63 @@
+"""CLI stdout stays byte-identical to the recorded outputs in tests/golden/.
+
+The commands are the README `interval`/`covers`/`levels` examples, and
+`covers` plus a two-grade `interval --format dot` for A3, B2 and G2 under a
+non-trivial twist.  Re-record only when an output is meant to change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from twisted_bruhat import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ALCOVE = "twist:e psi:e d1:{} d2:{}"
+A3 = ("--type", "A3", "--biclosed", "twist:1.4 psi:2 d1:{1} d2:{3}")
+B2 = ("--type", "B2", "--biclosed", "twist:3 psi:1 d1:{2} d2:{}")
+G2 = ("--type", "G2", "--biclosed", "twist:3.1 psi:2 d1:{} d2:{1}")
+
+COMMANDS = {
+    "readme_interval": ("interval", "--type", "A2", "--biclosed", ALCOVE,
+                        "--x", "e", "--y", "3"),
+    "readme_covers": ("covers", "--type", "A2", "--biclosed", ALCOVE,
+                      "--elem", "e"),
+    "readme_levels": ("levels", "--type", "A2", "--biclosed", ALCOVE,
+                      "--level", "0", "--radius", "6"),
+    "a3_covers": ("covers", *A3, "--elem", "2.4"),
+    "a3_interval_dot": ("interval", *A3, "--x", "3.2.4", "--y", "2.4.1",
+                        "--format", "dot"),
+    "b2_covers": ("covers", *B2, "--elem", "1.3"),
+    "b2_interval_dot": ("interval", *B2, "--x", "3", "--y", "2.1.3",
+                        "--format", "dot"),
+    "g2_covers": ("covers", *G2, "--elem", "1.2"),
+    "g2_interval_dot": ("interval", *G2, "--x", "1.3.2", "--y", "2.1.2",
+                        "--format", "dot"),
+}
+
+
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_matches_recording(name):
+    code, out = _stdout(COMMANDS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in COMMANDS.items():
+        code, out = _stdout(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.out").write_bytes(out)
