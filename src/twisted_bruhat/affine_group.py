@@ -11,10 +11,11 @@ negative by ``w^{-1}`` -- i.e. the inversion set of the *inverse*.  With
 this convention N(uv) decomposes by the product formula and
 N(s_1...s_k) = {a_{s_1}, s_1(a_{s_2}), ...} for reduced words.
 
-Products, inverses and inversion chains work on the Fraction translation.
-Reduced words do not: they are read off an integer descent walk over the
-finite group's `WeylTable`, and reflections take s_mu and mu^vee from a
-per-root cache.
+Products and inverses work on the Fraction translation.  Everything else
+reads the integers p_k = (a_k, u(v)) and the finite group's `WeylTable`:
+the chain tops t_mu behind the inversion chains, the action on affine
+roots, and reduced words (an integer descent walk).  Reflections take s_mu
+and mu^vee from a per-root cache.
 """
 
 from __future__ import annotations
@@ -84,14 +85,48 @@ class AffineWeylElement:
     def is_identity(self) -> bool:
         return self.fin.is_identity() and all(x == 0 for x in self.trans)
 
+    # ----- integer root data -------------------------------------------
+
+    def _pairings(self):
+        """p_k = (a_k, u(v)) as ints for self = u t_v: the one check that v
+        pairs integrally with every root.  Coweights off the coroot lattice
+        pass it, and the descent walk of word() stops them."""
+        datum = self.datum
+        # integral coordinates as ints: Fraction arithmetic costs 8x as much
+        v = [x.numerator if x.denominator == 1 else x for x in self.trans]
+        q = [sum(g * x for g, x in zip(row, v)) for row in datum.gram]
+        if any(x.denominator != 1 for x in q):
+            raise ValueError("translation not in the coroot lattice")
+        table = datum.weyl_table()
+        pre = table.image[table.inv[table.index[self.fin]]]
+        return tuple(
+            sum(c * int(x) for c, x in zip(pre[a], q)) for a in datum.simple_roots
+        )
+
+    def chain_tops(self):
+        """{mu: t_mu} over the finite roots, t_mu = (mu, u(v)) - [u^{-1}(mu) > 0].
+
+        N(self) over mu is the chain from the lowest positive level (0 if
+        mu > 0, else 1) up to t_mu, empty when t_mu is below it.
+        """
+        datum = self.datum
+        p = self._pairings()
+        table = datum.weyl_table()
+        pre = table.image[table.inv[table.index[self.fin]]]
+        positive = datum.is_positive
+        return {
+            mu: sum(m * x for m, x in zip(mu, p)) - positive(nu)
+            for mu, nu in pre.items()
+        }
+
     # ----- action on affine roots -------------------------------------
 
     def apply(self, r):
+        """(beta, l) -> (u beta, l + (u beta, u v))."""
         base, level = r
-        shift = self.datum.inner(base, self.trans)
-        if shift.denominator != 1:
-            raise ValueError("translation not in the coroot lattice")
-        return (self.fin.apply(base), level + int(shift))
+        table = self.datum.weyl_table()
+        ub = table.image[table.index[self.fin]][tuple(base)]
+        return (ub, level + sum(b * x for b, x in zip(ub, self._pairings())))
 
     def inv_apply(self, r):
         return self.inverse().apply(r)
@@ -101,24 +136,14 @@ class AffineWeylElement:
     def inversion_chains(self):
         """Per finite base root, the chain [lo, hi] of N(self); dict base->(lo,hi).
 
-        N(w) = positive affine roots r with w^{-1}(r) negative; over base mu
-        this is the chain from the lowest positive level (0 if mu > 0, else
-        1) up to c_mu - (1 if u^{-1}(mu) > 0 else 0), where c_mu = (mu, u(v)).
+        The non-empty chains of `chain_tops`: N(w) = positive affine roots r
+        with w^{-1}(r) negative.
         """
         if self._chains is None:
-            datum = self.datum
-            u = self.fin
-            uinv = u.inverse()
-            uv = _frv(u.apply(self.trans))
+            positive = self.datum.is_positive
             chains = {}
-            for mu in datum.roots:
-                c = datum.inner(mu, uv)
-                if c.denominator != 1:
-                    raise ValueError("translation not in the coroot lattice")
-                c = int(c)
-                nu = uinv.apply(mu)
-                hi = c - 1 if datum.is_positive(nu) else c
-                lo = 0 if datum.is_positive(mu) else 1
+            for mu, hi in self.chain_tops().items():
+                lo = 0 if positive(mu) else 1
                 if hi >= lo:
                     chains[mu] = (lo, hi)
             self._chains = chains
@@ -146,14 +171,9 @@ class AffineWeylElement:
         `WeylTable.reduced_word` from p_k = (a_k, u(v)) for self = u t_v.
         """
         if self._word is None:
-            datum = self.datum
-            uv = self.fin.apply(self.trans)
-            p = [datum.inner(a, uv) for a in datum.simple_roots]
-            if any(x.denominator != 1 for x in p):
-                raise ValueError("translation not in the coroot lattice")
-            table = datum.weyl_table()
+            table = self.datum.weyl_table()
             self._word = table.reduced_word(
-                table.index[self.fin], [int(x) for x in p]
+                table.index[self.fin], self._pairings()
             )
         return self._word
 

@@ -11,7 +11,6 @@ per-chain member counting (used heavily by the twisted length functions).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 from .affine_group import (
@@ -89,35 +88,21 @@ class BiclosedSet:
     # ----- representation-level data ----------------------------------
 
     def _base_data(self):
-        """Per finite base root: constants making membership O(1) in the level.
+        """Per finite root mu: (pos, neg, t) = (u^{-1}(mu) in P,
+        -u^{-1}(mu) in P, t_mu) for twist = u t_v, t_mu as in
+        `AffineWeylElement.chain_tops`.
 
-        For positive r = mu + k delta:
-          r in B  iff  (pos_in_P and k >= a)  or  (k <= nw_hi and not
-                       (neg_in_P and k <= b))
-        where nu = u^{-1}(mu), c = (mu, u(v)) for twist = u t_v,
-        a = c + (0 if nu > 0 else 1), b = c - (0 if nu < 0 else 1), nw_hi the
-        top of the N(twist) chain over mu (or None).
+        For positive r = mu + k delta: r is in B iff pos when k > t_mu (r is
+        outside N(twist)), and iff not neg when k <= t_mu (r is in N(twist)).
         """
         if self._per_base is None:
-            datum = self.datum
-            u = self.twist.fin
-            uinv = u.inverse()
-            uv = tuple(Fraction(x) for x in u.apply(self.twist.trans))
-            nw = self.twist.inversion_chains()
+            table = self.datum.weyl_table()
+            pre = table.image[table.inv[table.index[self.twist.fin]]]
+            P = self.P_roots
             data = {}
-            for mu in datum.roots:
-                c = datum.inner(mu, uv)
-                if c.denominator != 1:
-                    raise ValueError("twist translation not in the coroot lattice")
-                c = int(c)
-                nu = uinv.apply(mu)
-                pos_in_P = nu in self.P_roots
-                neg_in_P = tuple(-x for x in nu) in self.P_roots
-                a = c + (0 if datum.is_positive(nu) else 1)
-                b = c - (0 if not datum.is_positive(nu) else 1)
-                ch = nw.get(mu)
-                nw_hi = ch[1] if ch is not None else None
-                data[mu] = (pos_in_P, a, neg_in_P, b, nw_hi)
+            for mu, t in self.twist.chain_tops().items():
+                nu = pre[mu]
+                data[mu] = (nu in P, tuple(-x for x in nu) in P, t)
             self._per_base = data
         return self._per_base
 
@@ -125,31 +110,17 @@ class BiclosedSet:
         base, k = r
         if not is_positive_affine(self.datum, r):
             raise ValueError("membership is defined on positive affine roots")
-        pos_in_P, a, neg_in_P, b, nw_hi = self._base_data()[tuple(base)]
-        if pos_in_P and k >= a:
-            return True
-        if nw_hi is not None and k <= nw_hi:
-            return not (neg_in_P and k <= b)
-        return False
+        pos, neg, t = self._base_data()[tuple(base)]
+        return pos if k > t else not neg
 
     def count_in_chain(self, base, lo: int, hi: int) -> int:
-        """|B intersect {base + k delta : lo <= k <= hi}| in O(1)."""
-        if hi < lo:
-            return 0
-        pos_in_P, a, neg_in_P, b, nw_hi = self._base_data()[tuple(base)]
-        # S1 = [a, inf) if pos_in_P; S2 = [s2lo, nw_hi] (minus nothing if
-        # neg root of P absent).
-        n1 = max(0, hi - max(lo, a) + 1) if pos_in_P else 0
-        if nw_hi is None:
-            return n1
-        s2lo = b + 1 if neg_in_P else lo
-        lo2, hi2 = max(lo, s2lo), min(hi, nw_hi)
-        n2 = max(0, hi2 - lo2 + 1)
-        if pos_in_P and n2:
-            overlap = max(0, hi2 - max(lo2, a) + 1)
-        else:
-            overlap = 0
-        return n1 + n2 - overlap
+        """|B intersect {base + k delta : lo <= k <= hi}| in O(1): the levels
+        above t if pos, plus those up to t if not neg."""
+        pos, neg, t = self._base_data()[tuple(base)]
+        n = max(0, hi - max(lo, t + 1) + 1) if pos else 0
+        if not neg:
+            n += max(0, min(hi, t) - lo + 1)
+        return n
 
     def count_inversions_in(self, w: AffineWeylElement, inverse: bool) -> int:
         """|N(w^{-1}) ∩ B| (inverse=True) or |N(w) ∩ B|."""

@@ -8,7 +8,8 @@ Also houses the finite Weyl group (fully enumerated -- at rank <= 3 it has
 at most 24 elements), positive systems, and the finite biclosed sets
 P(psi, d1, d2) = (psi \\ span(d1)) | span(d2) for orthogonal simple
 subsets d1, d2.  `WeylTable` holds the group as integer tables, built on
-first use; inverses and reduced words (finite and affine) are read off it.
+first use; inverses, reduced words (finite and affine) and the root images
+of affine elements are read off it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 #: Gram matrices of pairwise inner products of the simple roots, in a
-#: normalization where every entry is rational.
+#: normalization where every entry is an integer.
 _GRAM_TABLE = {
     "A2": ((2, -1), (-1, 2)),
     "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
@@ -48,7 +49,7 @@ class CartanDatum:
         self.type_label = type_label
         gram = _GRAM_TABLE[type_label]
         self.rank = len(gram)
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        self.gram = gram
         self.coxeter_number = COXETER_NUMBER[type_label]
         self.simple_roots = tuple(
             tuple(1 if j == i else 0 for j in range(self.rank))
@@ -280,13 +281,14 @@ class WeylTable:
     """The finite Weyl group as integer tables, after Casselman, *Machine
     calculations in Weyl groups* (Invent. Math. 1994).
 
-    Element n is ``elements[n]``; write u for it.  ``inv[n]`` is the index
-    of u^{-1}; ``lmul[i][n]`` that of s_i u for i < rank, and
-    ``lmul[rank][n]`` that of s_theta u.  ``pos[n][i]`` is 1 if u^{-1}(a_i)
-    is positive, else 0, and ``pos[n][rank]`` the same for u^{-1}(-theta).
-    ``cartan[i][k]`` is <a_k, a_i^vee>, and ``cartan[rank][k]`` is
-    <a_k, theta^vee>; ``e`` is the index of the identity.  Everything but
-    the Cartan integers is built from the integer root images.
+    Element n is ``elements[n]``; write u for it.  ``image[n]`` maps each
+    root mu to u(mu), and ``inv[n]`` is the index of u^{-1}; ``lmul[i][n]``
+    that of s_i u for i < rank, and ``lmul[rank][n]`` that of s_theta u.
+    ``pos[n][i]`` is 1 if u^{-1}(a_i) is positive, else 0, and
+    ``pos[n][rank]`` the same for u^{-1}(-theta).  ``cartan[i][k]`` is
+    <a_k, a_i^vee>, and ``cartan[rank][k]`` is <a_k, theta^vee>; ``e`` is
+    the index of the identity.  Everything but the Cartan integers is built
+    from the integer root images.
     """
 
     def __init__(self, datum: CartanDatum):
@@ -313,9 +315,10 @@ class WeylTable:
         elements = datum.weyl_elements
         index = {w: n for n, w in enumerate(elements)}
         targets = datum.simple_roots + (tuple(-x for x in theta),)
+        image = tuple({r: act(u, r) for r in datum.roots} for u in elements)
         inv, pos = [], []
-        for u in elements:
-            pre = {act(u, r): r for r in datum.roots}
+        for img in image:
+            pre = {v: r for r, v in img.items()}
             inv.append(index[WeylElement(datum, [pre[a] for a in datum.simple_roots])])
             pos.append(tuple(int(datum.is_positive(pre[a])) for a in targets))
         self.rank = rank
@@ -323,6 +326,7 @@ class WeylTable:
         self.cartan = cartan
         self.elements = elements
         self.index = index
+        self.image = image
         self.e = index[datum.identity()]
         self.inv = tuple(inv)
         self.pos = tuple(pos)

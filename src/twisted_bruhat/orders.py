@@ -106,13 +106,13 @@ def _element_profile(w, B):
     if memo is not None and memo[0] == w:
         return memo[1]
     datum = B.datum
+    table = datum.weyl_table()
+    p = w._pairings()
     terms = []
-    for mu in datum.roots:
-        c = datum.inner(mu, w.trans)
-        if c.denominator != 1:
-            raise ValueError("translation not in the coroot lattice")
+    # (mu, v) = (u mu, u v) = sum_k (u mu)_k p_k
+    for mu, umu in table.image[table.index[w.fin]].items():
         lo = 0 if datum.is_positive(mu) else 1
-        terms.append((mu, w.fin.apply(mu), -int(c), lo))
+        terms.append((mu, umu, -sum(a * x for a, x in zip(umu, p)), lo))
     profile = (twisted_length_left(w, B), tuple(terms))
     B._ray_memo = (w, profile)
     return profile
@@ -176,21 +176,18 @@ def _check_tail(B, profile, n, drift, positive_end):
     window end +n (positive_end) or -n; raise CertificationFailed otherwise.
 
     Each chain term of Delta is piecewise affine in its top hi, with kinks
-    at lo - 1 and at the thresholds a - 1, b, nw_hi of B._base_data; hi is
-    affine in k.  So Delta is affine between the integers next to its
-    kinks: checking the values at those integers beyond the end and at the
-    first step past it, and that the slope past the last kink does not turn
-    back, covers every k beyond the end.
+    at lo - 1 and at the top t_mu of B's twist (B._base_data); hi is affine
+    in k.  So Delta is affine between the integers next to its kinks:
+    checking the values at those integers beyond the end and at the first
+    step past it, and that the slope past the last kink does not turn back,
+    covers every k beyond the end.
     """
     out = 1 if positive_end else -1
     sign = 1 if drift > 0 else -1
     data = B._base_data()
     steps = {n + 1}
     for mu, lo, a, b in profile[1]:
-        _, ta, _, tb, nw_hi = data[mu]
-        for t in (lo - 1, ta - 1, tb, nw_hi):
-            if t is None:
-                continue
+        for t in (lo - 1, data[mu][2]):
             # kink at k = (t - a) / b: the integers on both sides of it
             for k in ((t - a) // b, -((a - t) // b)):
                 if out * k > n:
@@ -439,30 +436,31 @@ def weak_chain(u, v, B):
 # ----- ball enumeration, level sets, antichains ----------------------------
 
 
-_BALL_CACHE = {}
+_BALL_CACHE = {}  # type label -> (elements by (length, word), ends)
 
 
 def length_ball(datum, radius: int):
-    """All w with l(w) <= radius, sorted by (length, word)."""
-    key = (datum.type_label, radius)
-    if key not in _BALL_CACHE:
-        gens = simple_reflections(datum)
-        e = identity(datum)
-        seen = {e: 0}
-        frontier = [e]
-        for dist in range(1, radius + 1):
-            nxt = []
-            for w in frontier:
-                for s in gens:
-                    ws = w * s
-                    if ws not in seen and ws.length() == dist:
-                        seen[ws] = dist
-                        nxt.append(ws)
-            frontier = nxt
-        _BALL_CACHE[key] = tuple(
-            sorted(seen, key=lambda w: (seen[w], w.word()))
-        )
-    return _BALL_CACHE[key]
+    """All w with l(w) <= radius, sorted by (length, word): the first
+    ends[radius + 1] elements of one ball per type, which grows a level at
+    a time from its last frontier."""
+    if datum.type_label not in _BALL_CACHE:
+        _BALL_CACHE[datum.type_label] = ([identity(datum)], [0, 1])
+    elements, ends = _BALL_CACHE[datum.type_label]
+    gens = simple_reflections(datum)
+    while len(ends) <= radius + 1:
+        below = set(elements[ends[-3]:ends[-2]]) if len(ends) > 2 else ()
+        level = {}  # insertion-ordered; a repeat keeps its first place
+        for w in elements[ends[-2]:]:
+            for s in gens:
+                ws = w * s
+                if ws not in below:  # else l(ws) = l(w) - 1
+                    level[ws] = None
+        # No sort needed: the lex-least word of ws is that of the first
+        # frontier element w it extends, plus the letter s, and the frontier
+        # is in word order; so the level is found in word order.
+        elements.extend(level)
+        ends.append(len(elements))
+    return tuple(elements[: ends[radius + 1]])
 
 
 def level_set_sample(B, k: int, radius: int):

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_bruhat import (
+    BiclosedSet,
     build_system,
+    covers,
     from_word,
+    full_positive_biclosed,
     identity,
     inversion_set,
     reflection,
@@ -25,6 +28,7 @@ from twisted_bruhat.affine_group import (
     parse_word,
     product_inversion,
 )
+from twisted_bruhat.finite import standard_positive_system
 
 TYPES = ("A2", "A3", "B2", "G2")
 
@@ -114,11 +118,68 @@ def test_translation_conjugation():
 
 
 def test_translation_outside_coroot_lattice_raises():
-    t = translation(build_system("A2"), (Fraction(1, 2), 0))
+    d = build_system("A2")
+    t = translation(d, (Fraction(1, 2), 0))
     with pytest.raises(ValueError):
         t.inversion_chains()
     with pytest.raises(ValueError):
         t.apply(((0, 1), 0))
+    with pytest.raises(ValueError):
+        t.word()
+    B = BiclosedSet(t, standard_positive_system(d), (), ())
+    with pytest.raises(ValueError):
+        B.contains(((0, 1), 0))
+    with pytest.raises(ValueError):
+        covers(t, full_positive_biclosed(d))
+
+
+def _chain_tops_in_fractions(w):
+    """The former `inversion_chains` loop, kept as the oracle of
+    `chain_tops`: c_mu = (mu, u(v)) in Fraction per root, minus
+    [u^{-1}(mu) > 0]."""
+    d = w.datum
+    uinv = w.fin.inverse()
+    uv = tuple(Fraction(x) for x in w.fin.apply(w.trans))
+    tops = {}
+    for mu in d.roots:
+        c = d.inner(mu, uv)
+        assert c.denominator == 1
+        tops[mu] = int(c) - (1 if d.is_positive(uinv.apply(mu)) else 0)
+    return tops
+
+
+def _apply_in_fractions(w, r):
+    base, level = r
+    shift = w.datum.inner(base, w.trans)
+    assert shift.denominator == 1
+    return (w.fin.apply(base), level + int(shift))
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_chain_tops_match_fraction_oracle(label):
+    """500 seeded words plus the translations t_lam, lam = sum n_i a_i^vee
+    with |n_i| <= 1 (in G2, b^vee = b/3): the integer tops, the chains read
+    off them and the action on affine roots agree with Fraction arithmetic."""
+    d = build_system(label)
+    rng = random.Random(19)
+    elements = [
+        from_word(d, [rng.randint(1, d.rank + 1) for _ in range(rng.randint(0, 16))])
+        for _ in range(500)
+    ]
+    coroots = [d.coroot(a) for a in d.simple_roots]
+    for i, ns in enumerate(itertools.product(range(-1, 2), repeat=d.rank)):
+        lam = [sum(n * c[j] for n, c in zip(ns, coroots)) for j in range(d.rank)]
+        t = translation(d, lam)
+        elements += [t, t * elements[i]]
+    for w in elements:
+        tops = _chain_tops_in_fractions(w)
+        assert w.chain_tops() == tops
+        floor = {mu: 0 if d.is_positive(mu) else 1 for mu in d.roots}
+        assert w.inversion_chains() == {
+            mu: (floor[mu], t) for mu, t in tops.items() if t >= floor[mu]
+        }
+        for r in ((d.roots[0], 0), (d.roots[-1], -2), (d.highest_root, 3)):
+            assert w.apply(r) == _apply_in_fractions(w, r)
 
 
 def _word_by_rebuilding(w):

@@ -46,6 +46,28 @@ def test_tracer_targets_resolve():
     assert not missing
 
 
+def test_tracer_hook_names_resolve():
+    """The tracer's hooks read attributes of live objects: the chain cache
+    of an element, a biclosed set's twisted-length caches, and the two
+    level bounds that start the cover window.  A rename would break only a
+    traced benchmark run."""
+    tracer = {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(_tree(ROOT / "bench" / "tracer.py"))
+        if isinstance(node, ast.Attribute)
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+    }
+    datum = twisted_bruhat.build_system("A2")
+    w = twisted_bruhat.identity(datum)
+    B = twisted_bruhat.full_positive_biclosed(datum)
+    read = [
+        (w, "_chains"), (w, "max_inversion_level"),
+        (B, "_lB"), (B, "_lBp"), (B, "level_star"),
+    ]
+    assert {attr for _, attr in read} <= tracer
+    assert [attr for obj, attr in read if not hasattr(obj, attr)] == []
+
+
 @pytest.mark.parametrize("filename", MODULES)
 def test_no_assert_in_certificate_checks(filename):
     lines = [

@@ -13,12 +13,11 @@ from twisted_bruhat import (
     from_inversion_set,
     from_word,
     full_positive_biclosed,
-    identity,
     inversion_set,
     parse_biclosed,
 )
 from twisted_bruhat.biclosed import BiclosedSet, dot_action_pointwise
-from twisted_bruhat.finite import FiniteBiclosed
+from twisted_bruhat.finite import FiniteBiclosed, enumerate_P_triples
 from conftest import random_biclosed, random_element
 
 TYPES = ("A2", "A3", "B2", "G2")
@@ -40,29 +39,52 @@ def all_roots_to_level(datum, level):
     return out
 
 
+def _twisted_triples(label, seed):
+    """B = w . P(psi, d1, d2)^hat for every P-triple, each under the trivial
+    twist and two seeded random ones."""
+    datum = build_system(label)
+    rng = random.Random(seed)
+    for psi, d1, d2 in enumerate_P_triples(datum):
+        for twist_len in (0, 4, 8):
+            yield BiclosedSet(random_element(datum, rng, twist_len), psi, d1, d2)
+
+
+def _floor(datum, base):
+    return 0 if datum.is_positive(base) else 1
+
+
+def _levels_around(datum, B, base, reach):
+    """The positive levels of the chain over base within reach of the
+    twist's top t over it, where membership switches sides."""
+    t = B.twist.chain_tops()[base]
+    k0 = _floor(datum, base)
+    return range(max(k0, t - reach), max(k0, t + reach) + 1)
+
+
 @pytest.mark.parametrize("label", TYPES)
 def test_membership_matches_pointwise_definition(label):
-    """O(1) chain membership == twist-dot-action of the finite core P."""
-    rng = random.Random(31)
+    """O(1) chain membership == twist-dot-action of the finite core P, on
+    every P-triple, at levels on both sides of each threshold."""
     datum = build_system(label)
-    for _ in range(8):
-        B = random_biclosed(label, rng)
-        P_hat = BiclosedSet(identity(datum), B.psi, B.delta1, B.delta2)
-        for r in all_roots_to_level(datum, 6):
-            expected = dot_action_pointwise(B.twist, P_hat.contains, r)
-            assert B.contains(r) == expected, (format_biclosed(B), r)
-
-
-@pytest.mark.parametrize("label", ("A2", "G2"))
-def test_count_in_chain_matches_scan(label):
-    rng = random.Random(32)
-    datum = build_system(label)
-    for _ in range(6):
-        B = random_biclosed(label, rng)
+    for B in _twisted_triples(label, 31):
+        in_P_hat = lambda r: tuple(r[0]) in B.P_roots
         for base in datum.roots:
-            k0 = 0 if datum.is_positive(base) else 1
-            for lo in range(k0, 5):
-                for hi in range(lo - 1, 8):
+            top = _levels_around(datum, B, base, 3)[-1]
+            for k in range(_floor(datum, base), top + 1):
+                expected = dot_action_pointwise(B.twist, in_P_hat, (base, k))
+                assert B.contains((base, k)) == expected, (
+                    format_biclosed(B), base, k
+                )
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_count_in_chain_matches_scan(label):
+    datum = build_system(label)
+    for B in _twisted_triples(label, 32):
+        for base in datum.roots:
+            levels = _levels_around(datum, B, base, 2)
+            for lo in levels:
+                for hi in range(lo - 1, levels[-1] + 2):
                     scan = sum(
                         1 for k in range(lo, hi + 1) if B.contains((base, k))
                     )

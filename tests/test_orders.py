@@ -25,6 +25,8 @@ from twisted_bruhat import (
     weak_chain,
     weak_leq,
 )
+from twisted_bruhat import orders
+from twisted_bruhat.affine_group import simple_reflections
 from twisted_bruhat.finite import enumerate_P_triples
 from twisted_bruhat.orders import (
     CertificationFailed,
@@ -33,6 +35,7 @@ from twisted_bruhat.orders import (
     _ray_delta,
     antichain_at_level,
     dot_iso_check,
+    length_ball,
     level_set_sample,
     no_local_extremum_check,
     scan_ray,
@@ -271,3 +274,33 @@ def test_dot_action_order_isomorphism():
         for _ in range(25)
     ]
     assert dot_iso_check(w, B, pairs) == []
+
+
+def _ball_by_bfs(datum, radius):
+    """The former `length_ball`, kept as the oracle of the growing ball: a
+    fresh breadth-first search to the radius, sorted by (length, word)."""
+    e = identity(datum)
+    seen = {e: 0}
+    frontier = [e]
+    for dist in range(1, radius + 1):
+        nxt = []
+        for w in frontier:
+            for s in simple_reflections(datum):
+                ws = w * s
+                if ws not in seen and ws.length() == dist:
+                    seen[ws] = dist
+                    nxt.append(ws)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda w: (seen[w], w.word())))
+
+
+@pytest.mark.parametrize("label", ("A2", "A3", "B2", "G2"))
+def test_length_ball_matches_bfs(label, monkeypatch):
+    """One ball per type, grown on demand: each radius, asked in decreasing
+    and then increasing order, is the prefix the oracle BFS returns."""
+    monkeypatch.setattr(orders, "_BALL_CACHE", {})
+    d = build_system(label)
+    expected = {r: _ball_by_bfs(d, r) for r in range(7)}
+    for r in list(range(6, -1, -1)) + list(range(7)):
+        assert length_ball(d, r) == expected[r]
+    assert list(orders._BALL_CACHE) == [label]
