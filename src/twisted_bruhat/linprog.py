@@ -1,17 +1,22 @@
 """Exact rational cone-membership via Phase-I simplex with Bland's rule.
 
 Decides whether a target vector is a nonnegative combination of finitely
-many generators, entirely over Fraction.  YES answers carry the
-coefficients; NO answers carry a separating functional y with
+many generators.  One common positive factor L clears the denominators of
+the inputs (L = 1 for integer inputs), and the simplex pivots an integer
+tableau fraction-free (Bareiss, Math. Comp. 22, 1968): every entry is D
+times the rational tableau entry, D the last pivot, and every division is
+exact.  Fraction appears only in the returned certificate.  YES answers
+carry the coefficients; NO answers carry a separating functional y with
 y . g <= 0 for every generator g and y . target > 0 (Farkas certificate).
-Both certificates are re-verified by substitution before being returned;
-a certificate that fails its check raises CertificationFailed.
+Both certificates are re-verified by integer substitution before being
+returned; a certificate that fails its check raises CertificationFailed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class CertificationFailed(Exception):
@@ -32,87 +37,82 @@ def _dot(u, v):
 
 def cone_membership(generators, target) -> ConeCertificate:
     """Is target in cone(generators)?  Exact, with a verified certificate."""
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
-    b = [Fraction(x) for x in target]
+    rows = [tuple(g) for g in generators] + [tuple(target)]
+    for g in rows[:-1]:
+        if len(g) != len(rows[-1]):
+            raise ValueError(f"generator {g} and the target differ in length")
+    # one positive L clears every denominator (L = 1 for int inputs)
+    L = lcm(*(x.denominator for row in rows for x in row))
+    *gens, b = [tuple(x.numerator * (L // x.denominator) for x in r) for r in rows]
     m = len(b)
     n = len(gens)
 
     # Phase-I tableau: columns = generators then artificials, rows scaled so
     # the right-hand side is nonnegative; minimize the artificial sum.
-    sign = [Fraction(-1) if bi < 0 else Fraction(1) for bi in b]
-    cols = [[sign[i] * g[i] for i in range(m)] for g in gens]
-    for j in range(m):  # artificial j = unit column j
-        cols.append([Fraction(int(i == j)) for i in range(m)])
-    rhs = [sign[i] * b[i] for i in range(m)]
+    sign = [-1 if bi < 0 else 1 for bi in b]
+    tableau = [
+        [sign[i] * g[i] for g in gens] + [int(i == j) for j in range(m)]
+        for i in range(m)
+    ]
+    rhs = [s * bi for s, bi in zip(sign, b)]
     basis = list(range(n, n + m))
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
-
-    tableau = [list(col) for col in zip(*cols)]  # m rows, n+m columns
+    cost = [0] * n + [1] * m
+    D = 1  # tableau and rhs hold D times their rational values
 
     while True:
-        # price out: reduced cost of column j is c_j - sum_i cbar_i row_i[j]
-        cbar = [cost[basis[i]] for i in range(m)]
+        # price out: column j improves when cost_j D < sum_i cbar_i T_ij
+        artificial = [tableau[i] for i in range(m) if basis[i] >= n]
         entering = -1
         for j in range(n + m):
             if j in basis:
                 continue
-            rc = cost[j] - _dot(cbar, [tableau[i][j] for i in range(m)])
-            if rc < 0:
+            if cost[j] * D < sum(row[j] for row in artificial):
                 entering = j  # Bland: first improving column
                 break
         if entering < 0:
             break
-        # ratio test, Bland tie-break on least basis index
-        leaving = -1
-        best = None
+        # ratio test rhs_i / a_i, Bland tie-break on least basis index
+        leaving, a_l = -1, 0
         for i in range(m):
             a = tableau[i][entering]
-            if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
+            if a > 0 and (leaving < 0 or (rhs[i] * a_l, basis[i])
+                          < (rhs[leaving] * a, basis[leaving])):
+                leaving, a_l = i, a
         if leaving < 0:  # pragma: no cover - phase-I objective is bounded
             raise AssertionError("unbounded phase-I problem")
-        piv = tableau[leaving][entering]
-        tableau[leaving] = [x / piv for x in tableau[leaving]]
-        rhs[leaving] /= piv
+        p = tableau[leaving][entering]
+        row_l, rhs_l = tableau[leaving], rhs[leaving]
         for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
+            if i != leaving:
                 f = tableau[i][entering]
                 tableau[i] = [
-                    x - f * p for x, p in zip(tableau[i], tableau[leaving])
+                    (p * x - f * y) // D for x, y in zip(tableau[i], row_l)
                 ]
-                rhs[i] -= f * rhs[leaving]
+                rhs[i] = (p * rhs[i] - f * rhs_l) // D
+        D = p
         basis[leaving] = entering
 
-    objective = sum(
-        rhs[i] for i in range(m) if basis[i] >= n
-    )
-    if objective == 0:
-        coeffs = [Fraction(0)] * n
+    if not any(rhs[i] for i in range(m) if basis[i] >= n):
+        num = [0] * n
         for i in range(m):
             if basis[i] < n:
-                coeffs[basis[i]] = rhs[i]
-        # verify by substitution
+                num[basis[i]] = rhs[i]
+        # verify by substitution: sum_j num_j g_j = D b
         for i in range(m):
-            if sum(coeffs[j] * gens[j][i] for j in range(n)) != b[i]:
+            if sum(c * g[i] for c, g in zip(num, gens)) != D * b[i]:
                 raise CertificationFailed(f"cone coefficients miss row {i}")
-        if any(c < 0 for c in coeffs):
+        if any(c < 0 for c in num):
             raise CertificationFailed("negative cone coefficient")
-        return ConeCertificate(True, tuple(coeffs), ())
+        return ConeCertificate(True, tuple(Fraction(c, D) for c in num), ())
 
-    # infeasible: y = c_B B^{-1}; B^{-1} sits under the artificial columns
-    cbar = [cost[basis[i]] for i in range(m)]
-    y_scaled = [
-        _dot(cbar, [tableau[i][n + jj] for i in range(m)]) for jj in range(m)
+    # infeasible: y = c_B B^{-1}; D B^{-1} sits under the artificial columns,
+    # times the row signs that made rhs nonnegative
+    y = [
+        sign[j] * sum(tableau[i][n + j] for i in range(m) if basis[i] >= n)
+        for j in range(m)
     ]
-    # undo the row scaling applied to make rhs nonnegative
-    y = tuple(y_scaled[i] * sign[i] for i in range(m))
     if _dot(y, b) <= 0:
         raise CertificationFailed("Farkas functional does not separate the target")
     if any(_dot(y, g) > 0 for g in gens):
         raise CertificationFailed("Farkas functional is positive on a generator")
-    return ConeCertificate(False, (), y)
+    return ConeCertificate(False, (), tuple(Fraction(c, D) for c in y))

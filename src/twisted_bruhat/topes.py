@@ -4,9 +4,11 @@ A hemispace is H = B union -(Phi^hat \\ B) (sign '+') or its negation
 (sign '-') for B a biclosed set of positive affine roots; the order based
 at a hemispace H0 is F <= G iff (F delta H0) subset (G delta H0), which is
 finite-checkable inside a block (hemispaces at finite symmetric
-difference).  Cone feasibility questions are answered exactly by the
-rational simplex in linprog; convexity is certified only at a truncation,
-non-convexity absolutely (a violation is a finite certificate).
+difference).  On each delta-chain a hemispace is constant up to finitely
+many levels, so symmetric differences are read off in closed form.  Cone
+feasibility questions are answered exactly by the integer simplex in
+linprog; convexity is certified only at a truncation, non-convexity
+absolutely (a violation is a finite certificate).
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class Hemispace:
         self.label = label
         if (biclosed is None) == (full_bases is None):
             raise ValueError("exactly one backing representation required")
+        if not all(is_positive_affine(datum, r) for r in self.flips):
+            raise ValueError("flips must be positive affine roots")
 
     def _in_B(self, r) -> bool:
         if self.biclosed is not None:
@@ -84,14 +88,10 @@ class Hemispace:
         return inb if self.sign == "+" else not inb
 
     def negated(self) -> "Hemispace":
-        h = Hemispace.__new__(Hemispace)
-        h.datum = self.datum
-        h.sign = "-" if self.sign == "+" else "+"
-        h.biclosed = self.biclosed
-        h.full_bases = self.full_bases
-        h.flips = self.flips
-        h.label = "-" + self.label if self.label else ""
-        return h
+        return Hemispace(
+            self.datum, "-" if self.sign == "+" else "+", self.biclosed,
+            self.full_bases, self.flips, "-" + self.label if self.label else "",
+        )
 
     def level_bound(self) -> int:
         """All membership variation happens at levels <= this bound."""
@@ -114,25 +114,42 @@ def from_biclosed(B: BiclosedSet, sign="+", label="") -> Hemispace:
     return Hemispace(B.datum, sign, biclosed=B, label=label)
 
 
+def _chains(H: Hemispace) -> dict:
+    """Per finite root mu: (tail, levels).  H contains the positive root
+    mu + k delta iff `tail`, except at the finitely many `levels`."""
+    datum = H.datum
+    flip = H.sign == "-"
+    if H.biclosed is not None:
+        # in B iff pos above t_mu; up to t_mu iff not neg (pos when pos != neg)
+        return {
+            mu: (pos != flip,
+                 range(_k0(datum, mu), t + 1) if pos == neg else ())
+            for mu, (pos, neg, t) in H.biclosed._base_data().items()
+        }
+    out = {mu: ((mu in H.full_bases) != flip, set()) for mu in datum.roots}
+    for mu, k in H.flips:
+        out[mu][1].add(k)
+    return out
+
+
 def symdiff_positive(F: Hemispace, G: Hemispace) -> frozenset:
     """{positive r : F, G disagree on r}; finite iff same block.
 
     Hemispace symmetric differences are stable under negation, so the
-    positive half determines the whole.  Raises DifferentBlocks when
-    disagreements persist beyond both oracles' variation bounds.
+    positive half determines the whole.  Read chain by chain: F and G
+    disagree on infinitely many levels (DifferentBlocks) when their tails
+    differ, and otherwise exactly on the symmetric difference of their
+    exceptional levels.
     """
-    bound = max(F.level_bound(), G.level_bound())
-    out = set()
-    margin_clean = True
-    for r in positive_roots_to_level(F.datum, bound + 2):
-        if F.contains(r) != G.contains(r):
-            if r[1] > bound:
-                margin_clean = False
-            out.add(r)
-    if not margin_clean:
-        raise DifferentBlocks(
-            "symmetric difference does not stabilize: different blocks"
-        )
+    G_chains = _chains(G)
+    out = []
+    for mu, (tail, levels) in _chains(F).items():
+        G_tail, G_levels = G_chains[mu]
+        if tail != G_tail:
+            raise DifferentBlocks(
+                "symmetric difference does not stabilize: different blocks"
+            )
+        out.extend((mu, k) for k in set(levels).symmetric_difference(G_levels))
     return frozenset(out)
 
 
@@ -146,11 +163,11 @@ def tope_leq(F: Hemispace, G: Hemispace, base: Hemispace) -> bool:
 
 def _vec(datum, r):
     base, k = r
-    return tuple(Fraction(x) for x in base) + (Fraction(k),)
+    return tuple(base) + (k,)
 
 
 def cone_member(datum: CartanDatum, target, generators):
-    """Exact rational feasibility of target in cone(generators)."""
+    """Exact feasibility of target in cone(generators), with certificate."""
     return cone_membership(
         [_vec(datum, g) for g in generators], _vec(datum, target)
     )
@@ -268,13 +285,9 @@ def closure_axiom_check(datum: CartanDatum, level: int, samples: int, seed=0):
         # (iii)
         x = rng.choice(universe)
         with_star = _closure(datum, X + [negate(x)], universe)
-        if x in with_star:
-            strip = _closure(datum, X, universe)
-            if x not in strip and not any(
-                r == negate(x) for r in X
-            ):
-                # x in cx(X u {x*}) must force x in cx(X)
-                return False
+        # x in cx(X u {x*}) must force x in cx(X)
+        if x in with_star and x not in cx and negate(x) not in X:
+            return False
         # (iv) exchange
         y = rng.choice(universe)
         base = [r for r in X if r != y]
@@ -335,14 +348,12 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
         nxt = []
         for w, F in frontier:
             for g in gens:
-                w2 = g * w
-                F2 = from_biclosed(
-                    dot_action(w2, center.biclosed), center.sign
-                )
+                # g . (w . B) = (g w) . B: one product per neighbour
+                F2 = from_biclosed(dot_action(g, F.biclosed), center.sign)
                 key = symdiff_positive(F2, base)
                 if key not in seen:
-                    seen[key] = (w2, F2)
-                    nxt.append((w2, F2))
+                    seen[key] = (g * w, F2)
+                    nxt.append(seen[key])
         frontier = nxt
     nodes = []
     for key, (w, F) in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
@@ -376,27 +387,15 @@ def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
         if d1 <= key <= d2
     }
     keys = list(members)
-    leq = lambda a, b: a <= b
     problems = []
     for i, a in enumerate(keys):
         for b in keys[i:]:
-            for kind, pred in (
-                ("meet", lambda z: leq(z, a) and leq(z, b)),
-                ("join", lambda z: leq(a, z) and leq(b, z)),
-            ):
-                bounds = [z for z in keys if pred(z)]
-                if kind == "meet":
-                    extreme = [
-                        z for z in bounds
-                        if all(leq(y, z) for y in bounds)
-                    ]
-                else:
-                    extreme = [
-                        z for z in bounds
-                        if all(leq(z, y) for y in bounds)
-                    ]
-                if len(extreme) != 1:
-                    problems.append((kind, a, b))
+            lower = [z for z in keys if z <= a and z <= b]
+            upper = [z for z in keys if a <= z and b <= z]
+            if sum(all(y <= z for y in lower) for z in lower) != 1:
+                problems.append(("meet", a, b))
+            if sum(all(z <= y for y in upper) for z in upper) != 1:
+                problems.append(("join", a, b))
     return {
         "interval_size": len(keys),
         "is_lattice": not problems,

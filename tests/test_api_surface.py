@@ -1,7 +1,7 @@
 """The package surface stays live: exports resolve, the benchmark tracer's
 targets exist, certificate and integrality checks are explicit code rather
-than `assert` (which `python -O` strips), and no definition in src/ goes
-unused."""
+than `assert` (which `python -O` strips), arithmetic stays exact, and no
+definition in src/ goes unused."""
 
 import ast
 import importlib
@@ -76,6 +76,30 @@ def test_no_assert_in_certificate_checks(filename):
         if isinstance(node, ast.Assert)
     ]
     assert not lines, f"{filename} asserts on lines {lines}"
+
+
+@pytest.mark.parametrize("filename", MODULES)
+def test_no_floats(filename):
+    """Exact arithmetic only: no float literal or float() call anywhere in
+    src/, and no true division in linprog, whose integer tableau relies on
+    every `//` being exact."""
+    found = []
+    for node in ast.walk(_tree(SRC / filename)):
+        if isinstance(node, ast.Constant) and isinstance(
+            node.value, (float, complex)
+        ):
+            found.append((node.lineno, "float literal"))
+        elif isinstance(node, ast.Call) and getattr(
+            node.func, "id", None
+        ) == "float":
+            found.append((node.lineno, "float()"))
+        elif (
+            filename == "linprog.py"
+            and isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)
+        ):
+            found.append((node.lineno, "true division"))
+    assert not found, f"{filename}: {found}"
 
 
 def _definitions():

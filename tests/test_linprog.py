@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,121 @@ from twisted_bruhat.linprog import cone_membership
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def fraction_simplex(generators, target):
+    """The Phase-I simplex over Fraction, pivot for pivot as the library's
+    integer tableau: (feasible, coefficients, functional)."""
+    gens = [tuple(Fraction(x) for x in g) for g in generators]
+    b = [Fraction(x) for x in target]
+    m, n = len(b), len(gens)
+    sign = [Fraction(-1) if bi < 0 else Fraction(1) for bi in b]
+    cols = [[sign[i] * g[i] for i in range(m)] for g in gens]
+    for j in range(m):
+        cols.append([Fraction(int(i == j)) for i in range(m)])
+    rhs = [sign[i] * b[i] for i in range(m)]
+    basis = list(range(n, n + m))
+    cost = [Fraction(0)] * n + [Fraction(1)] * m
+    tableau = [list(col) for col in zip(*cols)]
+    while True:
+        cbar = [cost[basis[i]] for i in range(m)]
+        entering = -1
+        for j in range(n + m):
+            if j in basis:
+                continue
+            rc = cost[j] - dot(cbar, [tableau[i][j] for i in range(m)])
+            if rc < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = rhs[i] / a
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leaving]
+                ):
+                    best = ratio
+                    leaving = i
+        piv = tableau[leaving][entering]
+        tableau[leaving] = [x / piv for x in tableau[leaving]]
+        rhs[leaving] /= piv
+        for i in range(m):
+            if i != leaving and tableau[i][entering] != 0:
+                f = tableau[i][entering]
+                tableau[i] = [
+                    x - f * p for x, p in zip(tableau[i], tableau[leaving])
+                ]
+                rhs[i] -= f * rhs[leaving]
+        basis[leaving] = entering
+    if sum(rhs[i] for i in range(m) if basis[i] >= n) == 0:
+        coeffs = [Fraction(0)] * n
+        for i in range(m):
+            if basis[i] < n:
+                coeffs[basis[i]] = rhs[i]
+        return True, tuple(coeffs), ()
+    cbar = [cost[basis[i]] for i in range(m)]
+    y = tuple(
+        sign[j] * dot(cbar, [tableau[i][n + j] for i in range(m)])
+        for j in range(m)
+    )
+    return False, (), y
+
+
+def _instance(rng):
+    """Small generator sets with ties: zero targets, no generators,
+    repeated and parallel generators, and fractional entries."""
+    m = rng.randrange(1, 6)
+    entry = lambda: (
+        Fraction(rng.randrange(-6, 7), rng.choice((1, 1, 2, 3, 4)))
+        if rng.random() < 0.3
+        else rng.randrange(-3, 4)
+    )
+    gens = [tuple(entry() for _ in range(m)) for _ in range(rng.randrange(7))]
+    for _ in range(rng.randrange(3) if gens else 0):
+        g = rng.choice(gens)
+        c = rng.choice((1, 2, 3, Fraction(1, 2)))
+        gens.insert(rng.randrange(len(gens) + 1), tuple(c * x for x in g))
+    if rng.random() < 0.1:
+        target = (0,) * m
+    elif gens and rng.random() < 0.4:
+        target = tuple(
+            sum(c * g[i] for c, g in zip(
+                [rng.randrange(3) for _ in gens], gens)) for i in range(m)
+        )
+    else:
+        target = tuple(entry() for _ in range(m))
+    return gens, target
+
+
+def test_integer_tableau_matches_fraction_simplex():
+    rng = random.Random(72)
+    kinds = {"feasible": 0, "infeasible": 0, "empty": 0, "zero": 0,
+             "fraction": 0}
+    for _ in range(2500):
+        gens, target = _instance(rng)
+        cert = cone_membership(gens, target)
+        got = (cert.feasible, cert.coefficients, cert.functional)
+        assert got == fraction_simplex(gens, target), (gens, target)
+        assert all(type(c) is Fraction for c in got[1] + got[2])
+        kinds["feasible" if cert.feasible else "infeasible"] += 1
+        kinds["empty"] += not gens
+        kinds["zero"] += not any(target)
+        kinds["fraction"] += any(
+            isinstance(x, Fraction) and x.denominator > 1
+            for row in gens + [target] for x in row
+        )
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_generator_length_must_match_target():
+    with pytest.raises(ValueError, match=r"\(1, 0, 5\)"):
+        cone_membership([(1, 0, 5)], (1, 0))
+    with pytest.raises(ValueError, match=r"\(1,\)"):
+        cone_membership([(0, 1), (1,)], (1, 0))
 
 
 def test_unit_cone_contains_positive_orthant():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twisted_bruhat import (
+    BiclosedSet,
     build_system,
     dot_action,
     from_inversion_set,
@@ -17,6 +18,7 @@ from twisted_bruhat import (
 )
 from twisted_bruhat import topes
 from twisted_bruhat.affine_group import negate
+from twisted_bruhat.finite import enumerate_P_triples
 from conftest import random_biclosed, random_element
 
 
@@ -55,6 +57,66 @@ def test_symdiff_with_empty_base_is_N(a2):
         w = random_element(a2, rng, 6)
         H = topes.from_biclosed(from_inversion_set(w))
         assert topes.symdiff_positive(H, base) == inversion_set(w)
+
+
+def scan_symdiff(F, G):
+    """The level scan: every positive root up to two levels past both
+    oracles' variation bounds, DifferentBlocks if the margin disagrees."""
+    bound = max(F.level_bound(), G.level_bound())
+    out = set()
+    for r in topes.positive_roots_to_level(F.datum, bound + 2):
+        if F.contains(r) != G.contains(r):
+            if r[1] > bound:
+                raise topes.DifferentBlocks("different blocks")
+            out.add(r)
+    return frozenset(out)
+
+
+def _symdiff_or_blocks(fn, F, G):
+    try:
+        return fn(F, G)
+    except topes.DifferentBlocks:
+        return "DifferentBlocks"
+
+
+def test_symdiff_matches_level_scan():
+    rng = random.Random(87)
+    outcomes = {"same": 0, "apart": 0}
+    for type_label in ("A2", "A3", "B2", "G2"):
+        datum = build_system(type_label)
+        triples = enumerate_P_triples(datum)
+        pick = lambda n: BiclosedSet(
+            random_element(datum, rng, n), *rng.choice(triples)
+        )
+        for _ in range(260):
+            B = pick(rng.randrange(6))
+            if rng.random() < 0.6:  # same block: another twist of B
+                C = dot_action(random_element(datum, rng, 5), B)
+            else:
+                C = pick(3)
+            F = topes.from_biclosed(B, rng.choice("+-"))
+            G = topes.from_biclosed(C, rng.choice("+-"))
+            want = _symdiff_or_blocks(scan_symdiff, F, G)
+            assert _symdiff_or_blocks(topes.symdiff_positive, F, G) == want
+            outcomes["apart" if want == "DifferentBlocks" else "same"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+    # the figure's descriptor hemispaces, against each other and against
+    # biclosed ones (inversion sets share a block with H1)
+    a2 = build_system("A2")
+    hs = list(topes.figure_hemispaces().values()) + [
+        topes.from_biclosed(from_inversion_set(random_element(a2, rng, 6)), s)
+        for s in "+-" * 6
+    ]
+    for F in hs:
+        for G in hs:
+            assert _symdiff_or_blocks(
+                topes.symdiff_positive, F, G
+            ) == _symdiff_or_blocks(scan_symdiff, F, G)
+
+
+def test_flips_must_be_positive_roots(a2):
+    with pytest.raises(ValueError, match="positive affine roots"):
+        topes.Hemispace(a2, "+", full_bases=(), flips=(((-1, 0), 0),))
 
 
 def test_different_blocks_detected(a2):
@@ -123,6 +185,31 @@ def test_tope_block_matches_weak_order(a2):
     for _ in range(100):
         (ka, (wa, _)), (kb, (wb, _)) = rng.sample(items, 2)
         assert (ka <= kb) == weak_leq(wa, wb, B0, side="right")
+
+
+def test_tope_block_reps_match_full_products(a2):
+    """Neighbours built as g . (w . B) give the keys and words of the
+    (g w) . B construction."""
+    for B0 in (from_inversion_set(identity(a2)),
+               random_biclosed("A2", random.Random(93))):  # Cofinite
+        center = topes.from_biclosed(B0)
+        gens = topes._block_generators(center)
+        seen = {topes.symdiff_positive(center, center): identity(a2)}
+        frontier = [identity(a2)]
+        for _ in range(3):
+            nxt = []
+            for w in frontier:
+                for g in gens:
+                    F2 = topes.from_biclosed(dot_action(g * w, B0))
+                    key = topes.symdiff_positive(F2, center)
+                    if key not in seen:
+                        seen[key] = g * w
+                        nxt.append(g * w)
+            frontier = nxt
+        block = topes.tope_block(center, center, radius=3)
+        assert [(k, w.word()) for k, (w, _) in block.reps.items()] == [
+            (k, w.word()) for k, w in seen.items()
+        ]
 
 
 def test_interval_lattice_check(a2):
