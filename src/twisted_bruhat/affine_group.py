@@ -11,8 +11,9 @@ negative by ``w^{-1}`` -- i.e. the inversion set of the *inverse*.  With
 this convention N(uv) decomposes by the product formula and
 N(s_1...s_k) = {a_{s_1}, s_1(a_{s_2}), ...} for reduced words.
 
-Products and inverses work on the Fraction translation.  Everything else
-reads the integers p_k = (a_k, u(v)) and the finite group's `WeylTable`:
+Products and inverses take the finite part from the finite group's
+integer `WeylTable`; only the translation is rational.  Everything else
+reads the integers p_k = (a_k, u(v)) and the same table:
 the chain tops t_mu behind the inversion chains, the action on affine
 roots, and reduced words (an integer descent walk).  Reflections take s_mu
 and mu^vee from a per-root cache.

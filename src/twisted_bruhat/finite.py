@@ -1,15 +1,19 @@
-"""Finite crystallographic root systems with exact rational arithmetic.
+"""Finite crystallographic root systems with exact arithmetic.
 
 Shipped types: A2, A3, B2, G2.  Roots are integer coefficient vectors over
 the simple basis; inner products go through the Gram matrix, so every
-computation is exact (`fractions.Fraction`, no floating point anywhere).
+computation is exact (ints, `fractions.Fraction` where a vector is
+rational, no floating point anywhere).
 
 Also houses the finite Weyl group (fully enumerated -- at rank <= 3 it has
 at most 24 elements), positive systems, and the finite biclosed sets
 P(psi, d1, d2) = (psi \\ span(d1)) | span(d2) for orthogonal simple
 subsets d1, d2.  `WeylTable` holds the group as integer tables, built on
-first use; inverses, reduced words (finite and affine) and the root images
-of affine elements are read off it.
+first use from the integer root images: products, inverses and lengths
+are lookups in it, and so are positive systems, reduced words (finite and
+affine) and the root images of affine elements.  `WeylElement.apply`
+sums in ints and keeps Fraction only for a rational vector, i.e. an
+affine translation.
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ class CartanDatum:
 
     @property
     def weyl_elements(self):
-        """All elements of the finite Weyl group, enumerated once."""
+        """All elements of the finite Weyl group, enumerated once by
+        composing simple-root images (the tables are built from these)."""
         if self._weyl is None:
             e = self.identity()
             seen = {e}
@@ -147,7 +152,7 @@ class CartanDatum:
                 nxt = []
                 for w in frontier:
                     for s in gens:
-                        ws = w * s
+                        ws = WeylElement(self, [w.apply(r) for r in s.imgs])
                         if ws not in seen:
                             seen.add(ws)
                             nxt.append(ws)
@@ -230,22 +235,22 @@ class WeylElement:
         self._hash = hash(self.imgs)
 
     def apply(self, v):
-        """Image of a coefficient vector (roots stay integral)."""
+        """Image of a coefficient vector: int entries are summed as ints,
+        and a Fraction entry (a translation) keeps Fraction arithmetic.  An
+        integral image comes back as ints, any other as Fractions."""
         n = self.datum.rank
-        out = [Fraction(0)] * n
-        for i, c in enumerate(v):
+        out = [0] * n
+        for c, img in zip(v, self.imgs):
             if c:
-                img = self.imgs[i]
                 for j in range(n):
-                    out[j] += _fr(c) * img[j]
-        if all(f.denominator == 1 for f in out):
-            return tuple(int(f) for f in out)
+                    out[j] += c * img[j]
+        if all(x.denominator == 1 for x in out):
+            return tuple(int(x) for x in out)
         return tuple(out)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(
-            self.datum, tuple(self.apply(r) for r in other.imgs)
-        )
+        t = self.datum.weyl_table()
+        return t.elements[t.mul[t.index[self]][t.index[other]]]
 
     def inverse(self) -> "WeylElement":
         t = self.datum.weyl_table()
@@ -255,11 +260,12 @@ class WeylElement:
         return self.imgs == self.datum.simple_roots
 
     def length(self) -> int:
-        return sum(
-            1
-            for r in self.datum.positive_roots
-            if not self.datum.is_positive(self.apply(r))
-        )
+        """The number of positive roots u sends negative, read off the
+        table's root images."""
+        t = self.datum.weyl_table()
+        image = t.image[t.index[self]]
+        positive = self.datum.is_positive
+        return sum(not positive(image[r]) for r in self.datum.positive_roots)
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.imgs == other.imgs
@@ -282,60 +288,48 @@ class WeylTable:
     calculations in Weyl groups* (Invent. Math. 1994).
 
     Element n is ``elements[n]``; write u for it.  ``image[n]`` maps each
-    root mu to u(mu), and ``inv[n]`` is the index of u^{-1}; ``lmul[i][n]``
-    that of s_i u for i < rank, and ``lmul[rank][n]`` that of s_theta u.
-    ``pos[n][i]`` is 1 if u^{-1}(a_i) is positive, else 0, and
-    ``pos[n][rank]`` the same for u^{-1}(-theta).  ``cartan[i][k]`` is
-    <a_k, a_i^vee>, and ``cartan[rank][k]`` is <a_k, theta^vee>; ``e`` is
-    the index of the identity.  Everything but the Cartan integers is built
-    from the integer root images.
+    root mu to u(mu), ``mul[n][m]`` is the index of u elements[m], and
+    ``inv[n]`` that of u^{-1}; ``lmul[i][n]`` is that of s_i u for i < rank,
+    and ``lmul[rank][n]`` that of s_theta u.  ``pos[n][i]`` is 1 if
+    u^{-1}(a_i) is positive, else 0, and ``pos[n][rank]`` the same for
+    u^{-1}(-theta).  ``cartan[i][k]`` is <a_k, a_i^vee>, and
+    ``cartan[rank][k]`` is <a_k, theta^vee>; ``e`` is the index of the
+    identity.  Everything but the Cartan integers is built from the integer
+    root images.
     """
 
     def __init__(self, datum: CartanDatum):
         rank = datum.rank
-
-        # Integer images rather than WeylElement.apply / CartanDatum.reflect:
-        # through Fraction the A3 build takes ten times as long (20 ms).
-        def act(u, r):
-            return tuple(
-                sum(c * img[j] for c, img in zip(r, u.imgs)) for j in range(rank)
-            )
-
         theta = datum.highest_root
         mirrors = datum.simple_roots + (theta,)
-        cartan = tuple(
+        self.rank = rank
+        self.theta = theta
+        self.cartan = tuple(
             tuple(int(datum.pairing(a, b)) for a in datum.simple_roots)
             for b in mirrors
         )
-
-        def reflect(m, x):
-            c = sum(xk * ck for xk, ck in zip(x, cartan[m]))
-            return tuple(xk - c * bk for xk, bk in zip(x, mirrors[m]))
-
-        elements = datum.weyl_elements
-        index = {w: n for n, w in enumerate(elements)}
-        targets = datum.simple_roots + (tuple(-x for x in theta),)
-        image = tuple({r: act(u, r) for r in datum.roots} for u in elements)
-        inv, pos = [], []
-        for img in image:
-            pre = {v: r for r, v in img.items()}
-            inv.append(index[WeylElement(datum, [pre[a] for a in datum.simple_roots])])
-            pos.append(tuple(int(datum.is_positive(pre[a])) for a in targets))
-        self.rank = rank
-        self.theta = theta
-        self.cartan = cartan
-        self.elements = elements
-        self.index = index
-        self.image = image
-        self.e = index[datum.identity()]
-        self.inv = tuple(inv)
-        self.pos = tuple(pos)
-        self.lmul = tuple(
+        elements = self.elements = datum.weyl_elements
+        index = self.index = {w: n for n, w in enumerate(elements)}
+        image = self.image = tuple(
+            {r: u.apply(r) for r in datum.roots} for u in elements
+        )
+        # u elements[m] sends a_i to u(elements[m](a_i))
+        by_imgs = {u.imgs: n for n, u in enumerate(elements)}
+        self.mul = tuple(
             tuple(
-                index[WeylElement(datum, [reflect(m, img) for img in u.imgs])]
-                for u in elements
+                by_imgs[tuple(img[r] for r in v.imgs)] for v in elements
             )
-            for m in range(rank + 1)
+            for img in image
+        )
+        self.e = index[datum.identity()]
+        self.inv = tuple(row.index(self.e) for row in self.mul)
+        targets = datum.simple_roots + (tuple(-x for x in theta),)
+        self.pos = tuple(
+            tuple(int(datum.is_positive(image[m][a])) for a in targets)
+            for m in self.inv
+        )
+        self.lmul = tuple(
+            self.mul[index[datum.reflection(b)]] for b in mirrors
         )
 
     def reduced_word(self, n, p):
@@ -379,19 +373,20 @@ class PositiveSystem:
         self.chamber = chamber
         self._roots = None
 
+    def _image(self):
+        t = self.datum.weyl_table()
+        return t.image[t.index[self.chamber]]
+
     @property
     def roots(self) -> frozenset:
         if self._roots is None:
-            self._roots = frozenset(
-                self.chamber.apply(r) for r in self.datum.positive_roots
-            )
+            image = self._image()
+            self._roots = frozenset(image[r] for r in self.datum.positive_roots)
         return self._roots
 
     @property
     def simple_system(self):
-        return tuple(
-            sorted(self.chamber.apply(a) for a in self.datum.simple_roots)
-        )
+        return tuple(sorted(self.chamber.imgs))
 
     def __eq__(self, other):
         return (
@@ -415,10 +410,10 @@ def _span_roots(psi: PositiveSystem, simples):
     The simple roots of psi are the u(a_i), so these roots are the u(r) for
     the roots r with r_k = 0 whenever u(a_k) is not among `simples`.
     """
-    u = psi.chamber
-    off = [k for k, img in enumerate(u.imgs) if img not in simples]
+    image = psi._image()
+    off = [k for k, img in enumerate(psi.chamber.imgs) if img not in simples]
     return frozenset(
-        u.apply(r) for r in psi.datum.roots if all(r[k] == 0 for k in off)
+        image[r] for r in psi.datum.roots if all(r[k] == 0 for k in off)
     )
 
 
@@ -522,8 +517,10 @@ def enumerate_biclosed_finite(datum: CartanDatum):
     return out
 
 
+@lru_cache(maxsize=None)
 def enumerate_P_triples(datum: CartanDatum):
-    """All valid (psi, d1, d2) with d1 orthogonal to d2."""
+    """All valid (psi, d1, d2) with d1 orthogonal to d2, as a tuple built
+    once per datum (at most 408 triples, for A3)."""
     triples = []
     seen_psi = set()
     for w in datum.weyl_elements:
@@ -542,7 +539,7 @@ def enumerate_P_triples(datum: CartanDatum):
                     datum.inner(a, b) == 0 for a in d1 for b in d2
                 ):
                     triples.append((psi, frozenset(d1), frozenset(d2)))
-    return triples
+    return tuple(triples)
 
 
 @lru_cache(maxsize=None)

@@ -306,7 +306,9 @@ def closure_axiom_check(datum: CartanDatum, level: int, samples: int, seed=0):
 def _block_generators(center: Hemispace):
     """Reflections generating W' for the center's representation: s_mu and
     s_{delta-mu} for the roots mu spanning Delta1 u Delta2 (these contain
-    the canonical simple generators of the affine reflection subgroup)."""
+    the canonical simple generators of the affine reflection subgroup),
+    conjugated by the twist w of B = w . P^hat, so that each w g w^{-1}
+    keeps B in its block."""
     from .affine_group import reflection
 
     B = center.biclosed
@@ -317,11 +319,12 @@ def _block_generators(center: Hemispace):
         from .affine_group import simple_reflections
 
         return list(simple_reflections(datum))
+    w = B.twist
     gens = []
     for mu in sorted(span):
         if datum.is_positive(mu):
-            gens.append(reflection(datum, (mu, 0)))
-            gens.append(reflection(datum, (tuple(-x for x in mu), 1)))
+            for r in ((mu, 0), (tuple(-x for x in mu), 1)):
+                gens.append(w * reflection(datum, r) * w.inverse())
     return gens
 
 

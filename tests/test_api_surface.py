@@ -1,7 +1,8 @@
 """The package surface stays live: exports resolve, the benchmark tracer's
 targets exist, certificate and integrality checks are explicit code rather
-than `assert` (which `python -O` strips), arithmetic stays exact, and no
-definition in src/ goes unused."""
+than `assert` (which `python -O` strips), arithmetic stays exact, the finite
+Weyl group's operations stay integer, and no definition in src/ goes
+unused."""
 
 import ast
 import importlib
@@ -100,6 +101,29 @@ def test_no_floats(filename):
         ):
             found.append((node.lineno, "true division"))
     assert not found, f"{filename}: {found}"
+
+
+def test_weyl_group_ops_are_integer():
+    """WeylElement.__mul__, inverse and length read the integer tables:
+    none of them touches Fraction or _fr, nor apply, which keeps Fraction
+    arithmetic for rational vectors."""
+    (cls,) = [
+        node
+        for node in _tree(SRC / "finite.py").body
+        if isinstance(node, ast.ClassDef) and node.name == "WeylElement"
+    ]
+    methods = {
+        item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)
+    }
+    banned = ("Fraction", "_fr", "apply")
+    found = [
+        (name, node.lineno)
+        for name in ("__mul__", "inverse", "length")
+        for node in ast.walk(methods[name])
+        if (isinstance(node, ast.Name) and node.id in banned)
+        or (isinstance(node, ast.Attribute) and node.attr in banned)
+    ]
+    assert not found, found
 
 
 def _definitions():

@@ -1,12 +1,16 @@
 """Finite root systems, Weyl groups, and finitely biclosed sets."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from twisted_bruhat import build_system
+from twisted_bruhat import build_system, from_word, identity
 from twisted_bruhat.finite import (
     FiniteBiclosed,
+    PositiveSystem,
+    WeylElement,
     _span_roots,
     enumerate_biclosed_finite,
     enumerate_P_triples,
@@ -88,6 +92,88 @@ def test_table_inverse_and_word(label):
         assert w.word() == _word_by_descents(w)
 
 
+def _fraction_apply(w, v):
+    """The former Fraction kernel, as the oracle of the integer one."""
+    n = w.datum.rank
+    out = [Fraction(0)] * n
+    for i, c in enumerate(v):
+        if c:
+            img = w.imgs[i]
+            for j in range(n):
+                out[j] += Fraction(c) * img[j]
+    if all(f.denominator == 1 for f in out):
+        return tuple(int(f) for f in out)
+    return tuple(out)
+
+
+def _fraction_mul(u, v):
+    return WeylElement(u.datum, tuple(_fraction_apply(u, r) for r in v.imgs))
+
+
+def _fraction_length(w):
+    d = w.datum
+    return sum(
+        1 for r in d.positive_roots if not d.is_positive(_fraction_apply(w, r))
+    )
+
+
+def _typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_table_products_match_fraction_oracle(label):
+    d = build_system(label)
+    elements = d.weyl_elements
+    for u in elements:
+        assert u.length() == _fraction_length(u)
+        for v in elements:
+            uv = u * v
+            assert uv == _fraction_mul(u, v)
+            assert uv is elements[elements.index(uv)]
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_apply_matches_fraction_oracle(label):
+    """Same values and same entry types (int or Fraction) as the oracle, on
+    every root and on seeded random vectors: ints, integral Fractions,
+    Fractions with denominators up to 3 (G2 translations are in thirds),
+    and mixtures of ints and Fractions."""
+    d = build_system(label)
+    rng = random.Random(f"apply/{label}")
+    vectors = list(d.roots)
+    for _ in range(200):
+        vectors.append(tuple(rng.randint(-9, 9) for _ in range(d.rank)))
+        vectors.append(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                  for _ in range(d.rank))
+        )
+        vectors.append(tuple(Fraction(rng.randint(-9, 9)) for _ in range(d.rank)))
+        vectors.append(
+            tuple(rng.choice((k, Fraction(k, rng.randint(1, 3))))
+                  for k in (rng.randint(-9, 9) for _ in range(d.rank)))
+        )
+    for w in d.weyl_elements:
+        for v in vectors:
+            assert _typed(w.apply(v)) == _typed(_fraction_apply(w, v))
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_affine_products_on_random_words(label):
+    d = build_system(label)
+    rng = random.Random(f"affine/{label}")
+    word = lambda: tuple(
+        rng.randint(1, d.rank + 1) for _ in range(rng.randint(0, 8))
+    )
+    e = identity(d)
+    for _ in range(60):
+        a, b, c = word(), word(), word()
+        x, y, z = from_word(d, a), from_word(d, b), from_word(d, c)
+        assert (x * y) * z == x * (y * z)
+        assert x * x.inverse() == e and x.inverse() * x == e
+        assert from_word(d, a + b) == x * y
+
+
 def test_longest_element_length():
     for label, n_pos in (("A2", 3), ("A3", 6), ("B2", 4), ("G2", 6)):
         d = build_system(label)
@@ -125,11 +211,31 @@ def test_span_roots_match_integer_combinations(label):
             assert _span_roots(psi, J) == frozenset(combos & set(d.roots))
 
 
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_P_triples_cached_once_per_type(label):
+    d = build_system(label)
+    cached = enumerate_P_triples(d)
+    assert isinstance(cached, tuple)
+    assert enumerate_P_triples(d) is cached
+    assert cached == tuple(enumerate_P_triples.__wrapped__(d))
+
+
 def test_positive_system_simple_system():
     d = build_system("A2")
     psi = standard_positive_system(d)
     assert set(psi.simple_system) == set(d.simple_roots)
     assert psi.roots == frozenset(d.positive_roots)
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_positive_systems_match_fraction_oracle(label):
+    d = build_system(label)
+    for w in d.weyl_elements:
+        psi = PositiveSystem(d, w)
+        assert psi.roots == {_fraction_apply(w, r) for r in d.positive_roots}
+        assert psi.simple_system == tuple(
+            sorted(_fraction_apply(w, a) for a in d.simple_roots)
+        )
 
 
 def test_root_name_roundtrip():

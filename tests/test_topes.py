@@ -212,6 +212,21 @@ def test_tope_block_reps_match_full_products(a2):
         ]
 
 
+@pytest.mark.parametrize("seed", (88, 89, 91, 92))
+def test_tope_block_of_twisted_center(seed):
+    """Infinite-word centers with a nontrivial twist w: the subgroup's
+    reflections conjugated by w stay in the block (unconjugated, they left
+    it and tope_block raised DifferentBlocks)."""
+    B = random_biclosed("A2", random.Random(seed))
+    assert not B.twist.is_identity()
+    center = topes.from_biclosed(B)
+    block = topes.tope_block(center, center, radius=3)
+    assert len(block.nodes) == 7
+    assert block.check_grading()
+    for g in topes._block_generators(center):
+        topes.symdiff_positive(topes.from_biclosed(dot_action(g, B)), center)
+
+
 def test_interval_lattice_check(a2):
     B0 = from_inversion_set(identity(a2))
     center = topes.from_biclosed(B0)
