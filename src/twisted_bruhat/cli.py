@@ -24,6 +24,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CERT_FAIL = 3
 
+# sect4 cost roughly doubles per budget unit; 12 takes seconds.
+MAX_BUDGET = 12
+
 
 class UsageError(Exception):
     pass
@@ -183,6 +186,8 @@ def cmd_sect4(args, config):
     budgets = tuple(int(b) for b in str(budgets).split(","))
     if min(budgets) < 0:
         raise UsageError(f"--budgets must be >= 0, got {min(budgets)}")
+    if max(budgets) > MAX_BUDGET:
+        raise UsageError(f"--budgets must be <= {MAX_BUDGET}, got {max(budgets)}")
     table = generic.interval_growth(generic.coxeter_2_3_inf(), budgets)
     lines = [json.dumps(rec, sort_keys=True) for rec in table]
     _emit(args, config, "\n".join(lines) + "\n")

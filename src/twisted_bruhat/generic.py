@@ -21,14 +21,15 @@ words and Ntilde(x) = {reflections t : alpha_t in N(x)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linprog import CertificationFailed
 
 INF = "inf"
 
 
-class BudgetExceeded(Exception):
-    pass
+class BudgetExceeded(CertificationFailed):
+    """A bounded search gave up before it could decide; the CLI exits 3."""
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,7 @@ def identity(cm: CoxeterMatrix) -> CoxElement:
     return CoxElement(cm, cols, cols)
 
 
+@lru_cache(maxsize=8)
 def simple_reflections(cm: CoxeterMatrix):
     return tuple(reflection_in(cm, _simple_vec(cm, i)) for i in range(cm.rank))
 
@@ -267,18 +269,17 @@ def w_prime(cm: CoxeterMatrix) -> ReflectionSubgroup:
 
 
 def canonical_check(sub: ReflectionSubgroup, t: CoxElement) -> bool:
-    """True iff Ntilde(t) intersect T_{W'} = {t}: t is a canonical generator."""
-    own = n_tilde(t)
-    if t not in own:
-        return False
-    depth = t.length() + 2
-    sub_roots = sub.positive_roots_to_depth(depth)
-    hits = {
-        r
-        for r in own
-        if _reflection_root(r) in sub_roots
-    }
-    return hits == {t}
+    """True iff Ntilde(t) intersect T_{W'} = {t}: t is a canonical generator.
+
+    Read on roots: N(t) meets Phi_{W'}^+ in exactly one root, and t is the
+    reflection in it.  Heuristic: Phi_{W'}^+ is only searched to depth
+    l(t) + 2 in the generators, and nothing proves that this depth is enough.
+    """
+    if t.length() > 64:
+        raise BudgetExceeded(f"l(t) = {t.length()} > budget 64")
+    sub_roots = sub.positive_roots_to_depth(t.length() + 2)
+    hits = {_positive(g) for g in inversion_roots(t)} & sub_roots
+    return len(hits) == 1 and reflection_in(sub.cm, hits.pop()) == t
 
 
 def universal_check(sub: ReflectionSubgroup, budget: int = 12) -> bool:
@@ -338,9 +339,18 @@ def in_A(w: CoxElement, gamma, scan_budget: int = 64) -> bool:
     raise BudgetExceeded("A-membership scan did not stabilize")
 
 
-def twisted_length_A(z: CoxElement, w: CoxElement) -> int:
-    """l_A(z) = l(z) - 2 |N(z) ∩ A| for A = N(w^inf)."""
-    hits = sum(1 for g in inversion_roots(z) if in_A(w, g))
+def twisted_length_A(z: CoxElement, w: CoxElement, in_A_memo=None) -> int:
+    """l_A(z) = l(z) - 2 |N(z) ∩ A| for A = N(w^inf).
+
+    `in_A_memo`, a dict root -> in_A(w, root), is read and filled when given;
+    it must only ever be used with this one w.
+    """
+    memo = {} if in_A_memo is None else in_A_memo
+    hits = 0
+    for g in inversion_roots(z):
+        if g not in memo:
+            memo[g] = in_A(w, g)
+        hits += memo[g]
     return z.length() - 2 * hits
 
 
@@ -368,12 +378,25 @@ def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10)):
 
     Returns a list of {"budget": L, "count": n, "new_elements": [words]}
     records; counts are cumulative and nondecreasing by construction.
+    l(z), l_A(z) and in_A are memoized for the duration of one call, so
+    memory stays bounded by the largest budget.
     """
     w = target_element(cm)
     if not is_straight_word(w):
         raise CertificationFailed("target is not straight")
+    lengths, twisted, in_A_memo = {}, {}, {}
+
+    def length(z):
+        if z not in lengths:
+            lengths[z] = z.length()
+        return lengths[z]
+
+    def lA(z):
+        if z not in twisted:
+            twisted[z] = twisted_length_A(z, w, in_A_memo)
+        return twisted[z]
+
     e = identity(cm)
-    lA = lambda z: twisted_length_A(z, w)
     l_e, l_t = lA(e), lA(w)
     lo, hi = (e, w) if l_e <= l_t else (w, e)
     lo_l, hi_l = min(l_e, l_t), max(l_e, l_t)
@@ -384,8 +407,8 @@ def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10)):
     records = []
     for L in budgets:
         pool = [reflection_in(cm, g) for g in _root_pool(cm, L)]
-        up_seen |= _saturate(up_seen, pool, lA, +1, hi_l, L)
-        down_seen |= _saturate(down_seen, pool, lA, -1, lo_l, L)
+        up_seen |= _saturate(up_seen, pool, length, lA, +1, hi_l, L)
+        down_seen |= _saturate(down_seen, pool, length, lA, -1, lo_l, L)
         members = up_seen & down_seen
         new = sorted(
             (z for z in members if z not in found),
@@ -404,7 +427,10 @@ def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10)):
     return records
 
 
-def _saturate(seed, pool, lA, direction, stop_level, max_len):
+def _saturate(seed, pool, length, lA, direction, stop_level, max_len):
+    """Grow `seed` by steps z -> t z with l(t z) <= max_len and l_A moving by
+    `direction`, until l_A reaches `stop_level`.  The cheap length test comes
+    before l_A."""
     seen = set(seed)
     frontier = list(seed)
     while frontier:
@@ -417,7 +443,7 @@ def _saturate(seed, pool, lA, direction, stop_level, max_len):
                 continue
             for t in pool:
                 z2 = t * z
-                if z2 in seen or z2.length() > max_len:
+                if z2 in seen or length(z2) > max_len:
                     continue
                 if lA(z2) == lz + direction:
                     seen.add(z2)

@@ -157,6 +157,8 @@ def test_usage_errors(capsys, tmp_path):
         (interval_a2, "format", "xml"),
         (["hasse"], "bound", "-1"),
         (["sect4"], "budgets", "2,-3"),
+        (["sect4"], "budgets", "2,13"),
+        (["sect4"], "budgets", "100"),
     ):
         cfg.write_text(f"{key}={value}\n")
         for argv in (base + [f"--{key}", value], base + ["--config", str(cfg)]):
@@ -225,6 +227,49 @@ def test_sect4_unstraight_target_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("certification failure: target is not straight")
+
+
+def test_sect4_budget_exceeded_exit_code(capsys, monkeypatch):
+    """A bounded search that gives up is a certification failure (exit 3),
+    not a traceback with the verification-failure code 1."""
+    from twisted_bruhat import generic
+
+    def give_up(w, gamma, scan_budget=64):
+        raise generic.BudgetExceeded("A-membership scan did not stabilize")
+
+    monkeypatch.setattr(generic, "in_A", give_up)
+    code, out, err = run(capsys, ["sect4", "--budgets", "2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(
+        "certification failure: A-membership scan did not stabilize"
+    )
+    assert "Traceback" not in err
+
+
+def test_verify_budget_exceeded_exit_code(capsys, monkeypatch):
+    from twisted_bruhat import generic, verify as vmod
+
+    def give_up(w, gamma, scan_budget=64):
+        raise generic.BudgetExceeded("A-membership scan did not stabilize")
+
+    monkeypatch.setattr(generic, "in_A", give_up)
+    monkeypatch.setattr(vmod, "ALL_CHECKS", [vmod.check_interval_growth])
+    code, out, err = run(capsys, ["verify"])
+    assert code == 3
+    assert err.startswith("certification failure: A-membership")
+
+
+def test_sect4_budget_limit_is_accepted(capsys, monkeypatch):
+    """Budget 12 is the documented limit; it takes seconds, so stub the run."""
+    from twisted_bruhat import generic
+
+    seen = []
+    monkeypatch.setattr(
+        generic, "interval_growth", lambda cm, budgets: seen.append(budgets) or []
+    )
+    code, _, _ = run(capsys, ["sect4", "--budgets", "0,12"])
+    assert (code, seen) == (0, [(0, 12)])
 
 
 def test_figure_check_failure_exit_code(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """The (2,3,inf) Coxeter backend and the infinite-interval witness."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -133,3 +134,98 @@ def test_interval_growth_first_steps(cm):
     assert [rec["count"] for rec in table] == [0, 15, 17]
     assert "1.2.3.2.3.2.3.2" in table[1]["new_elements"]
     assert "e" in table[1]["new_elements"]
+
+
+# ----- oracles: the loops before the per-call memo and the root-based check --
+
+
+def _saturate_oracle(seed, pool, lA, direction, stop_level, max_len):
+    seen = set(seed)
+    frontier = list(seed)
+    while frontier:
+        nxt = []
+        for z in frontier:
+            lz = lA(z)
+            if (direction > 0 and lz >= stop_level) or (
+                direction < 0 and lz <= stop_level
+            ):
+                continue
+            for t in pool:
+                z2 = t * z
+                if z2 in seen or z2.length() > max_len:
+                    continue
+                if lA(z2) == lz + direction:
+                    seen.add(z2)
+                    nxt.append(z2)
+        frontier = nxt
+    return seen
+
+
+def _interval_growth_oracle(cm, budgets):
+    """interval_growth with a plain twisted_length_A per candidate."""
+    w = generic.target_element(cm)
+    e = generic.identity(cm)
+    lA = lambda z: generic.twisted_length_A(z, w)
+    l_e, l_t = lA(e), lA(w)
+    lo, hi = (e, w) if l_e <= l_t else (w, e)
+    lo_l, hi_l = min(l_e, l_t), max(l_e, l_t)
+    found, up_seen, down_seen, records = [], {lo}, {hi}, []
+    for L in budgets:
+        pool = [generic.reflection_in(cm, g) for g in generic._root_pool(cm, L)]
+        up_seen |= _saturate_oracle(up_seen, pool, lA, +1, hi_l, L)
+        down_seen |= _saturate_oracle(down_seen, pool, lA, -1, lo_l, L)
+        new = sorted(
+            (z for z in up_seen & down_seen if z not in found),
+            key=lambda z: (z.length(), z.word()),
+        )
+        found.extend(new)
+        records.append({
+            "budget": L,
+            "count": len(found),
+            "new_elements": [".".join(map(str, z.word())) or "e" for z in new],
+        })
+    return records
+
+
+def _canonical_check_oracle(sub, t):
+    """Ntilde(t) ∩ T_{W'} = {t}, with each reflection's root re-derived
+    through its reduced word."""
+    own = generic.n_tilde(t)
+    if t not in own:
+        return False
+    sub_roots = sub.positive_roots_to_depth(t.length() + 2)
+    return {r for r in own if generic._reflection_root(r) in sub_roots} == {t}
+
+
+@pytest.mark.parametrize("budgets", [(3,), (4,), (6, 8)])
+def test_interval_growth_matches_oracle(cm, budgets):
+    assert generic.interval_growth(cm, budgets) == _interval_growth_oracle(cm, budgets)
+
+
+def test_canonical_check_matches_oracle(cm):
+    sub = generic.w_prime(cm)
+    # both sides search the same truncated Phi_{W'}^+; build each depth once
+    sub.positive_roots_to_depth = functools.lru_cache(maxsize=None)(
+        sub.positive_roots_to_depth
+    )
+    verdicts = []
+    for root in generic._root_pool(cm, 5):
+        t = generic.reflection_in(cm, root)
+        verdicts.append(generic.canonical_check(sub, t))
+        assert verdicts[-1] == _canonical_check_oracle(sub, t), root
+    assert True in verdicts and False in verdicts
+    # non-reflections are never canonical
+    for word in ((1, 2), (2, 3, 2, 3), (1, 2, 3, 2, 3, 2, 3, 2, 3)):
+        z = generic.from_word(cm, word)
+        assert generic.canonical_check(sub, z) is _canonical_check_oracle(sub, z) is False
+
+
+def test_canonical_check_length_budget(cm):
+    sub = generic.w_prime(cm)
+    long_reflection = generic.from_word(cm, (2, 3) * 33 + (2,))
+    with pytest.raises(generic.BudgetExceeded):
+        generic.canonical_check(sub, long_reflection)
+
+
+def test_simple_reflections_cached(cm):
+    assert generic.simple_reflections(cm) is generic.simple_reflections(cm)
