@@ -7,11 +7,12 @@ Throughout, B is hard-fixed to {a, b, a+b}^hat (all three positive chains
 in full); other twisting sets go through the generic engine.
 
 Translation indexing: ``translation(m1, m2)`` is t_{m1 a^vee + m2 b^vee}
-(coroot-lattice coordinates).  The closed forms below use a normalization
-with (a,a) = 1, under which the same element is written t_{k1 a + k2 b}
-with k1 = 2 m1, k2 = 2 m2; `translation_inversion` takes those doubled
-parameters and floors the resulting fractional chain bounds.  (Odd k's do
-not correspond to group elements; the formula set is still well defined.)
+(coroot-lattice coordinates).  The inversion-set table `CLOSED_FORMS` is
+written in these coordinates, where every chain bound is an integer affine
+form in (m1, m2, k).  `closed_form_set`, `closed_form_element` and
+`translation_inversion` take the paper's parameters: in its normalization
+(a,a) = 1 the same element is t_{k1 a + k2 b} with k1 = 2 m1, k2 = 2 m2,
+and odd k1, k2 raise ValueError.
 
 Poincare grading note: the closed-form series matches the twisted-length
 grading l_B(w) - l_B(u) of the downset counts (the ordinary-length grading
@@ -21,14 +22,12 @@ does not; see tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor
+from typing import NamedTuple
 
 from .affine_group import (
     AffineWeylElement,
     from_word,
     identity,
-    inversion_set,
     reflection,
     translation as _translation,
 )
@@ -68,9 +67,7 @@ def translation(m1: int, m2: int) -> AffineWeylElement:
 
 def root_translation(k1: int, k2: int) -> AffineWeylElement:
     """The element t_{k1 a + k2 b} in the (a,a)=1 normalization (k's even)."""
-    if k1 % 2 or k2 % 2:
-        raise ValueError("t_{k1 a + k2 b} is a group element only for even k1, k2")
-    return translation(k1 // 2, k2 // 2)
+    return translation(*_halves(k1, k2))
 
 
 # ----- six classes and their cover deltas ----------------------------------
@@ -114,257 +111,165 @@ def predicted_delta(w, gamma, k: int) -> int:
 
 # ----- explicit inversion-set closed forms ---------------------------------
 
-NEG = lambda r: tuple(-x for x in r)
-F = Fraction
 
+class Family(NamedTuple):
+    """One inversion-set family: an element spec and the chains of N(.).
 
-def _chains(*specs):
-    """The affine roots (base, k) with ceil(lo) <= k <= floor(hi), per spec.
-
-    Bounds may be fractional in the closed forms; only integer levels count.
+    The element is t_v x_1 ... x_j s_{gamma + k delta}, with t_v =
+    translation(m1, m2) when `translation` is set, `word` the finite
+    letters (1 = s_a, 2 = s_b), and the reflection present when `gamma` is.
+    `k_sign` is the domain of k: 1 for k >= 0, -1 for k < 0, 0 for every k.
+    N(element) is the union over `chains` of {(base, l) : lo <= l <= hi},
+    with hi = c_m1 m1 + c_m2 m2 + c_k k + c_0 written (c_m1, c_m2, c_k, c_0).
     """
-    return frozenset(
-        (base, k)
-        for base, lo, hi in specs
-        for k in range(ceil(Fraction(lo)), floor(Fraction(hi)) + 1)
-    )
+
+    translation: bool
+    word: tuple
+    gamma: tuple | None
+    k_sign: int
+    chains: tuple
 
 
-def _t(k1, k2):
-    # valid only for even k1, k2 (callers with odd parameters get None)
-    if k1 % 2 or k2 % 2:
-        return None
-    return root_translation(k1, k2)
-
-
-def _refl(gamma, k):
-    return reflection(datum(), (gamma, k))
-
-
-def _prod(k1, k2, *letters):
-    t = _t(k1, k2)
-    if t is None:
-        return None
-    for x in letters:
-        t = t * x
-    return t
-
-
-def _sa():
-    return _refl(ALPHA, 0)
-
-
-def _sb():
-    return _refl(BETA, 0)
-
-
-#: name -> (element builder, root-set builder).  Element builders return
-#: None when the parameters do not give a group element (odd k1/k2).
+#: name -> Family, the twenty closed forms of the paper.  Bases are in
+#: simple-root coordinates; each line holds a root and its negative.
 CLOSED_FORMS = {
-    "s(a+kd), k>=0": (
-        lambda k1, k2, k: _refl(ALPHA, k) if k >= 0 else None,
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, 2 * k), (NEG(BETA), 1, k), (AB, 0, k - 1)
-        ),
-    ),
-    "s(a+kd), k<0": (
-        lambda k1, k2, k: _refl(ALPHA, k) if k < 0 else None,
-        lambda k1, k2, k: _chains(
-            (NEG(ALPHA), 1, -2 * k - 1), (BETA, 0, -k - 1), (NEG(AB), 1, -k)
-        ),
-    ),
-    "s(a+b+kd), k>=0": (
-        lambda k1, k2, k: _refl(AB, k) if k >= 0 else None,
-        lambda k1, k2, k: _chains(
-            (AB, 0, 2 * k), (ALPHA, 0, k), (BETA, 0, k)
-        ),
-    ),
-    "s(a+b+kd), k<0": (
-        lambda k1, k2, k: _refl(AB, k) if k < 0 else None,
-        lambda k1, k2, k: _chains(
-            (NEG(AB), 1, -2 * k - 1),
-            (NEG(ALPHA), 1, -k - 1),
-            (NEG(BETA), 1, -k - 1),
-        ),
-    ),
-    "s(b+kd), k>=0": (
-        lambda k1, k2, k: _refl(BETA, k) if k >= 0 else None,
-        lambda k1, k2, k: _chains(
-            (BETA, 0, 2 * k), (NEG(ALPHA), 1, k), (AB, 0, k - 1)
-        ),
-    ),
-    "s(b+kd), k<0": (
-        lambda k1, k2, k: _refl(BETA, k) if k < 0 else None,
-        lambda k1, k2, k: _chains(
-            (NEG(BETA), 1, -2 * k - 1), (ALPHA, 0, -k - 1), (NEG(AB), 1, -k)
-        ),
-    ),
-    "t": (
-        lambda k1, k2, k: _t(k1, k2),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, k1 - F(k2, 2) - 1),
-            (NEG(ALPHA), 1, -k1 + F(k2, 2)),
-            (BETA, 0, -F(k1, 2) + k2 - 1),
-            (NEG(BETA), 1, F(k1, 2) - k2),
-            (AB, 0, F(k1 + k2, 2) - 1),
-            (NEG(AB), 1, -F(k1 + k2, 2)),
-        ),
-    ),
-    "t.s(a+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _refl(ALPHA, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, k1 - F(k2, 2) + 2 * k),
-            (NEG(ALPHA), 1, -2 * k - 1 - k1 + F(k2, 2)),
-            (BETA, 0, -k - 1 - F(k1, 2) + k2),
-            (NEG(BETA), 1, k + F(k1, 2) - k2),
-            (AB, 0, k - 1 + F(k1 + k2, 2)),
-            (NEG(AB), 1, -k - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.s(a+b+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _refl(AB, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, k + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, -k - 1 - k1 + F(k2, 2)),
-            (BETA, 0, k - F(k1, 2) + k2),
-            (NEG(BETA), 1, -k - 1 + F(k1, 2) - k2),
-            (AB, 0, 2 * k + F(k1 + k2, 2)),
-            (NEG(AB), 1, -2 * k - 1 - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa": (
-        lambda k1, k2, k: _prod(k1, k2, _sa()),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, -k1 + F(k2, 2) - 1),
-            (BETA, 0, -F(k1, 2) + k2 - 1),
-            (NEG(BETA), 1, F(k1, 2) - k2),
-            (AB, 0, F(k1 + k2, 2) - 1),
-            (NEG(AB), 1, -F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa.s(a+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _refl(ALPHA, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, -2 * k - 1 + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, 2 * k - k1 + F(k2, 2)),
-            (BETA, 0, k - 1 - F(k1, 2) + k2),
-            (NEG(BETA), 1, -k + F(k1, 2) - k2),
-            (AB, 0, -k - 1 + F(k1 + k2, 2)),
-            (NEG(AB), 1, k - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa.s(b+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _refl(BETA, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, k + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, -k - 1 - k1 + F(k2, 2)),
-            (BETA, 0, k - 1 - F(k1, 2) + k2),
-            (NEG(BETA), 1, -k + F(k1, 2) - k2),
-            (AB, 0, 2 * k + F(k1 + k2, 2)),
-            (NEG(AB), 1, -2 * k - 1 - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa.s(a+b+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _refl(AB, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, -k - 1 + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, k - k1 + F(k2, 2)),
-            (BETA, 0, 2 * k - F(k1, 2) + k2),
-            (NEG(BETA), 1, -2 * k - 1 + F(k1, 2) - k2),
-            (AB, 0, k + F(k1 + k2, 2)),
-            (NEG(AB), 1, -k - 1 - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa.sb": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _sb()),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, -k1 + F(k2, 2) - 1),
-            (BETA, 0, -F(k1, 2) + k2 - 1),
-            (NEG(BETA), 1, F(k1, 2) - k2),
-            (AB, 0, F(k1 + k2, 2)),
-            (NEG(AB), 1, -F(k1 + k2, 2) - 1),
-        ),
-    ),
-    "t.sa.sb.s(a+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _sb(), _refl(ALPHA, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, -k + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, k - 1 - k1 + F(k2, 2)),
-            (BETA, 0, 2 * k - F(k1, 2) + k2),
-            (NEG(BETA), 1, -2 * k - 1 + F(k1, 2) - k2),
-            (AB, 0, k + F(k1 + k2, 2)),
-            (NEG(AB), 1, -k - 1 - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa.sb.s(b+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _sb(), _refl(BETA, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, -k + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, k - 1 - k1 + F(k2, 2)),
-            (BETA, 0, -k - 1 - F(k1, 2) + k2),
-            (NEG(BETA), 1, k + F(k1, 2) - k2),
-            (AB, 0, -2 * k - 1 + F(k1 + k2, 2)),
-            (NEG(AB), 1, 2 * k - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa.sb.s(a+b+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _sb(), _refl(AB, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, -2 * k - 1 + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, 2 * k - k1 + F(k2, 2)),
-            (BETA, 0, k - F(k1, 2) + k2),
-            (NEG(BETA), 1, -k - 1 + F(k1, 2) - k2),
-            (AB, 0, -k - 1 + F(k1 + k2, 2)),
-            (NEG(AB), 1, k - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa.sb.sa": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _sb(), _sa()),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, -k1 + F(k2, 2) - 1),
-            (BETA, 0, -F(k1, 2) + k2),
-            (NEG(BETA), 1, F(k1, 2) - k2 - 1),
-            (AB, 0, F(k1 + k2, 2)),
-            (NEG(AB), 1, -F(k1 + k2, 2) - 1),
-        ),
-    ),
-    "t.sa.sb.sa.s(a+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _sb(), _sa(), _refl(ALPHA, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, k + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, -k - 1 - k1 + F(k2, 2)),
-            (BETA, 0, -2 * k - 1 - F(k1, 2) + k2),
-            (NEG(BETA), 1, 2 * k + F(k1, 2) - k2),
-            (AB, 0, -k + F(k1 + k2, 2)),
-            (NEG(AB), 1, k - 1 - F(k1 + k2, 2)),
-        ),
-    ),
-    "t.sa.sb.sa.s(a+b+kd)": (
-        lambda k1, k2, k: _prod(k1, k2, _sa(), _sb(), _sa(), _refl(AB, k)),
-        lambda k1, k2, k: _chains(
-            (ALPHA, 0, -k - 1 + k1 - F(k2, 2)),
-            (NEG(ALPHA), 1, k - k1 + F(k2, 2)),
-            (BETA, 0, -k - 1 - F(k1, 2) + k2),
-            (NEG(BETA), 1, k + F(k1, 2) - k2),
-            (AB, 0, -2 * k - 1 + F(k1 + k2, 2)),
-            (NEG(AB), 1, 2 * k - F(k1 + k2, 2)),
-        ),
-    ),
+    's(a+kd), k>=0': Family(False, (), ALPHA, 1, (
+        ((1, 0), 0, (0, 0, 2, 0)), ((0, -1), 1, (0, 0, 1, 0)),
+        ((1, 1), 0, (0, 0, 1, -1)),
+    )),
+    's(a+kd), k<0': Family(False, (), ALPHA, -1, (
+        ((-1, 0), 1, (0, 0, -2, -1)), ((0, 1), 0, (0, 0, -1, -1)),
+        ((-1, -1), 1, (0, 0, -1, 0)),
+    )),
+    's(a+b+kd), k>=0': Family(False, (), AB, 1, (
+        ((1, 1), 0, (0, 0, 2, 0)), ((1, 0), 0, (0, 0, 1, 0)),
+        ((0, 1), 0, (0, 0, 1, 0)),
+    )),
+    's(a+b+kd), k<0': Family(False, (), AB, -1, (
+        ((-1, -1), 1, (0, 0, -2, -1)), ((-1, 0), 1, (0, 0, -1, -1)),
+        ((0, -1), 1, (0, 0, -1, -1)),
+    )),
+    's(b+kd), k>=0': Family(False, (), BETA, 1, (
+        ((0, 1), 0, (0, 0, 2, 0)), ((-1, 0), 1, (0, 0, 1, 0)),
+        ((1, 1), 0, (0, 0, 1, -1)),
+    )),
+    's(b+kd), k<0': Family(False, (), BETA, -1, (
+        ((0, -1), 1, (0, 0, -2, -1)), ((1, 0), 0, (0, 0, -1, -1)),
+        ((-1, -1), 1, (0, 0, -1, 0)),
+    )),
+    't': Family(True, (), None, 0, (
+        ((1, 0), 0, (2, -1, 0, -1)), ((-1, 0), 1, (-2, 1, 0, 0)),
+        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
+        ((1, 1), 0, (1, 1, 0, -1)), ((-1, -1), 1, (-1, -1, 0, 0)),
+    )),
+    't.s(a+kd)': Family(True, (), ALPHA, 0, (
+        ((1, 0), 0, (2, -1, 2, 0)), ((-1, 0), 1, (-2, 1, -2, -1)),
+        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
+        ((1, 1), 0, (1, 1, 1, -1)), ((-1, -1), 1, (-1, -1, -1, 0)),
+    )),
+    't.s(a+b+kd)': Family(True, (), AB, 0, (
+        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
+        ((0, 1), 0, (-1, 2, 1, 0)), ((0, -1), 1, (1, -2, -1, -1)),
+        ((1, 1), 0, (1, 1, 2, 0)), ((-1, -1), 1, (-1, -1, -2, -1)),
+    )),
+    't.sa': Family(True, (1,), None, 0, (
+        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
+        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
+        ((1, 1), 0, (1, 1, 0, -1)), ((-1, -1), 1, (-1, -1, 0, 0)),
+    )),
+    't.sa.s(a+kd)': Family(True, (1,), ALPHA, 0, (
+        ((1, 0), 0, (2, -1, -2, -1)), ((-1, 0), 1, (-2, 1, 2, 0)),
+        ((0, 1), 0, (-1, 2, 1, -1)), ((0, -1), 1, (1, -2, -1, 0)),
+        ((1, 1), 0, (1, 1, -1, -1)), ((-1, -1), 1, (-1, -1, 1, 0)),
+    )),
+    't.sa.s(b+kd)': Family(True, (1,), BETA, 0, (
+        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
+        ((0, 1), 0, (-1, 2, 1, -1)), ((0, -1), 1, (1, -2, -1, 0)),
+        ((1, 1), 0, (1, 1, 2, 0)), ((-1, -1), 1, (-1, -1, -2, -1)),
+    )),
+    't.sa.s(a+b+kd)': Family(True, (1,), AB, 0, (
+        ((1, 0), 0, (2, -1, -1, -1)), ((-1, 0), 1, (-2, 1, 1, 0)),
+        ((0, 1), 0, (-1, 2, 2, 0)), ((0, -1), 1, (1, -2, -2, -1)),
+        ((1, 1), 0, (1, 1, 1, 0)), ((-1, -1), 1, (-1, -1, -1, -1)),
+    )),
+    't.sa.sb': Family(True, (1, 2), None, 0, (
+        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
+        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
+        ((1, 1), 0, (1, 1, 0, 0)), ((-1, -1), 1, (-1, -1, 0, -1)),
+    )),
+    't.sa.sb.s(a+kd)': Family(True, (1, 2), ALPHA, 0, (
+        ((1, 0), 0, (2, -1, -1, 0)), ((-1, 0), 1, (-2, 1, 1, -1)),
+        ((0, 1), 0, (-1, 2, 2, 0)), ((0, -1), 1, (1, -2, -2, -1)),
+        ((1, 1), 0, (1, 1, 1, 0)), ((-1, -1), 1, (-1, -1, -1, -1)),
+    )),
+    't.sa.sb.s(b+kd)': Family(True, (1, 2), BETA, 0, (
+        ((1, 0), 0, (2, -1, -1, 0)), ((-1, 0), 1, (-2, 1, 1, -1)),
+        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
+        ((1, 1), 0, (1, 1, -2, -1)), ((-1, -1), 1, (-1, -1, 2, 0)),
+    )),
+    't.sa.sb.s(a+b+kd)': Family(True, (1, 2), AB, 0, (
+        ((1, 0), 0, (2, -1, -2, -1)), ((-1, 0), 1, (-2, 1, 2, 0)),
+        ((0, 1), 0, (-1, 2, 1, 0)), ((0, -1), 1, (1, -2, -1, -1)),
+        ((1, 1), 0, (1, 1, -1, -1)), ((-1, -1), 1, (-1, -1, 1, 0)),
+    )),
+    't.sa.sb.sa': Family(True, (1, 2, 1), None, 0, (
+        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
+        ((0, 1), 0, (-1, 2, 0, 0)), ((0, -1), 1, (1, -2, 0, -1)),
+        ((1, 1), 0, (1, 1, 0, 0)), ((-1, -1), 1, (-1, -1, 0, -1)),
+    )),
+    't.sa.sb.sa.s(a+kd)': Family(True, (1, 2, 1), ALPHA, 0, (
+        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
+        ((0, 1), 0, (-1, 2, -2, -1)), ((0, -1), 1, (1, -2, 2, 0)),
+        ((1, 1), 0, (1, 1, -1, 0)), ((-1, -1), 1, (-1, -1, 1, -1)),
+    )),
+    't.sa.sb.sa.s(a+b+kd)': Family(True, (1, 2, 1), AB, 0, (
+        ((1, 0), 0, (2, -1, -1, -1)), ((-1, 0), 1, (-2, 1, 1, 0)),
+        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
+        ((1, 1), 0, (1, 1, -2, -1)), ((-1, -1), 1, (-1, -1, 2, 0)),
+    )),
 }
 
 
+def _chain_set(chains):
+    """The affine roots (base, l) with lo <= l <= hi, over (base, lo, hi)."""
+    return frozenset(
+        (base, l) for base, lo, hi in chains for l in range(lo, hi + 1)
+    )
+
+
+def _halves(k1: int, k2: int):
+    if k1 % 2 or k2 % 2:
+        raise ValueError("t_{k1 a + k2 b} is a group element only for even k1, k2")
+    return k1 // 2, k2 // 2
+
+
+def _point(family: Family, k1: int, k2: int, k: int):
+    """(m1, m2, k, 1) for the doubled k1 = 2 m1, k2 = 2 m2, with k checked
+    against the family's domain."""
+    if family.k_sign and (k >= 0) != (family.k_sign > 0):
+        raise ValueError(f"k = {k} is outside the family's domain")
+    return (*_halves(k1, k2), k, 1)
+
+
 def closed_form_set(name, k1=0, k2=0, k=0):
-    """Materialized root set of one closed form."""
-    _, chains = CLOSED_FORMS[name]
-    return chains(k1, k2, k)
+    """N(closed_form_element(name, k1, k2, k)) read off the table."""
+    family = CLOSED_FORMS[name]
+    point = _point(family, k1, k2, k)
+    return _chain_set(
+        (base, lo, sum(c * x for c, x in zip(hi, point)))
+        for base, lo, hi in family.chains
+    )
 
 
 def closed_form_element(name, k1=0, k2=0, k=0):
-    builder, _ = CLOSED_FORMS[name]
-    return builder(k1, k2, k)
+    family = CLOSED_FORMS[name]
+    m1, m2, k, _ = _point(family, k1, k2, k)
+    d = datum()
+    w = translation(m1, m2) if family.translation else identity(d)
+    w = w * from_word(d, family.word)
+    if family.gamma is not None:
+        w = w * reflection(d, (family.gamma, k))
+    return w
 
 
 def translation_inversion(k1: int, k2: int):
@@ -446,7 +351,7 @@ def _u_subgroup_positive_roots(level_bound: int):
     for k in range(0, level_bound + 1):
         out.append((AB, k))
     for k in range(1, level_bound + 1):
-        out.append((NEG(AB), k))
+        out.append(((-1, -1), k))
     return out
 
 
@@ -508,15 +413,14 @@ def dihedral_reassemble(dec: DihedralDecomposition) -> AffineWeylElement:
 
 def uvk_u_wi_inversion(k: int, i: int):
     """Closed form for N((uv)^k u w(i)) from the coset-length computation."""
-    ci = ceil(Fraction(i, 2))
-    fi = floor(Fraction(i, 2))
-    return _chains(
+    fi, ci = i // 2, -(-i // 2)  # i / 2 rounded down and up
+    return _chain_set((
         (ALPHA, 0, k - ci),
         (BETA, 0, k + fi),
         (AB, 0, 2 * k),
-        (NEG(ALPHA), 1, ci - k - 1),
-        (NEG(BETA), 1, ceil(Fraction(-i, 2)) - k - 1),
-    )
+        ((-1, 0), 1, ci - k - 1),
+        ((0, -1), 1, -fi - k - 1),
+    ))
 
 
 # ----- automorphisms -------------------------------------------------------

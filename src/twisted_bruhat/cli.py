@@ -24,8 +24,14 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CERT_FAIL = 3
 
-# sect4 cost roughly doubles per budget unit; 12 takes seconds.
+# Upper limits that keep each run within a few seconds (2-vCPU machine):
+# sect4 cost roughly doubles per budget unit and takes about 7 s at 12; an
+# A3 `levels` ball grows with the cube of the radius (about 2 s at 20);
+# `hasse` at bound 20 takes about 1 s; `poincare` output grows with dmax.
 MAX_BUDGET = 12
+MAX_RADIUS = 20
+MAX_BOUND = 20
+MAX_DMAX = 1000
 
 
 class UsageError(Exception):
@@ -57,6 +63,16 @@ def _opt(args, config, name, default=None, cast=str):
     if val is None:
         return default
     return cast(val) if isinstance(val, str) else val
+
+
+def _check_range(name, value, limit):
+    if not 0 <= value <= limit:
+        raise UsageError(f"--{name} must be in 0..{limit}, got {value}")
+    return value
+
+
+def _bounded(args, config, name, default, limit):
+    return _check_range(name, _opt(args, config, name, default, int), limit)
 
 
 def _format(args, config, default):
@@ -141,7 +157,7 @@ def cmd_covers(args, config):
 def cmd_levels(args, config):
     datum, B = _load_backend(args, config)
     k = _opt(args, config, "level", 0, int)
-    radius = _opt(args, config, "radius", 6, int)
+    radius = _bounded(args, config, "radius", 6, MAX_RADIUS)
     sample = level_set_sample(B, k, radius)
     lines = [
         json.dumps({"element": format_word(w.word()), "length": w.length()})
@@ -153,16 +169,14 @@ def cmd_levels(args, config):
 
 def cmd_poincare(args, config):
     parity = _opt(args, config, "parity", "even")
-    d_max = _opt(args, config, "dmax", 8, int)
+    d_max = _bounded(args, config, "dmax", 8, MAX_DMAX)
     coeffs = a2.poincare_series(parity, d_max)
     _emit(args, config, json.dumps(coeffs) + "\n")
     return EXIT_OK
 
 
 def cmd_hasse(args, config):
-    bound = _opt(args, config, "bound", 6, int)
-    if bound < 0:
-        raise UsageError(f"--bound must be >= 0, got {bound}")
+    bound = _bounded(args, config, "bound", 6, MAX_BOUND)
     fmt = _format(args, config, "dot")
     poset = a2.figure_hasse(bound)
     _emit(args, config, poset.to_dot("hasse") if fmt == "dot" else poset.to_jsonl())
@@ -184,10 +198,8 @@ def cmd_topes(args, config):
 def cmd_sect4(args, config):
     budgets = _opt(args, config, "budgets", "6,8,9,10")
     budgets = tuple(int(b) for b in str(budgets).split(","))
-    if min(budgets) < 0:
-        raise UsageError(f"--budgets must be >= 0, got {min(budgets)}")
-    if max(budgets) > MAX_BUDGET:
-        raise UsageError(f"--budgets must be <= {MAX_BUDGET}, got {max(budgets)}")
+    for b in budgets:
+        _check_range("budgets", b, MAX_BUDGET)
     table = generic.interval_growth(generic.coxeter_2_3_inf(), budgets)
     lines = [json.dumps(rec, sort_keys=True) for rec in table]
     _emit(args, config, "\n".join(lines) + "\n")

@@ -271,15 +271,18 @@ def w_prime(cm: CoxeterMatrix) -> ReflectionSubgroup:
 def canonical_check(sub: ReflectionSubgroup, t: CoxElement) -> bool:
     """True iff Ntilde(t) intersect T_{W'} = {t}: t is a canonical generator.
 
-    Read on roots: N(t) meets Phi_{W'}^+ in exactly one root, and t is the
-    reflection in it.  Heuristic: Phi_{W'}^+ is only searched to depth
-    l(t) + 2 in the generators, and nothing proves that this depth is enough.
+    Positive roots whose pairs all have 2(a, b) in {0, -1} or <= -2 are the
+    canonical simple roots of the reflection subgroup they generate (the
+    dihedral criterion of Dyer, J. Algebra 135 (1990), and Deodhar, Arch.
+    Math. 53 (1989)); for the integer values here that is 2(a, b) <= 0.
+    Then the canonical generators are exactly the generators.  A subgroup
+    whose generators fail the criterion raises ValueError.
     """
-    if t.length() > 64:
-        raise BudgetExceeded(f"l(t) = {t.length()} > budget 64")
-    sub_roots = sub.positive_roots_to_depth(t.length() + 2)
-    hits = {_positive(g) for g in inversion_roots(t)} & sub_roots
-    return len(hits) == 1 and reflection_in(sub.cm, hits.pop()) == t
+    roots = sub.generator_roots()
+    for i, a in enumerate(roots):
+        if any(inner(sub.cm, a, b) > 0 for b in roots[i + 1:]):
+            raise ValueError("generator roots fail the dihedral criterion")
+    return t in sub.generators
 
 
 def universal_check(sub: ReflectionSubgroup, budget: int = 12) -> bool:
@@ -302,10 +305,14 @@ def universal_check(sub: ReflectionSubgroup, budget: int = 12) -> bool:
 # ----- the periodic twisting set A = N(target^inf) --------------------------
 
 
-def is_straight_word(w: CoxElement, n_max: int = 4) -> bool:
+# straightness is tested on the powers w^2 .. w^_STRAIGHT_POWERS
+_STRAIGHT_POWERS = 4
+
+
+def is_straight_word(w: CoxElement) -> bool:
     l1 = w.length()
     p = w
-    for n in range(2, n_max + 1):
+    for n in range(2, _STRAIGHT_POWERS + 1):
         p = p * w
         if p.length() != n * l1:
             return False

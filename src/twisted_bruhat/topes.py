@@ -173,7 +173,14 @@ def cone_member(datum: CartanDatum, target, generators):
     )
 
 
-def check_convex_truncated(H: Hemispace, level_bound: int, combo_size: int = 3):
+# A violation's cone support may exceed the dimension by at most
+# _COMBO_SIZE generators; the +-delta search for Mixed hemispaces stays
+# below level _SEARCH_LEVEL.
+_COMBO_SIZE = 3
+_SEARCH_LEVEL = 24
+
+
+def check_convex_truncated(H: Hemispace, level_bound: int):
     """Search for a root of -H in the cone of roots of H (all levels
     truncated).  A found violation is an absolute non-convexity
     certificate; 'no violation' certifies nothing beyond the truncation.
@@ -193,10 +200,10 @@ def check_convex_truncated(H: Hemispace, level_bound: int, combo_size: int = 3):
                 for g, c in zip(h_roots, cert.coefficients)
                 if c != 0
             ]
-            if len(support) > combo_size + (len(target[0]) + 1):
+            if len(support) > _COMBO_SIZE + (len(target[0]) + 1):
                 raise CertificationFailed(
                     f"cone support of {len(support)} generators exceeds "
-                    "combo_size + dimension"
+                    "combo size + dimension"
                 )
             return {
                 "violation": {
@@ -219,30 +226,30 @@ def check_convex_truncated(H: Hemispace, level_bound: int, combo_size: int = 3):
     return result
 
 
-def _mixed_violation(H: Hemispace, search_level: int = 24):
+def _mixed_violation(H: Hemispace):
     """The +-delta construction: a = nu + s delta and b = -nu + t delta in
     H sum to a delta-multiple; adding it repeatedly to a root of H on an
     upper-bounded chain escapes into -H."""
     datum = H.datum
     for nu in datum.roots:
         neg_nu = tuple(-x for x in nu)
-        for s in range(_k0(datum, nu), search_level):
+        for s in range(_k0(datum, nu), _SEARCH_LEVEL):
             a = (nu, s)
             if not H.contains(a):
                 continue
-            for t in range(_k0(datum, neg_nu), search_level):
+            for t in range(_k0(datum, neg_nu), _SEARCH_LEVEL):
                 b = (neg_nu, t)
                 if not H.contains(b) or s + t < 1:
                     continue
-                found = _escape_along_delta(H, a, b, search_level)
+                found = _escape_along_delta(H, a, b)
                 if found is not None:
                     return found
     return None
 
 
-def _escape_along_delta(H, a, b, search_level):
+def _escape_along_delta(H, a, b):
     step = a[1] + b[1]
-    for c in all_roots_to_level(H.datum, search_level):
+    for c in all_roots_to_level(H.datum, _SEARCH_LEVEL):
         if not H.contains(c):
             continue
         for m in range(1, 6):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from . import a2, generic, topes
-from .affine_group import from_word, identity, inversion_set, reflection
+from .affine_group import from_word, identity, reflection
 from .biclosed import (
     BiclosedSet,
     dot_action,
@@ -129,32 +129,76 @@ def check_class_deltas(seed=13):
     return "class-delta formulas", ok, f"{cases} cases, {mismatches} mismatches"
 
 
+def _group_tops(name, k_sign):
+    """The chain tops of N(a2.closed_form_element(name, .)) as exact affine
+    forms (c_m1, c_m2, c_k, c_0) in (m1, m2, k), or None if the finite part
+    moves.
+
+    The element is U t_{V + K Lambda} with U fixed, so each top
+    (mu, U(V + K Lambda)) - [U^{-1} mu > 0] is affine in K: four
+    evaluations inside the domain give it exactly.
+    """
+    k0, step = (-1, -1) if k_sign < 0 else (0, 1)
+    points = ((0, 0, k0), (1, 0, k0), (0, 1, k0), (0, 0, k0 + step))
+    elems = [
+        a2.closed_form_element(name, 2 * m1, 2 * m2, k) for m1, m2, k in points
+    ]
+    if len({e.fin.imgs for e in elems}) != 1:
+        return None
+    t0, t1, t2, tk = (e.chain_tops() for e in elems)
+    forms = {}
+    for mu, top in t0.items():
+        ck = (tk[mu] - top) * step
+        forms[mu] = (t1[mu] - top, t2[mu] - top, ck, top - ck * k0)
+    return forms
+
+
+def _empty_on_domain(lo, hi, k_sign):
+    """hi(m1, m2, k) < lo for all integers m1, m2 and every k of the domain:
+    no slope along a free direction, and below lo at the k endpoint."""
+    c1, c2, ck, c0 = hi
+    if c1 or c2 or (ck and ck * k_sign >= 0):
+        return False
+    return c0 + ck * min(k_sign, 0) < lo
+
+
 def check_inversion_formulas():
-    """Every closed-form N(.) family matches the group computation."""
+    """Every closed-form N(.) family matches the group computation for every
+    parameter of its domain.
+
+    A table chain agrees with the group's chain over its base for every
+    parameter iff both have the same lo and the same affine top, or both are
+    empty on the whole domain; an unlisted base needs an empty group chain.
+    """
+    positive = a2.datum().is_positive
     mismatches = []
-    cases = 0
-    ks = range(-10, 11)
-    evens = range(-10, 11, 2)
-    for name in a2.CLOSED_FORMS:
-        param_sets = (
-            [(k1, k2, k) for k1 in evens for k2 in evens for k in ks]
-            if name.startswith("t")
-            else [(0, 0, k) for k in ks]
-        )
-        if name == "t":
-            param_sets = [(k1, k2, 0) for k1 in evens for k2 in evens]
-        for k1, k2, k in param_sets:
-            elem = a2.closed_form_element(name, k1, k2, k)
-            if elem is None:
+    chains = 0
+    for name, family in a2.CLOSED_FORMS.items():
+        group = _group_tops(name, family.k_sign)
+        if group is None:
+            mismatches.append((name, "finite part moves"))
+            continue
+        table = {}
+        for base, lo, hi in family.chains:
+            if base in table or base not in group:
+                mismatches.append((name, base))
+            table[base] = (lo, hi)
+        for mu, top in group.items():
+            chains += 1
+            lo = 0 if positive(mu) else 1
+            listed = table.get(mu)
+            if listed == (lo, top) or (
+                _empty_on_domain(lo, top, family.k_sign)
+                and (listed is None or _empty_on_domain(*listed, family.k_sign))
+            ):
                 continue
-            cases += 1
-            if a2.closed_form_set(name, k1, k2, k) != inversion_set(elem):
-                mismatches.append((name, k1, k2, k))
+            mismatches.append((name, mu))
     ok = not mismatches
     return (
         "inversion formulas",
         ok,
-        f"{cases} cases, mismatches: {mismatches[:3]}",
+        f"{len(a2.CLOSED_FORMS)} families, {chains} chains, every parameter; "
+        f"mismatches: {mismatches[:3]}",
     )
 
 
@@ -287,7 +331,7 @@ def check_convexity_dichotomy(seed=20):
         B_inf = random_biclosed("A3", rng)
     cases.append(("A3 non-mixed", topes.from_biclosed(B_inf), False))
     for name, H, want_violation in cases:
-        report = topes.check_convex_truncated(H, level_bound=6, combo_size=3)
+        report = topes.check_convex_truncated(H, level_bound=6)
         got = report["violation"] is not None
         if got != want_violation:
             return (

@@ -17,7 +17,7 @@ from twisted_bruhat import (
     twisted_length_left,
     upper_covers,
 )
-from twisted_bruhat import a2
+from twisted_bruhat import a2, verify
 
 
 @pytest.fixture(scope="module")
@@ -53,22 +53,75 @@ def test_class_deltas_match_engine(setup):
 
 
 def test_closed_forms_match_inversion_sets():
+    """The sampled oracle of verify's proof, on a smaller box."""
     evens = range(-4, 5, 2)
     ks = range(-4, 5)
-    for name in a2.CLOSED_FORMS:
+    for name, family in a2.CLOSED_FORMS.items():
+        in_domain = [
+            k for k in ks if not family.k_sign or (k >= 0) == (family.k_sign > 0)
+        ]
         if name == "t":
             params = [(k1, k2, 0) for k1 in evens for k2 in evens]
         elif name.startswith("t"):
-            params = [(k1, k2, k) for k1 in evens for k2 in evens for k in ks]
+            params = [(k1, k2, k) for k1 in evens for k2 in evens for k in in_domain]
         else:
-            params = [(0, 0, k) for k in ks]
+            params = [(0, 0, k) for k in in_domain]
         for k1, k2, k in params:
             elem = a2.closed_form_element(name, k1, k2, k)
-            if elem is None:
-                continue
             assert a2.closed_form_set(name, k1, k2, k) == inversion_set(elem), (
                 name, k1, k2, k,
             )
+
+
+def _perturbed_tables():
+    """(family name, perturbed family): each must fail the proof."""
+    forms = a2.CLOSED_FORMS
+    for name, i in (("t.sa.s(a+kd)", 0), ("t.sa.s(a+kd)", 1),
+                    ("t.sa.s(a+kd)", 2), ("t.sa.s(a+kd)", 3),
+                    ("s(b+kd), k<0", 2), ("s(b+kd), k<0", 3)):
+        (base, lo, hi), *rest = forms[name].chains
+        hi = hi[:i] + (hi[i] + 1,) + hi[i + 1:]
+        yield f"{name} coefficient {i} off by one", name, forms[name]._replace(
+            chains=((base, lo, hi), *rest))
+    # the last chain of s(a+kd), k>=0 is empty at k = 0 but not beyond
+    for name in ("t", "s(a+kd), k>=0"):
+        chains = forms[name].chains
+        yield f"{name} chain dropped", name, forms[name]._replace(
+            chains=chains[:-1])
+        yield f"{name} base listed twice", name, forms[name]._replace(
+            chains=chains + chains[:1])
+    # chains over bases the group leaves empty, nonempty for large m1 or m2
+    family = forms["s(a+kd), k>=0"]
+    for extra in (((-1, 0), 1, (1, 0, -2, -1)), ((0, 1), 0, (0, 1, -1, -1))):
+        yield f"chain {extra} added", "s(a+kd), k>=0", family._replace(
+            chains=family.chains + (extra,))
+    for name in ("s(a+kd), k>=0", "s(a+kd), k<0"):
+        family = forms[name]
+        yield f"{name} domain flipped", name, family._replace(
+            k_sign=-family.k_sign)
+
+
+@pytest.mark.parametrize(
+    "name,family", [case[1:] for case in _perturbed_tables()],
+    ids=[case[0] for case in _perturbed_tables()],
+)
+def test_inversion_proof_reports_perturbed_family(monkeypatch, name, family):
+    monkeypatch.setitem(a2.CLOSED_FORMS, name, family)
+    _, ok, detail = verify.check_inversion_formulas()
+    assert not ok and repr(name) in detail, detail
+
+
+def test_inversion_proof_needs_a_fixed_finite_part(monkeypatch):
+    """Tops are affine in the parameters only while the finite part stays
+    put; an element whose finite part moves with k is reported."""
+    real = a2.closed_form_element
+    s_a = from_word(a2.datum(), (1,))
+    monkeypatch.setattr(
+        a2, "closed_form_element",
+        lambda name, k1, k2, k: real(name, k1, k2, k) * (s_a if k % 2 else s_a * s_a),
+    )
+    _, ok, detail = verify.check_inversion_formulas()
+    assert not ok and "finite part moves" in detail, detail
 
 
 def test_translation_inversion_even_parameters():
@@ -81,6 +134,16 @@ def test_translation_inversion_even_parameters():
 def test_root_translation_rejects_odd():
     with pytest.raises(ValueError):
         a2.root_translation(1, 0)
+    # the closed forms take the same even parameters, and k inside the domain
+    for call in (
+        lambda: a2.translation_inversion(0, 3),
+        lambda: a2.closed_form_set("t.sa", 1, 0),
+        lambda: a2.closed_form_element("t.sa.sb", 2, -1, 0),
+        lambda: a2.closed_form_set("s(a+kd), k>=0", 0, 0, -1),
+        lambda: a2.closed_form_element("s(b+kd), k<0", 0, 0, 0),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_sphericity_frozen_examples(setup):

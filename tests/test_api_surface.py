@@ -1,8 +1,8 @@
 """The package surface stays live: exports resolve, the benchmark tracer's
 targets exist, certificate and integrality checks are explicit code rather
-than `assert` (which `python -O` strips), arithmetic stays exact, the finite
-Weyl group's operations stay integer, and no definition in src/ goes
-unused."""
+than `assert` (which `python -O` strips), arithmetic stays exact, only a
+fenced set of modules imports `fractions`, the finite Weyl group's
+operations stay integer, and no definition in src/ goes unused."""
 
 import ast
 import importlib
@@ -101,6 +101,22 @@ def test_no_floats(filename):
         ):
             found.append((node.lineno, "true division"))
     assert not found, f"{filename}: {found}"
+
+
+def test_fraction_imports_are_fenced():
+    """Only these modules may import `fractions`: the affine translations
+    (`finite`, `affine_group`) until they move to integer coroot
+    coordinates, and the cone certificates (`linprog`, `topes`)."""
+    allowed = {"finite.py", "affine_group.py", "linprog.py", "topes.py"}
+    importers = {
+        filename
+        for filename in MODULES
+        for node in ast.walk(_tree(SRC / filename))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import)
+            and any(a.name == "fractions" for a in node.names))
+    }
+    assert importers <= allowed, sorted(importers - allowed)
 
 
 def test_weyl_group_ops_are_integer():

@@ -150,12 +150,20 @@ def test_usage_errors(capsys, tmp_path):
         capsys, ["covers", "--type", "A2", "--biclosed", ALCOVE, "--elem", "9"]
     )
     assert code == 2
-    # unknown output format, negative bound or budget: by flag or by config
+    # unknown output format, a numeric flag below 0 or above its limit: by
+    # flag or by config
     interval_a2 = ["interval", "--type", "A2", "--biclosed", ALCOVE, "--y", "3"]
+    levels_a3 = ["levels", "--type", "A3", "--biclosed", ALCOVE]
     for base, key, value in (
         (["topes"], "format", "xml"),
         (interval_a2, "format", "xml"),
         (["hasse"], "bound", "-1"),
+        (["hasse"], "bound", "21"),
+        (levels_a3, "radius", "-1"),
+        (levels_a3, "radius", "21"),
+        (["poincare"], "dmax", "-1"),
+        (["poincare"], "dmax", "1001"),
+        (["poincare"], "dmax", "100000"),
         (["sect4"], "budgets", "2,-3"),
         (["sect4"], "budgets", "2,13"),
         (["sect4"], "budgets", "100"),
@@ -270,6 +278,25 @@ def test_sect4_budget_limit_is_accepted(capsys, monkeypatch):
     )
     code, _, _ = run(capsys, ["sect4", "--budgets", "0,12"])
     assert (code, seen) == (0, [(0, 12)])
+
+
+def test_numeric_limits_are_accepted(capsys, monkeypatch):
+    """Each documented limit itself is accepted; the A2 ball and the series
+    are cheap there, and the Hasse fragment is stubbed."""
+    from twisted_bruhat import a2
+
+    code, out, _ = run(capsys, ["poincare", "--dmax", str(cli.MAX_DMAX)])
+    assert code == 0 and len(json.loads(out)) == cli.MAX_DMAX + 1
+    code, _, _ = run(capsys, ["levels", "--type", "A2", "--biclosed", ALCOVE,
+                              "--radius", str(cli.MAX_RADIUS)])
+    assert code == 0
+    seen = []
+    real = a2.figure_hasse
+    monkeypatch.setattr(
+        a2, "figure_hasse", lambda bound: seen.append(bound) or real(0)
+    )
+    code, _, _ = run(capsys, ["hasse", "--bound", str(cli.MAX_BOUND)])
+    assert (code, seen) == (0, [cli.MAX_BOUND])
 
 
 def test_figure_check_failure_exit_code(capsys, monkeypatch):

@@ -221,10 +221,22 @@ def test_canonical_check_matches_oracle(cm):
 
 
 def test_canonical_check_length_budget(cm):
+    """No length budget: a reflection of length 67 gets its verdict."""
     sub = generic.w_prime(cm)
     long_reflection = generic.from_word(cm, (2, 3) * 33 + (2,))
-    with pytest.raises(generic.BudgetExceeded):
-        generic.canonical_check(sub, long_reflection)
+    assert long_reflection.length() == 67
+    assert generic.canonical_check(sub, long_reflection) is False
+
+
+def test_canonical_check_rejects_non_canonical_generators(cm):
+    """a1 and a1 + a2 pair positively, so they are not the canonical simple
+    roots of the subgroup they generate."""
+    sub = generic.ReflectionSubgroup(cm, (
+        generic.reflection_in(cm, (1, 0, 0)),
+        generic.reflection_in(cm, (1, 1, 0)),
+    ))
+    with pytest.raises(ValueError):
+        generic.canonical_check(sub, sub.generators[0])
 
 
 def test_simple_reflections_cached(cm):

@@ -144,7 +144,7 @@ def test_convexity_no_violation_for_convex_classes(a2):
     w = from_word(a2, (1, 2, 3))
     for B in (from_inversion_set(w), full_positive_biclosed(a2)):
         H = topes.from_biclosed(B)
-        report = topes.check_convex_truncated(H, level_bound=5, combo_size=3)
+        report = topes.check_convex_truncated(H, level_bound=5)
         assert report["violation"] is None
         assert report["targets_checked"] > 0
 
@@ -154,7 +154,7 @@ def test_convexity_violation_for_mixed():
     for _ in range(3):
         B = random_biclosed("A3", rng, mixed=True, twist_len=1)
         H = topes.from_biclosed(B)
-        report = topes.check_convex_truncated(H, level_bound=5, combo_size=3)
+        report = topes.check_convex_truncated(H, level_bound=5)
         v = report["violation"]
         assert v is not None
         # re-verify the certificate from scratch
