@@ -3,9 +3,12 @@
 Every biclosed set of positive affine roots is of the form
 ``w . P(psi, d1, d2)^hat`` where ``P^hat`` lifts a finite biclosed set to
 all its delta-chains and ``.`` is the dot action
-``w . B = (N(w) \\ w(-B)) | (w(B) \\ -N(w))``.  This module makes that
-representation a total, O(1)-per-root membership oracle, with exact
-per-chain member counting (used heavily by the twisted length functions).
+``w . B = (N(w) \\ w(-B)) | (w(B) \\ -N(w))``.  On each delta-chain
+``mu + Z_{>=k0} delta`` such a set is constant above one level and flipped
+below it, so it is stored as one bit and one threshold per finite root
+(`BiclosedSet.chains`).  That pair gives O(1) membership, exact per-chain
+member counting (used heavily by the twisted length functions), and
+equality as a comparison of normal forms.
 """
 
 from __future__ import annotations
@@ -80,47 +83,60 @@ class BiclosedSet:
         self.delta1 = self.finite_part.delta1
         self.delta2 = self.finite_part.delta2
         self.P_roots = self.finite_part.roots
-        self._per_base = None
+        self._chains = None
         self._lB = {}
         self._lBp = {}
         self._ray_memo = None  # (w, profile): orders._element_profile
 
     # ----- representation-level data ----------------------------------
 
-    def _base_data(self):
-        """Per finite root mu: (pos, neg, t) = (u^{-1}(mu) in P,
-        -u^{-1}(mu) in P, t_mu) for twist = u t_v, t_mu as in
-        `AffineWeylElement.chain_tops`.
+    def chains(self):
+        """Per finite root mu: (tail, e), read as "mu + k delta is in B iff
+        tail, except at the levels k0 <= k < e" (k0 = 0 if mu > 0, else 1).
 
-        For positive r = mu + k delta: r is in B iff pos when k > t_mu (r is
-        outside N(twist)), and iff not neg when k <= t_mu (r is in N(twist)).
+        For twist = u t_v and t_mu as in `AffineWeylElement.chain_tops`, a
+        level k > t_mu is outside N(twist) and in B iff u^{-1}(mu) is in P,
+        and a level k <= t_mu is in B iff -u^{-1}(mu) is not.  So tail is
+        [u^{-1}(mu) in P], and the levels up to t_mu are flipped exactly when
+        [-u^{-1}(mu) in P] equals it.  With e >= k0 the pair is a normal form
+        of B on the chain.
         """
-        if self._per_base is None:
-            table = self.datum.weyl_table()
+        if self._chains is None:
+            datum = self.datum
+            table = datum.weyl_table()
             pre = table.image[table.inv[table.index[self.twist.fin]]]
             P = self.P_roots
-            data = {}
+            chains = {}
             for mu, t in self.twist.chain_tops().items():
                 nu = pre[mu]
-                data[mu] = (nu in P, tuple(-x for x in nu) in P, t)
-            self._per_base = data
-        return self._per_base
+                tail = nu in P
+                k0 = 0 if datum.is_positive(mu) else 1
+                flipped = t >= k0 and tail == (tuple(-x for x in nu) in P)
+                chains[mu] = (tail, t + 1 if flipped else k0)
+            self._chains = chains
+        return self._chains
 
     def contains(self, r) -> bool:
         base, k = r
         if not is_positive_affine(self.datum, r):
             raise ValueError("membership is defined on positive affine roots")
-        pos, neg, t = self._base_data()[tuple(base)]
-        return pos if k > t else not neg
+        tail, e = self.chains()[tuple(base)]
+        return tail != (k < e)
 
     def count_in_chain(self, base, lo: int, hi: int) -> int:
-        """|B intersect {base + k delta : lo <= k <= hi}| in O(1): the levels
-        above t if pos, plus those up to t if not neg."""
-        pos, neg, t = self._base_data()[tuple(base)]
-        n = max(0, hi - max(lo, t + 1) + 1) if pos else 0
-        if not neg:
-            n += max(0, min(hi, t) - lo + 1)
-        return n
+        """|B intersect {base + k delta : lo <= k <= hi}| in O(1), for
+        lo >= k0: the levels of [lo, hi] at or above e if tail, else those
+        below e."""
+        tail, e = self.chains()[tuple(base)]
+        if hi < lo:
+            return 0
+        if tail:
+            if hi < e:
+                return 0
+            return hi - e + 1 if lo < e else hi - lo + 1
+        if lo >= e:
+            return 0
+        return e - lo if hi >= e else hi - lo + 1
 
     def count_inversions_in(self, w: AffineWeylElement, inverse: bool) -> int:
         """|N(w^{-1}) ∩ B| (inverse=True) or |N(w) ∩ B|."""
@@ -131,11 +147,6 @@ class BiclosedSet:
         return total
 
     # ----- derived structure -------------------------------------------
-
-    def I_roots(self) -> frozenset:
-        """I_B: finite roots whose chain meets B infinitely often."""
-        u = self.twist.fin
-        return frozenset(u.apply(p) for p in self.P_roots)
 
     def classify(self) -> str:
         d = frozenset(self.psi.simple_system)
@@ -158,26 +169,13 @@ class BiclosedSet:
 
     # ----- equality and canonical form ---------------------------------
 
-    def level_star(self, other: "BiclosedSet" = None) -> int:
-        l = self.twist.max_inversion_level()
-        if other is not None:
-            l = max(l, other.twist.max_inversion_level())
-        return 1 + l
+    def level_star(self) -> int:
+        """1 + the highest level of N(twist): B agrees with P^hat above it."""
+        return 1 + self.twist.max_inversion_level()
 
     def equals(self, other: "BiclosedSet") -> bool:
-        """Oracle equality: I_B match plus agreement up to level L*."""
-        if self is other:
-            return True
-        if self.I_roots() != other.I_roots():
-            return False
-        lstar = self.level_star(other)
-        datum = self.datum
-        for base in datum.roots:
-            k0 = 0 if datum.is_positive(base) else 1
-            for k in range(k0, lstar + 1):
-                if self.contains((base, k)) != other.contains((base, k)):
-                    return False
-        return True
+        """Equality as sets of roots: the same (tail, e) on every chain."""
+        return self is other or self.chains() == other.chains()
 
     def canonicalized(self) -> "BiclosedSet":
         """Greedily strip trailing twist letters that fix the oracle."""

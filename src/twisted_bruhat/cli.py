@@ -2,8 +2,10 @@
 
 Subcommands: interval, covers, levels, poincare, hasse, topes, sect4,
 verify.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 certification failure.  Options may come from a flat ``key=value``
-config file (--config); explicit flags override file values.
+3 certification failure.  Each subcommand takes only its own flags (FLAGS)
+plus --config and --out.  Options may come from a flat ``key=value``
+config file (--config) whose keys are the subcommand's own flag names or
+``out``; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class UsageError(Exception):
     pass
 
 
-def _read_config(path):
+def _read_config(path, allowed):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -52,7 +54,10 @@ def _read_config(path):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in allowed:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -228,6 +233,19 @@ COMMANDS = {
     "verify": cmd_verify,
 }
 
+# Each subcommand's own flags; every subcommand also takes --config and --out.
+FLAGS = {
+    "interval": ("type", "biclosed", "x", "y", "format"),
+    "covers": ("type", "biclosed", "elem"),
+    "levels": ("type", "biclosed", "level", "radius"),
+    "poincare": ("parity", "dmax"),
+    "hasse": ("bound", "format"),
+    "topes": ("format",),
+    "sect4": ("budgets",),
+    "verify": (),
+}
+_INT_FLAGS = ("level", "radius", "dmax", "bound")
+
 
 @lru_cache(maxsize=None)
 def _build_parser():
@@ -236,19 +254,8 @@ def _build_parser():
     for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config")
-        sp.add_argument("--type")
-        sp.add_argument("--biclosed")
-        sp.add_argument("--elem")
-        sp.add_argument("--x")
-        sp.add_argument("--y")
-        sp.add_argument("--level", type=int)
-        sp.add_argument("--radius", type=int)
-        sp.add_argument("--parity")
-        sp.add_argument("--dmax", type=int)
-        sp.add_argument("--bound", type=int)
-        sp.add_argument("--budgets")
-        sp.add_argument("--format")
-        sp.add_argument("--out")
+        for flag in FLAGS[name] + ("out",):
+            sp.add_argument(f"--{flag}", type=int if flag in _INT_FLAGS else None)
     return p
 
 
@@ -261,7 +268,7 @@ def main(argv=None):
     config = {}
     try:
         if args.config:
-            config = _read_config(args.config)
+            config = _read_config(args.config, FLAGS[args.command] + ("out",))
         return COMMANDS[args.command](args, config)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

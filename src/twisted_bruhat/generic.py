@@ -203,10 +203,15 @@ def inversion_roots(w: CoxElement):
     return out
 
 
-def n_tilde(w: CoxElement, budget: int = 64):
-    """Ntilde(w): the reflections whose roots lie in N(w)."""
-    if w.length() > budget:
-        raise BudgetExceeded(f"l(w) = {w.length()} > budget {budget}")
+# Longest w whose Ntilde(w) is listed, and most steps of an A-membership scan.
+_N_TILDE_BUDGET = 64
+_IN_A_BUDGET = 64
+
+
+def n_tilde(w: CoxElement):
+    """Ntilde(w): the reflections whose roots lie in N(w), for l(w) <= 64."""
+    if w.length() > _N_TILDE_BUDGET:
+        raise BudgetExceeded(f"l(w) = {w.length()} > budget {_N_TILDE_BUDGET}")
     return frozenset(reflection_in(w.cm, _positive(g)) for g in inversion_roots(w))
 
 
@@ -323,18 +328,18 @@ def _height(v) -> int:
     return sum(abs(x) for x in v)
 
 
-def in_A(w: CoxElement, gamma, scan_budget: int = 64) -> bool:
+def in_A(w: CoxElement, gamma) -> bool:
     """gamma in N(w^inf) iff w^{-m}(gamma) < 0 for some m; bounded scan.
 
     The scan stops early once the iterates' heights have grown strictly for
     several consecutive steps while staying positive (they then stay
     positive: the straight element moves every surviving root away from the
-    walls), and otherwise gives up at the budget.
+    walls), and otherwise gives up after _IN_A_BUDGET steps.
     """
     v = gamma
     growth_streak = 0
     prev_h = _height(v)
-    for _ in range(scan_budget):
+    for _ in range(_IN_A_BUDGET):
         v = w.inv_apply(v)
         if not is_positive_root(v):
             return True

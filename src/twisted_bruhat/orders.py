@@ -176,18 +176,18 @@ def _check_tail(B, profile, n, drift, positive_end):
     window end +n (positive_end) or -n; raise CertificationFailed otherwise.
 
     Each chain term of Delta is piecewise affine in its top hi, with kinks
-    at lo - 1 and at the top t_mu of B's twist (B._base_data); hi is affine
-    in k.  So Delta is affine between the integers next to its kinks:
+    at lo - 1 and at e - 1, the last level below B's threshold e on that
+    chain (B.chains()); hi is affine in k.  So Delta is affine between the integers next to its kinks:
     checking the values at those integers beyond the end and at the first
     step past it, and that the slope past the last kink does not turn back,
     covers every k beyond the end.
     """
     out = 1 if positive_end else -1
     sign = 1 if drift > 0 else -1
-    data = B._base_data()
+    chains = B.chains()
     steps = {n + 1}
     for mu, lo, a, b in profile[1]:
-        for t in (lo - 1, data[mu][2]):
+        for t in (lo - 1, chains[mu][1] - 1):
             # kink at k = (t - a) / b: the integers on both sides of it
             for k in ((t - a) // b, -((a - t) // b)):
                 if out * k > n:
@@ -495,16 +495,15 @@ def no_local_extremum_check(B, radius: int):
 def antichain_at_level(B, k: int, size_target: int, radius: int):
     """size_target elements of equal twisted length (hence an antichain).
 
-    Scans balls of growing radius and stops at the first one holding
-    size_target elements of twisted length k; raises TargetNotReached if
-    even the full radius falls short.
+    The radius ball is sorted by (length, word), so the first size_target
+    elements of twisted length k in it are those of the smallest ball that
+    holds size_target of them.  Raises TargetNotReached, carrying all of
+    them, if the full radius falls short.
     """
-    sample = []
-    for r in range(radius + 1):
-        sample = level_set_sample(B, k, r)
-        if len(sample) >= size_target:
-            return sample[:size_target]
-    raise TargetNotReached(sample)
+    sample = level_set_sample(B, k, radius)
+    if len(sample) < size_target:
+        raise TargetNotReached(sample)
+    return sample[:size_target]
 
 
 def dot_iso_check(w, B, pairs):

@@ -4,8 +4,11 @@ A hemispace is H = B union -(Phi^hat \\ B) (sign '+') or its negation
 (sign '-') for B a biclosed set of positive affine roots; the order based
 at a hemispace H0 is F <= G iff (F delta H0) subset (G delta H0), which is
 finite-checkable inside a block (hemispaces at finite symmetric
-difference).  On each delta-chain a hemispace is constant up to finitely
-many levels, so symmetric differences are read off in closed form.  Cone
+difference).  A hemispace holds only B's pair (tail, e) per delta-chain
+(`BiclosedSet.chains`: constant from level e up, flipped below) and its
+sign, so symmetric differences are read off in closed form.  The library
+builds the hemispaces of biclosed sets (`from_biclosed`) and those of the
+paper's rank-2 figure (`from_descriptor`).  Cone
 feasibility questions are answered exactly by the integer simplex in
 linprog; convexity is certified only at a truncation, non-convexity
 absolutely (a violation is a finite certificate).
@@ -48,56 +51,37 @@ def all_roots_to_level(datum: CartanDatum, level: int):
 class Hemispace:
     """Total membership oracle over the whole affine root system.
 
-    Backed either by a BiclosedSet (`biclosed`) or by a descriptor: a set
-    of finite base roots whose full delta-chains lie in B (`full_bases`)
-    together with a finite set of flipped roots (`flips`, symmetric
-    difference against the chain pattern).
+    `chains` holds B's pair (tail, e) per finite root mu (see
+    `BiclosedSet.chains`): the positive root mu + k delta is in B iff
+    `tail`, except at the levels k0 <= k < e.  A hemispace built from a
+    BiclosedSet keeps it as `biclosed`.
     """
 
-    def __init__(self, datum, sign="+", biclosed=None, full_bases=None,
-                 flips=(), label=""):
+    def __init__(self, datum, chains, sign="+", biclosed=None, label=""):
         if sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
         self.datum = datum
+        self.chains = chains
         self.sign = sign
         self.biclosed = biclosed
-        self.full_bases = (
-            frozenset(tuple(b) for b in full_bases)
-            if full_bases is not None
-            else None
-        )
-        self.flips = frozenset((tuple(b), k) for b, k in flips)
         self.label = label
-        if (biclosed is None) == (full_bases is None):
-            raise ValueError("exactly one backing representation required")
-        if not all(is_positive_affine(datum, r) for r in self.flips):
-            raise ValueError("flips must be positive affine roots")
-
-    def _in_B(self, r) -> bool:
-        if self.biclosed is not None:
-            return self.biclosed.contains(r)
-        return (tuple(r[0]) in self.full_bases) != (
-            (tuple(r[0]), r[1]) in self.flips
-        )
 
     def contains(self, r) -> bool:
-        if is_positive_affine(self.datum, r):
-            inb = self._in_B(r)
-        else:
-            inb = not self._in_B(negate(r))
+        positive = is_positive_affine(self.datum, r)
+        base, k = r if positive else negate(r)
+        tail, e = self.chains[tuple(base)]
+        inb = (tail != (k < e)) == positive  # r in B, or -r not in B
         return inb if self.sign == "+" else not inb
 
     def negated(self) -> "Hemispace":
         return Hemispace(
-            self.datum, "-" if self.sign == "+" else "+", self.biclosed,
-            self.full_bases, self.flips, "-" + self.label if self.label else "",
+            self.datum, self.chains, "-" if self.sign == "+" else "+",
+            self.biclosed, "-" + self.label if self.label else "",
         )
 
     def level_bound(self) -> int:
-        """All membership variation happens at levels <= this bound."""
-        if self.biclosed is not None:
-            return self.biclosed.level_star() + 1
-        return max((k for _, k in self.flips), default=0) + 1
+        """All membership variation happens at levels below this bound."""
+        return max(e for _, e in self.chains.values())
 
     def partition_check(self, level: int) -> bool:
         """Exactly one of r, -r belongs to H, for all roots to the level."""
@@ -111,45 +95,52 @@ class Hemispace:
 
 
 def from_biclosed(B: BiclosedSet, sign="+", label="") -> Hemispace:
-    return Hemispace(B.datum, sign, biclosed=B, label=label)
+    return Hemispace(B.datum, B.chains(), sign, B, label)
 
 
-def _chains(H: Hemispace) -> dict:
-    """Per finite root mu: (tail, levels).  H contains the positive root
-    mu + k delta iff `tail`, except at the finitely many `levels`."""
-    datum = H.datum
-    flip = H.sign == "-"
-    if H.biclosed is not None:
-        # in B iff pos above t_mu; up to t_mu iff not neg (pos when pos != neg)
-        return {
-            mu: (pos != flip,
-                 range(_k0(datum, mu), t + 1) if pos == neg else ())
-            for mu, (pos, neg, t) in H.biclosed._base_data().items()
-        }
-    out = {mu: ((mu in H.full_bases) != flip, set()) for mu in datum.roots}
-    for mu, k in H.flips:
-        out[mu][1].add(k)
-    return out
+def from_descriptor(datum, full_bases, flips, sign="+", label="") -> Hemispace:
+    """The hemispace of B = (full delta-chains over `full_bases`) with the
+    positive roots `flips` toggled.  The flips on each chain must be its
+    lowest levels k0, k0 + 1, ..., so that B is again one pair (tail, e) per
+    chain."""
+    full = frozenset(tuple(b) for b in full_bases)
+    levels = {mu: set() for mu in datum.roots}
+    for base, k in flips:
+        if not is_positive_affine(datum, (base, k)):
+            raise ValueError("flips must be positive affine roots")
+        levels[tuple(base)].add(k)
+    chains = {}
+    for mu, ks in levels.items():
+        e = _k0(datum, mu) + len(ks)
+        if ks and max(ks) != e - 1:
+            raise ValueError(
+                f"flips on {datum.root_name(mu)} are not the lowest levels "
+                "of its chain"
+            )
+        chains[mu] = (mu in full, e)
+    return Hemispace(datum, chains, sign, label=label)
 
 
 def symdiff_positive(F: Hemispace, G: Hemispace) -> frozenset:
     """{positive r : F, G disagree on r}; finite iff same block.
 
     Hemispace symmetric differences are stable under negation, so the
-    positive half determines the whole.  Read chain by chain: F and G
-    disagree on infinitely many levels (DifferentBlocks) when their tails
-    differ, and otherwise exactly on the symmetric difference of their
-    exceptional levels.
+    positive half determines the whole.  Read chain by chain: on positive
+    roots F is constant from its threshold e_F up, and flipped below it.
+    So F and G disagree on infinitely many levels (DifferentBlocks) when
+    their signed tails differ, and otherwise exactly on the levels from
+    min(e_F, e_G) up to below max(e_F, e_G).
     """
-    G_chains = _chains(G)
+    flip = F.sign != G.sign
+    G_chains = G.chains
     out = []
-    for mu, (tail, levels) in _chains(F).items():
-        G_tail, G_levels = G_chains[mu]
-        if tail != G_tail:
+    for mu, (tail, e) in F.chains.items():
+        G_tail, G_e = G_chains[mu]
+        if (tail != G_tail) != flip:
             raise DifferentBlocks(
                 "symmetric difference does not stabilize: different blocks"
             )
-        out.extend((mu, k) for k in set(levels).symmetric_difference(G_levels))
+        out.extend((mu, k) for k in range(min(e, G_e), max(e, G_e)))
     return frozenset(out)
 
 
@@ -493,34 +484,21 @@ def _figure_datum():
 def figure_hemispaces():
     """All labelled hemispaces of the displayed tope poset (plus negatives)."""
     datum = _figure_datum()
-    out = {}
-    for name, roots in _H_FINITE.items():
-        out[name] = Hemispace(
-            datum, "+", full_bases=(), flips=roots, label=name
-        )
+    specs = [(name, (), roots) for name, roots in _H_FINITE.items()]
     for name, bases in _T_BASES.items():
         e1, e2 = _T_EXTRAS[name]
-        out[name] = Hemispace(
-            datum, "+", full_bases=bases, flips=(), label=name
-        )
-        out[name + "1"] = Hemispace(
-            datum, "+", full_bases=bases, flips=(e1,), label=name + "1"
-        )
-        out[name + "2"] = Hemispace(
-            datum, "+", full_bases=bases, flips=(e2,), label=name + "2"
-        )
-        out[name + "3"] = Hemispace(
-            datum, "+", full_bases=bases,
-            flips=(e1, (e1[0], e1[1] + 1)), label=name + "3"
-        )
-        out[name + "4"] = Hemispace(
-            datum, "+", full_bases=bases,
-            flips=(e2, (e2[0], e2[1] + 1)), label=name + "4"
-        )
-    for name, bases in _U_BASES.items():
-        out[name] = Hemispace(
-            datum, "+", full_bases=bases, flips=(), label=name
-        )
+        specs += [
+            (name, bases, ()),
+            (name + "1", bases, (e1,)),
+            (name + "2", bases, (e2,)),
+            (name + "3", bases, (e1, (e1[0], e1[1] + 1))),
+            (name + "4", bases, (e2, (e2[0], e2[1] + 1))),
+        ]
+    specs += [(name, bases, ()) for name, bases in _U_BASES.items()]
+    out = {
+        name: from_descriptor(datum, bases, flips, "+", name)
+        for name, bases, flips in specs
+    }
     for name in list(out):
         out["-" + name] = out[name].negated()
     return out
@@ -566,14 +544,17 @@ def figure_topes():
     records = []
     for label, h in hs.items():
         flip_names = sorted(
-            (datum.root_name(b), k) for b, k in h.flips
+            (datum.root_name(mu), k)
+            for mu, (_, e) in h.chains.items()
+            for k in range(_k0(datum, mu), e)
         )
         records.append(
             {
                 "label": label,
                 "sign": h.sign,
                 "full_chain_bases": sorted(
-                    datum.root_name(b) for b in h.full_bases
+                    datum.root_name(mu) for mu, (tail, _) in h.chains.items()
+                    if tail
                 ),
                 "flips": [f"{n}+{k}d" for n, k in flip_names],
             }

@@ -70,9 +70,9 @@ def _random_comparable_pair(B, rng, max_gap):
     return x, y
 
 
-def check_local_finiteness(seed=11):
+def check_local_finiteness():
     """Intervals of grade gap <= 6 are finite and correctly graded."""
-    rng = random.Random(seed)
+    rng = random.Random(11)
     backends = _backends(rng)
     pairs_per = [9, 9, 8, 8, 8, 8]  # 50 pairs total
     tried = 0
@@ -90,9 +90,9 @@ def check_local_finiteness(seed=11):
     return "local finiteness", True, f"{tried} intervals, all finite"
 
 
-def check_corank_finiteness(seed=12):
+def check_corank_finiteness():
     """downset_corank terminates for n <= 4, with every ray certified."""
-    rng = random.Random(seed)
+    rng = random.Random(12)
     backends = _backends(rng)
     total = 0
     for name, B in backends:
@@ -104,9 +104,9 @@ def check_corank_finiteness(seed=12):
     return "corank finiteness", True, f"{total} downset elements, 0 failures"
 
 
-def check_class_deltas(seed=13):
+def check_class_deltas():
     """The six-class closed-form length deltas match the generic engine."""
-    rng = random.Random(seed)
+    rng = random.Random(13)
     B = a2.alcove_biclosed()
     datum = B.datum
     rays = (a2.ALPHA, a2.BETA, a2.AB)
@@ -224,9 +224,9 @@ def check_poincare():
     return "poincare series", ok, f"residuals {max(map(abs, r1 + r2))}"
 
 
-def check_level_sets(seed=16):
+def check_level_sets():
     """Fixed-twisted-length sets keep growing with the search radius."""
-    rng = random.Random(seed)
+    rng = random.Random(16)
     cases = [("A2 word-inversion", a2.alcove_biclosed(), (4, 8, 12))]
     cases.append(("A3 mixed", random_biclosed("A3", rng, mixed=True, twist_len=1), (3, 6, 9)))
     for name, B, radii in cases:
@@ -241,14 +241,14 @@ def check_level_sets(seed=16):
     return "infinite level sets", True, "all level sets grow with radius"
 
 
-def check_antichain(seed=17):
+def check_antichain():
     """An antichain of 20 elements at twisted length 0.
 
     Uses a rank-3 Mixed twisting set: its fixed-length sets are
     two-dimensional, so the radius-14 ball already holds 20 elements
     (rank-2 level sets are single lines and stay below 20 there).
     """
-    rng = random.Random(seed)
+    rng = random.Random(17)
     B = random_biclosed("A3", rng, mixed=True, twist_len=1)
     try:
         chain = antichain_at_level(B, 0, 20, 14)
@@ -259,8 +259,8 @@ def check_antichain(seed=17):
     return "infinite antichain", ok, f"{len(chain)} elements at level 0"
 
 
-def check_no_local_extremum(seed=18):
-    rng = random.Random(seed)
+def check_no_local_extremum():
+    rng = random.Random(18)
     cases = [("A2 alcove", a2.alcove_biclosed(), 6)]
     cases.append(("A2 coinversion", a2.alcove_biclosed().complement(), 6))
     cases.append(
@@ -309,8 +309,8 @@ def check_interval_growth():
     return "interval growth", ok, f"counts {counts}"
 
 
-def check_convexity_dichotomy(seed=20):
-    rng = random.Random(seed)
+def check_convexity_dichotomy():
+    rng = random.Random(20)
     datumA2 = build_system("A2")
     cases = []
     w = from_word(datumA2, (1, 2, 3))
@@ -342,9 +342,9 @@ def check_convexity_dichotomy(seed=20):
     return "convexity dichotomy", True, f"{len(cases)} hemispaces separated"
 
 
-def check_tope_blocks(seed=21):
+def check_tope_blocks():
     """Block order == twisted weak order; sampled intervals are lattices."""
-    rng = random.Random(seed)
+    rng = random.Random(21)
     datum = build_system("A2")
     center_B = from_inversion_set(identity(datum))
     center = topes.from_biclosed(center_B)

@@ -18,6 +18,7 @@ from twisted_bruhat import (
 )
 from twisted_bruhat.biclosed import BiclosedSet, dot_action_pointwise
 from twisted_bruhat.finite import FiniteBiclosed, enumerate_P_triples
+from twisted_bruhat.orders import length_ball
 from conftest import random_biclosed, random_element
 
 TYPES = ("A2", "A3", "B2", "G2")
@@ -189,6 +190,84 @@ def test_equals_and_canonicalized():
             C = B.canonicalized()
             assert B.equals(C)
             assert C.twist.length() <= B.twist.length()
+
+
+def _equals_oracle(B, C):
+    """The former `equals`: the finite roots whose chain meets B infinitely
+    often (I_B = u(P) for twist u t_v) must match, then membership must
+    agree on every positive root up to level L* = 1 + the higher top
+    inversion level of the two twists.  Membership is read off the dot
+    action pointwise, not off B's chains."""
+    def I(X):
+        return frozenset(X.twist.fin.apply(p) for p in X.P_roots)
+
+    def member(X, r):
+        return dot_action_pointwise(
+            X.twist, lambda q: tuple(q[0]) in X.P_roots, r
+        )
+
+    if I(B) != I(C):
+        return False
+    lstar = 1 + max(
+        B.twist.max_inversion_level(), C.twist.max_inversion_level()
+    )
+    return all(
+        member(B, r) == member(C, r)
+        for r in all_roots_to_level(B.datum, lstar)
+    )
+
+
+def test_equals_matches_level_scan_oracle():
+    """Normal-form equality agrees with the I_B + L* scan on 504 pairs.
+
+    Each B = (w x) . P^hat, with x a short element fixing P^hat when there
+    is one (rank-2 infinite-word sets have them), is paired with an equal
+    set under another twist or triple (B.canonicalized(), w . P^hat,
+    u^-1 . (u . B), the other chambers' forms of a Finite or Cofinite set),
+    a one-letter neighbour, or an unrelated set.
+    """
+    rng = random.Random(40)
+    outcomes = {True: 0, False: 0}
+    other_form = 0
+    for label in TYPES:
+        datum = build_system(label)
+        triples = enumerate_P_triples(datum)
+        ball = length_ball(datum, 4)
+        fixers = {}
+        for i in range(126):
+            triple = rng.choice(triples)
+            if triple not in fixers:
+                P_hat = BiclosedSet(ball[0], *triple)
+                fixers[triple] = [
+                    x for x in ball[1:] if BiclosedSet(x, *triple).equals(P_hat)
+                ] or [ball[0]]
+            w = random_element(datum, rng, 5)
+            B = BiclosedSet(w * rng.choice(fixers[triple]), *triple)
+            kind = i % 6
+            if kind == 0:
+                C = B.canonicalized()
+            elif kind == 1:
+                C = BiclosedSet(w, *triple)
+            elif kind == 2:
+                u = random_element(datum, rng, 5)
+                C = dot_action(u.inverse(), dot_action(u, B))
+            elif kind == 3:
+                psi, d1, d2 = rng.choice(triples)
+                shape = {"Finite": (psi.simple_system, ()),
+                         "Cofinite": ((), psi.simple_system)}
+                C = BiclosedSet(B.twist, psi, *shape.get(B.classify(), (d1, d2)))
+            elif kind == 4:
+                C = dot_action(from_word(datum, (rng.randint(1, datum.rank + 1),)), B)
+            else:
+                C = BiclosedSet(random_element(datum, rng, 6), *rng.choice(triples))
+            want = _equals_oracle(B, C)
+            assert B.equals(C) == want == C.equals(B), (
+                format_biclosed(B), format_biclosed(C)
+            )
+            outcomes[want] += 1
+            other_form += want and (B.twist != C.twist or B.psi != C.psi)
+    assert min(outcomes.values()) >= 100, outcomes
+    assert other_form >= 50, other_form
 
 
 @pytest.mark.parametrize("label", TYPES)

@@ -145,6 +145,28 @@ def test_usage_errors(capsys, tmp_path):
     # unknown subcommand
     code, _, _ = run(capsys, ["frobnicate"])
     assert code == 2
+    # a flag of another subcommand, or a config key outside the
+    # subcommand's own flags (a misspelling included)
+    for argv in (
+        ["poincare", "--radius", "999", "--biclosed", "junk"],
+        ["verify", "--type", "A2"],
+        ["topes", "--bound", "3"],
+        ["covers", "--type", "A2", "--biclosed", ALCOVE, "--format", "dot"],
+        ["sect4", "--dmax", "3"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments" in err, argv
+    for base, key in (
+        (["levels", "--type", "A2", "--biclosed", ALCOVE], "raduis"),
+        (["poincare"], "radius"),
+        (["hasse"], "config"),
+        (["verify"], "type"),
+    ):
+        cfg.write_text(f"{key}=5\n")
+        code, out, err = run(capsys, base + ["--config", str(cfg)])
+        assert (code, out) == (2, ""), key
+        assert err == f"error: {cfg}:1: unknown key {key!r}\n"
     # bad word letter
     code, _, _ = run(
         capsys, ["covers", "--type", "A2", "--biclosed", ALCOVE, "--elem", "9"]
@@ -242,7 +264,7 @@ def test_sect4_budget_exceeded_exit_code(capsys, monkeypatch):
     not a traceback with the verification-failure code 1."""
     from twisted_bruhat import generic
 
-    def give_up(w, gamma, scan_budget=64):
+    def give_up(w, gamma):
         raise generic.BudgetExceeded("A-membership scan did not stabilize")
 
     monkeypatch.setattr(generic, "in_A", give_up)
@@ -258,7 +280,7 @@ def test_sect4_budget_exceeded_exit_code(capsys, monkeypatch):
 def test_verify_budget_exceeded_exit_code(capsys, monkeypatch):
     from twisted_bruhat import generic, verify as vmod
 
-    def give_up(w, gamma, scan_budget=64):
+    def give_up(w, gamma):
         raise generic.BudgetExceeded("A-membership scan did not stabilize")
 
     monkeypatch.setattr(generic, "in_A", give_up)

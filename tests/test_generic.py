@@ -123,9 +123,10 @@ def test_in_A_membership(cm):
 
 
 def test_budget_exceeded(cm):
-    w = generic.from_word(cm, (2, 3) * 6)
+    w = generic.from_word(cm, (2, 3) * 33)
+    assert w.length() == 66
     with pytest.raises(generic.BudgetExceeded):
-        generic.n_tilde(w, budget=4)
+        generic.n_tilde(w)
 
 
 def test_interval_growth_first_steps(cm):

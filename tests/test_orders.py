@@ -30,6 +30,7 @@ from twisted_bruhat.affine_group import simple_reflections
 from twisted_bruhat.finite import enumerate_P_triples
 from twisted_bruhat.orders import (
     CertificationFailed,
+    TargetNotReached,
     _check_tail,
     _end_certified,
     _ray_delta,
@@ -144,6 +145,26 @@ def test_tail_check_rejects_far_breakpoint():
     _check_tail(B, good, 10, 2, positive_end=False)
 
 
+def test_tail_check_finds_breakdown_at_biclosed_threshold():
+    """A breakdown at B's own kink e - 1.  B = N(w) is flipped on the levels
+    1..3 of the chain over -a-b (tail False, e = 4).  A moving chain over it
+    with top -30 + 2k dips Delta to 2 at k = 16 (top 2, just below the kink
+    at 3) against a baseline rising by one per step; the integers next to
+    the kink (16, 17) expose it, those next to e (17) alone would not."""
+    d = build_system("A2")
+    B = from_inversion_set(from_word(d, (3, 1, 2, 3, 1, 2)))
+    assert B.chains()[(-1, -1)] == (False, 4)
+    assert B.chains()[(1, 0)] == (False, 0)
+    profile = (13, (((1, 0), 0, 0, 1), ((-1, -1), 1, -30, 2)))
+    assert [_ray_delta(B, profile, k) for k in range(14, 19)] == [2, 3, 2, 3, 6]
+    window = [_ray_delta(B, profile, k) for k in range(-14, 15)]
+    assert _end_certified(window, d.coxeter_number, positive_end=True) == 1
+    with pytest.raises(CertificationFailed, match=r"Delta\(16\) = 2"):
+        _check_tail(B, profile, 14, 1, positive_end=True)
+    # unflipped (e = k0 everywhere), the same profile keeps rising
+    _check_tail(from_inversion_set(identity(d)), profile, 14, 1, positive_end=True)
+
+
 def test_interval_grading_and_membership():
     rng = random.Random(42)
     d = build_system("A2")
@@ -247,6 +268,33 @@ def test_antichain_elements_incomparable():
         for b in sample[i + 1:]:
             assert not weak_leq(a, b, B, side="right")
             assert not weak_leq(b, a, B, side="right")
+
+
+def _antichain_by_growing_balls(B, k, size_target, radius):
+    """The former antichain_at_level: one level-set filter per radius."""
+    sample = []
+    for r in range(radius + 1):
+        sample = level_set_sample(B, k, r)
+        if len(sample) >= size_target:
+            return sample[:size_target]
+    raise TargetNotReached(sample)
+
+
+def test_antichain_matches_growing_balls():
+    """One filter of the full ball gives the elements, and the
+    TargetNotReached payload, of the radius-by-radius scan."""
+    rng = random.Random(48)
+    for label in ("A2", "A3", "B2"):
+        for _ in range(3):
+            B = random_biclosed(label, rng)
+            for k, size, radius in ((0, 5, 6), (1, 12, 7), (-1, 40, 5)):
+                results = []
+                for fn in (antichain_at_level, _antichain_by_growing_balls):
+                    try:
+                        results.append(fn(B, k, size, radius))
+                    except TargetNotReached as exc:
+                        results.append(("short", exc.found))
+                assert results[0] == results[1]
 
 
 def test_no_local_extrema_alcove():

@@ -116,7 +116,38 @@ def test_symdiff_matches_level_scan():
 
 def test_flips_must_be_positive_roots(a2):
     with pytest.raises(ValueError, match="positive affine roots"):
-        topes.Hemispace(a2, "+", full_bases=(), flips=(((-1, 0), 0),))
+        topes.from_descriptor(a2, (), (((-1, 0), 0),))
+
+
+def test_flips_must_be_lowest_levels(a2):
+    """Level 1 without level 0 on a positive root leaves a gap: B would not
+    be one pair (tail, e) on that chain."""
+    with pytest.raises(ValueError, match="lowest levels"):
+        topes.from_descriptor(a2, (), (((1, 0), 1),))
+    with pytest.raises(ValueError, match="lowest levels"):
+        topes.from_descriptor(a2, ((1, 1),), (((1, 0), 0), ((1, 0), 2)))
+    # negative bases start at level 1
+    with pytest.raises(ValueError, match="lowest levels"):
+        topes.from_descriptor(a2, (), (((-1, 0), 2),))
+    H = topes.from_descriptor(a2, (), (((1, 0), 1), ((1, 0), 0), ((-1, 0), 1)))
+    assert H.chains[(1, 0)] == (False, 2) and H.chains[(-1, 0)] == (False, 2)
+
+
+def test_descriptor_of_inversion_set_matches_biclosed(a2):
+    """from_descriptor((), N(w)) and from_biclosed(from_inversion_set(w))
+    are the same hemispace: same membership to level 6, empty symmetric
+    difference, and the same pairs."""
+    rng = random.Random(94)
+    for _ in range(20):
+        w = random_element(a2, rng, 7)
+        for sign in "+-":
+            D = topes.from_descriptor(a2, (), inversion_set(w), sign)
+            H = topes.from_biclosed(from_inversion_set(w), sign)
+            for r in topes.all_roots_to_level(a2, 6):
+                assert D.contains(r) == H.contains(r), (w, r)
+            assert topes.symdiff_positive(D, H) == frozenset()
+            assert D.chains == H.chains
+            assert D.level_bound() == H.level_bound()
 
 
 def test_different_blocks_detected(a2):
