@@ -396,31 +396,13 @@ def dihedral_decompose(w: AffineWeylElement) -> DihedralDecomposition:
 
 
 def _match_prefix_index(m: AffineWeylElement) -> int:
-    bound = m.length() + 2
-    for i in range(-bound, bound + 1):
+    """The i with w(i)^{-1} = m.  w(i) is a prefix of a power of a Coxeter
+    element, hence reduced of length |i|, so i is -l(m) or l(m)."""
+    n = m.length()
+    for i in (-n, n):
         if coset_prefix(i).inverse() == m:
             return i
     raise AssertionError("coset minimum is not a w(i)^{-1}")
-
-
-def dihedral_reassemble(dec: DihedralDecomposition) -> AffineWeylElement:
-    w = coset_prefix(dec.i).inverse()
-    parts = {"u": u_element(), "v": v_element()}
-    for letter in dec.u_v_word:
-        w = w * parts[letter]
-    return w
-
-
-def uvk_u_wi_inversion(k: int, i: int):
-    """Closed form for N((uv)^k u w(i)) from the coset-length computation."""
-    fi, ci = i // 2, -(-i // 2)  # i / 2 rounded down and up
-    return _chain_set((
-        (ALPHA, 0, k - ci),
-        (BETA, 0, k + fi),
-        (AB, 0, 2 * k),
-        ((-1, 0), 1, ci - k - 1),
-        ((0, -1), 1, -fi - k - 1),
-    ))
 
 
 # ----- automorphisms -------------------------------------------------------

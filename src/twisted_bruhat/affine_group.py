@@ -273,13 +273,3 @@ def inversion_set(w: AffineWeylElement) -> frozenset:
     for base, (lo, hi) in w.inversion_chains().items():
         out.update((base, k) for k in range(lo, hi + 1))
     return frozenset(out)
-
-
-def product_inversion(w: AffineWeylElement, u: AffineWeylElement) -> frozenset:
-    """N(wu) = (N(w) \\ w(-N(u))) union (w N(u) \\ -N(w)) -- the product formula."""
-    nw = inversion_set(w)
-    nu = inversion_set(u)
-    w_minus_nu = frozenset(w.apply(negate(r)) for r in nu)
-    w_nu = frozenset(w.apply(r) for r in nu)
-    minus_nw = frozenset(negate(r) for r in nw)
-    return (nw - w_minus_nu) | (w_nu - minus_nw)

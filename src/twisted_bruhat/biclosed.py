@@ -8,7 +8,9 @@ all its delta-chains and ``.`` is the dot action
 below it, so it is stored as one bit and one threshold per finite root
 (`BiclosedSet.chains`).  That pair gives O(1) membership, exact per-chain
 member counting (used heavily by the twisted length functions), and
-equality as a comparison of normal forms.
+equality as a comparison of normal forms.  A set has many
+representations (w . P^hat = (w x) . P^hat for every x fixing P^hat), and
+none is singled out; the dot action composes twists.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .affine_group import (
     from_word,
     identity,
     is_positive_affine,
-    negate,
     parse_word,
 )
 from .finite import (
@@ -167,7 +168,7 @@ class BiclosedSet:
         neg = lambda s: [tuple(-x for x in r) for r in s]
         return BiclosedSet(self.twist, psi_neg, neg(self.delta2), neg(self.delta1))
 
-    # ----- equality and canonical form ---------------------------------
+    # ----- equality ----------------------------------------------------
 
     def level_star(self) -> int:
         """1 + the highest level of N(twist): B agrees with P^hat above it."""
@@ -177,24 +178,6 @@ class BiclosedSet:
         """Equality as sets of roots: the same (tail, e) on every chain."""
         return self is other or self.chains() == other.chains()
 
-    def canonicalized(self) -> "BiclosedSet":
-        """Greedily strip trailing twist letters that fix the oracle."""
-        current = self
-        while True:
-            word = current.twist.word()
-            if not word:
-                return current
-            shorter = BiclosedSet(
-                from_word(self.datum, word[:-1]),
-                current.psi,
-                current.delta1,
-                current.delta2,
-            )
-            if shorter.equals(current):
-                current = shorter
-            else:
-                return current
-
     def __repr__(self):
         return format_biclosed(self)
 
@@ -202,23 +185,6 @@ class BiclosedSet:
 def dot_action(u: AffineWeylElement, B: BiclosedSet) -> BiclosedSet:
     """u . (w . P^hat) = (uw) . P^hat (the representation composes twists)."""
     return BiclosedSet(u * B.twist, B.psi, B.delta1, B.delta2)
-
-
-def dot_action_pointwise(u: AffineWeylElement, member_fn, r) -> bool:
-    """Membership of r in u.B straight from the defining formula.
-
-    (N(u) \\ u(-B)) | (u(B) \\ -N(u)) -- used as the oracle cross-check.
-    """
-    datum = u.datum
-    in_nu = u.in_inversion_set(r)
-    ui_r = u.inv_apply(r)
-    neg_ui_r = negate(ui_r)
-    in_u_minus_B = is_positive_affine(datum, neg_ui_r) and member_fn(neg_ui_r)
-    if in_nu and not in_u_minus_B:
-        return True
-    in_uB = is_positive_affine(datum, ui_r) and member_fn(ui_r)
-    # r is positive, so r never lies in -N(u) (a set of negative roots).
-    return in_uB
 
 
 def empty_biclosed(datum: CartanDatum) -> BiclosedSet:

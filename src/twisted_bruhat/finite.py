@@ -1,9 +1,12 @@
 """Finite crystallographic root systems with exact arithmetic.
 
 Shipped types: A2, A3, B2, G2.  Roots are integer coefficient vectors over
-the simple basis; inner products go through the Gram matrix, so every
-computation is exact (ints, `fractions.Fraction` where a vector is
-rational, no floating point anywhere).
+the simple basis; inner products go through the integer Gram matrix, and
+the pairing <v, r^vee> of a root-lattice vector with a coroot is a Cartan
+integer, so inner products, pairings and reflections of roots are ints.
+A coroot 2r/(r,r) is the one `fractions.Fraction` vector here (rational
+for B2 and G2), besides the affine translations that `WeylElement.apply`
+maps; there is no floating point anywhere.
 
 Also houses the finite Weyl group (fully enumerated -- at rank <= 3 it has
 at most 24 elements), positive systems, and the finite biclosed sets
@@ -18,7 +21,6 @@ affine translation.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,20 +33,15 @@ _GRAM_TABLE = {
     "G2": ((2, -3), (-3, 6)),
 }
 
-#: Coxeter numbers, used as stabilization horizons by the cover search.
-COXETER_NUMBER = {"A2": 3, "A3": 4, "B2": 4, "G2": 6}
-
 _LETTERS = "abc"
-
-
-def _fr(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class CartanDatum:
     """A finite irreducible crystallographic root system of rank <= 3.
 
-    Roots are tuples of ints (coefficients over the simple basis).
+    Roots are tuples of ints (coefficients over the simple basis).  The
+    Coxeter number, a stabilization horizon of the cover search, is
+    h = |Phi| / rank.
     """
 
     def __init__(self, type_label: str):
@@ -54,12 +51,13 @@ class CartanDatum:
         gram = _GRAM_TABLE[type_label]
         self.rank = len(gram)
         self.gram = gram
-        self.coxeter_number = COXETER_NUMBER[type_label]
         self.simple_roots = tuple(
             tuple(1 if j == i else 0 for j in range(self.rank))
             for i in range(self.rank)
         )
         self.roots = self._generate_roots()
+        self._root_set = frozenset(self.roots)
+        self.coxeter_number = len(self.roots) // self.rank
         self.positive_roots = tuple(
             sorted(r for r in self.roots if self.is_positive(r))
         )
@@ -69,42 +67,36 @@ class CartanDatum:
 
     # ----- basic linear algebra over the simple basis ------------------
 
-    def inner(self, u, v) -> Fraction:
+    def inner(self, u, v) -> int:
         """Exact inner product of two coefficient vectors."""
-        total = Fraction(0)
+        total = 0
         for i, ui in enumerate(u):
             if ui:
                 row = self.gram[i]
                 for j, vj in enumerate(v):
                     if vj:
-                        total += _fr(ui) * _fr(vj) * row[j]
+                        total += ui * vj * row[j]
         return total
 
-    def norm_sq(self, r) -> Fraction:
+    def norm_sq(self, r) -> int:
         return self.inner(r, r)
 
     def coroot(self, r):
         """r^vee = 2r/(r,r) as a tuple of Fractions over the simple basis."""
-        c = Fraction(2) / self.norm_sq(r)
+        c = Fraction(2, self.norm_sq(r))
         return tuple(c * x for x in r)
 
-    def pairing(self, v, r) -> Fraction:
-        """<v, r^vee> = 2(v,r)/(r,r)."""
-        return 2 * self.inner(v, r) / self.norm_sq(r)
+    def pairing(self, v, r) -> int:
+        """<v, r^vee> = 2(v,r)/(r,r) for a root r, exact in integers
+        because v lies in the root lattice."""
+        return 2 * self.inner(v, r) // self.norm_sq(r)
 
     def reflect(self, mirror, v):
         """Reflection of v in the hyperplane of `mirror`: v - <v,m^vee> m."""
-        if tuple(mirror) not in self._root_set():
+        if tuple(mirror) not in self._root_set:
             raise ValueError(f"not a root: {mirror}")
         c = self.pairing(v, mirror)
-        out = tuple(_fr(x) - c * _fr(m) for x, m in zip(v, mirror))
-        if all(f.denominator == 1 for f in out):
-            out = tuple(int(f) for f in out)
-        return out
-
-    @lru_cache(maxsize=None)
-    def _root_set(self):
-        return frozenset(self.roots)
+        return tuple(x - c * m for x, m in zip(v, mirror))
 
     @staticmethod
     def is_positive(r) -> bool:
@@ -119,7 +111,7 @@ class CartanDatum:
             for r in frontier:
                 for s in self.simple_roots:
                     c = self.pairing(r, s)
-                    img = tuple(int(x - c * m) for x, m in zip(r, s))
+                    img = tuple(x - c * m for x, m in zip(r, s))
                     if img not in roots:
                         nxt.add(img)
             roots |= nxt
@@ -305,7 +297,7 @@ class WeylTable:
         self.rank = rank
         self.theta = theta
         self.cartan = tuple(
-            tuple(int(datum.pairing(a, b)) for a in datum.simple_roots)
+            tuple(datum.pairing(a, b) for a in datum.simple_roots)
             for b in mirrors
         )
         elements = self.elements = datum.weyl_elements
@@ -451,70 +443,6 @@ class FiniteBiclosed:
     def __repr__(self):
         names = sorted(self.datum.root_name(r) for r in self.roots)
         return "P{" + ",".join(names) + "}"
-
-
-def _cone_pairs(datum: CartanDatum):
-    """For each unordered root pair, the roots in their strictly-positive span."""
-    table = {}
-    roots = datum.roots
-    for a, b in itertools.combinations(roots, 2):
-        hits = tuple(
-            g for g in roots if g != a and g != b and _in_open_cone(a, b, g)
-        )
-        if hits:
-            table[frozenset((a, b))] = hits
-    return table
-
-
-def _in_open_cone(a, b, g) -> bool:
-    """g = x a + y b with x, y > 0, by Cramer's rule on a nonzero 2x2 minor
-    d of (a, b): the solution is x = det(g, b) / d, y = det(a, g) / d."""
-    for i, j in itertools.combinations(range(len(a)), 2):
-        det = lambda p, q: p[i] * q[j] - p[j] * q[i]
-        d = det(a, b)
-        if d:
-            x, y = det(g, b), det(a, g)
-            return (
-                x * d > 0
-                and y * d > 0
-                and all(d * gk == x * ak + y * bk for ak, bk, gk in zip(a, b, g))
-            )
-    return False  # a and b are parallel
-
-
-@lru_cache(maxsize=None)
-def _cone_pairs_cached(type_label):
-    return _cone_pairs(build_system(type_label))
-
-
-def is_two_closed(datum: CartanDatum, subset) -> bool:
-    """2-closure check: pairs of members never positively combine outside."""
-    s = frozenset(tuple(r) for r in subset)
-    table = _cone_pairs_cached(datum.type_label)
-    for a, b in itertools.combinations(sorted(s), 2):
-        for g in table.get(frozenset((a, b)), ()):
-            if g not in s:
-                return False
-    return True
-
-
-def is_biclosed(datum: CartanDatum, subset) -> bool:
-    s = frozenset(tuple(r) for r in subset)
-    comp = frozenset(datum.roots) - s
-    return is_two_closed(datum, s) and is_two_closed(datum, comp)
-
-
-def enumerate_biclosed_finite(datum: CartanDatum):
-    """All biclosed subsets of Phi by exhaustive scan (rank <= 3 only)."""
-    if datum.rank > 3:
-        raise ValueError("exhaustive enumeration supported for rank <= 3 only")
-    out = []
-    roots = datum.roots
-    for bits in itertools.product((0, 1), repeat=len(roots)):
-        s = frozenset(r for r, b in zip(roots, bits) if b)
-        if is_biclosed(datum, s):
-            out.append(s)
-    return out
 
 
 @lru_cache(maxsize=None)

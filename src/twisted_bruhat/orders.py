@@ -90,7 +90,7 @@ def _ray_pairings(type_label):
     for gamma in datum.positive_roots:
         row = table[gamma] = {}
         for rho in datum.roots:
-            p = int(datum.pairing(rho, gamma))
+            p = datum.pairing(rho, gamma)
             img = tuple(r - p * g for r, g in zip(rho, gamma))
             row[rho] = (p, datum.is_positive(img))
     return table

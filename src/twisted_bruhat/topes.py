@@ -8,15 +8,15 @@ difference).  A hemispace holds only B's pair (tail, e) per delta-chain
 (`BiclosedSet.chains`: constant from level e up, flipped below) and its
 sign, so symmetric differences are read off in closed form.  The library
 builds the hemispaces of biclosed sets (`from_biclosed`) and those of the
-paper's rank-2 figure (`from_descriptor`).  Cone
-feasibility questions are answered exactly by the integer simplex in
-linprog; convexity is certified only at a truncation, non-convexity
-absolutely (a violation is a finite certificate).
+paper's rank-2 figure (`from_descriptor`), and on them the tope order,
+tope blocks with their interval lattices, a convexity check and the
+figure.  Cone feasibility questions are answered exactly by the integer
+simplex in linprog; convexity is certified only at a truncation,
+non-convexity absolutely (a violation is a finite certificate).
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .affine_group import is_positive_affine, negate
@@ -82,13 +82,6 @@ class Hemispace:
     def level_bound(self) -> int:
         """All membership variation happens at levels below this bound."""
         return max(e for _, e in self.chains.values())
-
-    def partition_check(self, level: int) -> bool:
-        """Exactly one of r, -r belongs to H, for all roots to the level."""
-        return all(
-            self.contains(r) != self.contains(negate(r))
-            for r in positive_roots_to_level(self.datum, level)
-        )
 
     def __repr__(self):
         return f"Hemispace({self.label or self.sign})"
@@ -252,50 +245,6 @@ def _escape_along_delta(H, a, b):
                     "coefficients": [Fraction(1), Fraction(m), Fraction(m)],
                 }
     return None
-
-
-# ----- oriented-matroid axiom spot checks -----------------------------------
-
-
-def _closure(datum, subset, universe):
-    gens = [_vec(datum, r) for r in subset]
-    return frozenset(
-        r for r in universe if cone_membership(gens, _vec(datum, r)).feasible
-    )
-
-
-def closure_axiom_check(datum: CartanDatum, level: int, samples: int, seed=0):
-    """Spot-check the four oriented-matroid axioms for cone closure on the
-    roots of level <= `level`: (i) finite support, (ii) cx(X)* = cx(X*),
-    (iii) x in cx(X u {x*}) => x in cx(X), (iv) exchange."""
-    rng = random.Random(seed)
-    universe = all_roots_to_level(datum, level)
-    for _ in range(samples):
-        X = rng.sample(universe, rng.randint(1, 4))
-        cx = _closure(datum, X, universe)
-        # (i): witnessed by the LP's finite support; assert membership of X.
-        if not set(X) <= cx:
-            return False
-        # (ii)
-        cx_neg = _closure(datum, [negate(r) for r in X], universe)
-        if frozenset(negate(r) for r in cx) != cx_neg:
-            return False
-        # (iii)
-        x = rng.choice(universe)
-        with_star = _closure(datum, X + [negate(x)], universe)
-        # x in cx(X u {x*}) must force x in cx(X)
-        if x in with_star and x not in cx and negate(x) not in X:
-            return False
-        # (iv) exchange
-        y = rng.choice(universe)
-        base = [r for r in X if r != y]
-        cx_base = _closure(datum, base, universe)
-        cx_with_ystar = _closure(datum, base + [negate(y)], universe)
-        if x in cx_with_ystar and x not in cx_base:
-            cx_exch = _closure(datum, base + [negate(x)], universe)
-            if y not in cx_exch:
-                return False
-    return True
 
 
 # ----- tope blocks ----------------------------------------------------------

@@ -18,6 +18,7 @@ from twisted_bruhat import (
     upper_covers,
 )
 from twisted_bruhat import a2, verify
+from twisted_bruhat.orders import length_ball
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +170,24 @@ def test_sphericity_rejects_long_intervals(setup):
         a2.sphericity(poset)
 
 
+def _scan_prefix_index(m):
+    """The former window scan of `a2._match_prefix_index`, as its oracle:
+    the first i in [-l(m) - 2, l(m) + 2] with w(i)^{-1} = m, or None."""
+    bound = m.length() + 2
+    for i in range(-bound, bound + 1):
+        if a2.coset_prefix(i).inverse() == m:
+            return i
+    return None
+
+
+def dihedral_reassemble(dec):
+    w = a2.coset_prefix(dec.i).inverse()
+    parts = {"u": a2.u_element(), "v": a2.v_element()}
+    for letter in dec.u_v_word:
+        w = w * parts[letter]
+    return w
+
+
 def test_dihedral_decomposition_roundtrip_and_length(setup):
     d, B = setup
     rng = random.Random(52)
@@ -176,7 +195,7 @@ def test_dihedral_decomposition_roundtrip_and_length(setup):
     for _ in range(400):
         w = rand_elem(d, rng, 12)
         dec = a2.dihedral_decompose(w)
-        assert a2.dihedral_reassemble(dec) == w
+        assert dihedral_reassemble(dec) == w
         assert dec.predicted_twisted_length() == twisted_length_left(w, B)
         # alternating u/v word
         assert all(x != y for x, y in zip(dec.u_v_word, dec.u_v_word[1:]))
@@ -184,11 +203,42 @@ def test_dihedral_decomposition_roundtrip_and_length(setup):
     assert forms == {"u(vu)^k", "(vu)^k", "v(uv)^k", "(uv)^k"}
 
 
+def test_match_prefix_index_matches_scan(setup):
+    """On every element m of the length-9 ball, the two candidates -l(m)
+    and l(m) find the index the window scan finds, and both reject the
+    elements that are no w(i)^{-1}."""
+    d, _ = setup
+    ball = length_ball(d, 9)
+    matched = 0
+    for m in ball:
+        want = _scan_prefix_index(m)
+        if want is None:
+            with pytest.raises(AssertionError):
+                a2._match_prefix_index(m)
+        else:
+            assert a2._match_prefix_index(m) == want
+            assert abs(want) == m.length()
+            matched += 1
+    assert matched == 19  # w(i)^{-1} for |i| <= 9
+
+
 def test_coset_prefix_inverses_are_minimal():
     for i in range(-6, 7):
         m = a2.coset_prefix(i).inverse()
         dec = a2.dihedral_decompose(m)
         assert dec.i == i and dec.u_v_word == ()
+
+
+def uvk_u_wi_inversion(k: int, i: int):
+    """Closed form for N((uv)^k u w(i)) from the coset-length computation."""
+    fi, ci = i // 2, -(-i // 2)  # i / 2 rounded down and up
+    return a2._chain_set((
+        (a2.ALPHA, 0, k - ci),
+        (a2.BETA, 0, k + fi),
+        (a2.AB, 0, 2 * k),
+        ((-1, 0), 1, ci - k - 1),
+        ((0, -1), 1, -fi - k - 1),
+    ))
 
 
 def test_uvk_u_wi_inversion_closed_form(setup):
@@ -200,7 +250,7 @@ def test_uvk_u_wi_inversion_closed_form(setup):
             for _ in range(k):
                 w = w * u * v
             w = w * u * a2.coset_prefix(i)
-            assert a2.uvk_u_wi_inversion(k, i) == inversion_set(w)
+            assert uvk_u_wi_inversion(k, i) == inversion_set(w)
 
 
 def test_automorphism_lengths(setup):

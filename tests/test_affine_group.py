@@ -24,9 +24,10 @@ from twisted_bruhat import (
     translation,
 )
 from twisted_bruhat.affine_group import (
+    AffineWeylElement,
     format_word,
+    negate,
     parse_word,
-    product_inversion,
 )
 from twisted_bruhat.finite import standard_positive_system
 
@@ -85,6 +86,16 @@ def test_inversion_word_formula(label):
             direct.add(r)
             prefix = prefix * s
         assert direct == set(inversion_set(x))
+
+
+def product_inversion(w: AffineWeylElement, u: AffineWeylElement) -> frozenset:
+    """N(wu) = (N(w) \\ w(-N(u))) union (w N(u) \\ -N(w)) -- the product formula."""
+    nw = inversion_set(w)
+    nu = inversion_set(u)
+    w_minus_nu = frozenset(w.apply(negate(r)) for r in nu)
+    w_nu = frozenset(w.apply(r) for r in nu)
+    minus_nw = frozenset(negate(r) for r in nw)
+    return (nw - w_minus_nu) | (w_nu - minus_nw)
 
 
 @pytest.mark.parametrize("label", TYPES)

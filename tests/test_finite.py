@@ -3,21 +3,87 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from twisted_bruhat import build_system, from_word, identity
 from twisted_bruhat.finite import (
+    CartanDatum,
     FiniteBiclosed,
     PositiveSystem,
     WeylElement,
     _span_roots,
-    enumerate_biclosed_finite,
     enumerate_P_triples,
-    is_biclosed,
-    is_two_closed,
     standard_positive_system,
 )
+
+# ----- exhaustive biclosed-set oracle (2-closure by open cones) -----------
+
+
+def _cone_pairs(datum: CartanDatum):
+    """For each unordered root pair, the roots in their strictly-positive span."""
+    table = {}
+    roots = datum.roots
+    for a, b in itertools.combinations(roots, 2):
+        hits = tuple(
+            g for g in roots if g != a and g != b and _in_open_cone(a, b, g)
+        )
+        if hits:
+            table[frozenset((a, b))] = hits
+    return table
+
+
+def _in_open_cone(a, b, g) -> bool:
+    """g = x a + y b with x, y > 0, by Cramer's rule on a nonzero 2x2 minor
+    d of (a, b): the solution is x = det(g, b) / d, y = det(a, g) / d."""
+    for i, j in itertools.combinations(range(len(a)), 2):
+        det = lambda p, q: p[i] * q[j] - p[j] * q[i]
+        d = det(a, b)
+        if d:
+            x, y = det(g, b), det(a, g)
+            return (
+                x * d > 0
+                and y * d > 0
+                and all(d * gk == x * ak + y * bk for ak, bk, gk in zip(a, b, g))
+            )
+    return False  # a and b are parallel
+
+
+@lru_cache(maxsize=None)
+def _cone_pairs_cached(type_label):
+    return _cone_pairs(build_system(type_label))
+
+
+def is_two_closed(datum: CartanDatum, subset) -> bool:
+    """2-closure check: pairs of members never positively combine outside."""
+    s = frozenset(tuple(r) for r in subset)
+    table = _cone_pairs_cached(datum.type_label)
+    for a, b in itertools.combinations(sorted(s), 2):
+        for g in table.get(frozenset((a, b)), ()):
+            if g not in s:
+                return False
+    return True
+
+
+def is_biclosed(datum: CartanDatum, subset) -> bool:
+    s = frozenset(tuple(r) for r in subset)
+    comp = frozenset(datum.roots) - s
+    return is_two_closed(datum, s) and is_two_closed(datum, comp)
+
+
+def enumerate_biclosed_finite(datum: CartanDatum):
+    """All biclosed subsets of Phi by exhaustive scan (rank <= 3 only)."""
+    if datum.rank > 3:
+        raise ValueError("exhaustive enumeration supported for rank <= 3 only")
+    out = []
+    roots = datum.roots
+    for bits in itertools.product((0, 1), repeat=len(roots)):
+        s = frozenset(r for r, b in zip(roots, bits) if b)
+        if is_biclosed(datum, s):
+            out.append(s)
+    return out
+
 
 # (roots, positive roots, |W|, biclosed subsets, P-triples, highest root)
 EXPECTED = {
@@ -37,6 +103,34 @@ def test_root_system_counts(label):
     assert len(d.weyl_elements) == n_weyl
     assert len(list(enumerate_biclosed_finite(d))) == n_bic
     assert len(list(enumerate_P_triples(d))) == n_triples
+
+
+def _fraction_inner(d, u, v):
+    return sum(
+        Fraction(ui) * vj * d.gram[i][j]
+        for i, ui in enumerate(u)
+        for j, vj in enumerate(v)
+    )
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_integer_pairing_and_reflection(label):
+    """<v, r^vee> is an int equal to the Fraction formula 2(v,r)/(r,r) on
+    every pair of roots, and s_r(v) is the integer root v - <v, r^vee> r."""
+    d = build_system(label)
+    for r in d.roots:
+        for v in d.roots:
+            c = d.pairing(v, r)
+            assert type(c) is int
+            assert c == 2 * _fraction_inner(d, v, r) / _fraction_inner(d, r, r)
+            image = d.reflect(r, v)
+            assert image == tuple(x - c * m for x, m in zip(v, r))
+            assert image in d.roots and all(type(x) is int for x in image)
+
+
+def test_coxeter_numbers():
+    got = {label: build_system(label).coxeter_number for label in EXPECTED}
+    assert got == {"A2": 3, "A3": 4, "B2": 4, "G2": 6}
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED))

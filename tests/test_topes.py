@@ -19,7 +19,61 @@ from twisted_bruhat import (
 from twisted_bruhat import topes
 from twisted_bruhat.affine_group import negate
 from twisted_bruhat.finite import enumerate_P_triples
+from twisted_bruhat.linprog import cone_membership
 from conftest import random_biclosed, random_element
+
+
+# ----- oracles: partition and oriented-matroid axiom spot checks -----------
+
+
+def partition_check(H, level: int) -> bool:
+    """Exactly one of r, -r belongs to H, for all roots to the level."""
+    return all(
+        H.contains(r) != H.contains(negate(r))
+        for r in topes.positive_roots_to_level(H.datum, level)
+    )
+
+
+def _closure(datum, subset, universe):
+    gens = [topes._vec(datum, r) for r in subset]
+    return frozenset(
+        r for r in universe
+        if cone_membership(gens, topes._vec(datum, r)).feasible
+    )
+
+
+def closure_axiom_check(datum, level: int, samples: int, seed=0):
+    """Spot-check the four oriented-matroid axioms for cone closure on the
+    roots of level <= `level`: (i) finite support, (ii) cx(X)* = cx(X*),
+    (iii) x in cx(X u {x*}) => x in cx(X), (iv) exchange."""
+    rng = random.Random(seed)
+    universe = topes.all_roots_to_level(datum, level)
+    for _ in range(samples):
+        X = rng.sample(universe, rng.randint(1, 4))
+        cx = _closure(datum, X, universe)
+        # (i): witnessed by the LP's finite support; assert membership of X.
+        if not set(X) <= cx:
+            return False
+        # (ii)
+        cx_neg = _closure(datum, [negate(r) for r in X], universe)
+        if frozenset(negate(r) for r in cx) != cx_neg:
+            return False
+        # (iii)
+        x = rng.choice(universe)
+        with_star = _closure(datum, X + [negate(x)], universe)
+        # x in cx(X u {x*}) must force x in cx(X)
+        if x in with_star and x not in cx and negate(x) not in X:
+            return False
+        # (iv) exchange
+        y = rng.choice(universe)
+        base = [r for r in X if r != y]
+        cx_base = _closure(datum, base, universe)
+        cx_with_ystar = _closure(datum, base + [negate(y)], universe)
+        if x in cx_with_ystar and x not in cx_base:
+            cx_exch = _closure(datum, base + [negate(x)], universe)
+            if y not in cx_exch:
+                return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +85,7 @@ def test_partition_and_negation(a2):
     rng = random.Random(81)
     for _ in range(6):
         H = topes.from_biclosed(random_biclosed("A2", rng))
-        assert H.partition_check(6)
+        assert partition_check(H, 6)
         N = H.negated()
         for r in topes.all_roots_to_level(a2, 4):
             assert N.contains(r) != H.contains(r)
@@ -202,7 +256,7 @@ def test_convexity_violation_for_mixed():
 
 
 def test_closure_axioms_spot_check(a2):
-    assert topes.closure_axiom_check(a2, level=2, samples=6, seed=3)
+    assert closure_axiom_check(a2, level=2, samples=6, seed=3)
 
 
 def test_tope_block_matches_weak_order(a2):
