@@ -21,7 +21,6 @@ does not; see tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .affine_group import (
@@ -326,8 +325,7 @@ def coset_prefix(i: int) -> AffineWeylElement:
     return from_word(datum(), tuple(cycle[j % 3] for j in range(n)))
 
 
-@dataclass(frozen=True)
-class DihedralDecomposition:
+class DihedralDecomposition(NamedTuple):
     i: int
     u_v_word: tuple  # alternating letters in {'u', 'v'}
     form: str  # one of 'u(vu)^k', '(vu)^k', 'v(uv)^k', '(uv)^k'

@@ -229,7 +229,16 @@ def reflection(datum: CartanDatum, r) -> AffineWeylElement:
 
 
 def translation(datum: CartanDatum, vec) -> AffineWeylElement:
-    """t_v for a coroot-lattice vector given over the simple-root basis."""
+    """t_v for a coroot-lattice vector given over the simple-root basis.
+
+    v = sum v_i a_i is in the coroot lattice iff it has rank coordinates and
+    each coordinate v_i (a_i, a_i)/2 over the simple coroots is an integer;
+    else ValueError.
+    """
+    if len(vec) != datum.rank or any(
+        Fraction(x) * datum.gram[i][i] % 2 for i, x in enumerate(vec)
+    ):
+        raise ValueError("translation not in the coroot lattice")
     return AffineWeylElement(datum, datum.identity(), vec)
 
 

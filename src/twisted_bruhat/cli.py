@@ -15,7 +15,6 @@ import json
 import sys
 from functools import lru_cache
 
-from . import a2, generic, topes, verify
 from .affine_group import format_word, from_word, parse_word
 from .biclosed import parse_biclosed
 from .finite import build_system
@@ -173,6 +172,8 @@ def cmd_levels(args, config):
 
 
 def cmd_poincare(args, config):
+    from . import a2
+
     parity = _opt(args, config, "parity", "even")
     d_max = _bounded(args, config, "dmax", 8, MAX_DMAX)
     coeffs = a2.poincare_series(parity, d_max)
@@ -181,6 +182,8 @@ def cmd_poincare(args, config):
 
 
 def cmd_hasse(args, config):
+    from . import a2
+
     bound = _bounded(args, config, "bound", 6, MAX_BOUND)
     fmt = _format(args, config, "dot")
     poset = a2.figure_hasse(bound)
@@ -189,6 +192,8 @@ def cmd_hasse(args, config):
 
 
 def cmd_topes(args, config):
+    from . import topes
+
     fmt = _format(args, config, "jsonl")
     records, poset = topes.figure_topes()
     if fmt == "dot":
@@ -201,6 +206,8 @@ def cmd_topes(args, config):
 
 
 def cmd_sect4(args, config):
+    from . import generic
+
     budgets = _opt(args, config, "budgets", "6,8,9,10")
     budgets = tuple(int(b) for b in str(budgets).split(","))
     for b in budgets:
@@ -212,6 +219,8 @@ def cmd_sect4(args, config):
 
 
 def cmd_verify(args, config):
+    from . import verify
+
     results = verify.run_all()
     lines = []
     ok_all = True

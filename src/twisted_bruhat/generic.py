@@ -20,7 +20,6 @@ words and Ntilde(x) = {reflections t : alpha_t in N(x)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .linprog import CertificationFailed
@@ -32,20 +31,29 @@ class BudgetExceeded(CertificationFailed):
     """A bounded search gave up before it could decide; the CLI exits 3."""
 
 
-@dataclass(frozen=True)
 class CoxeterMatrix:
-    rank: int
-    bonds: tuple  # symmetric tuple-of-tuples, entries in {1 on diag, 2, 3, INF}
+    """A Coxeter matrix, compared and hashed by value (an lru_cache key)."""
 
-    def __post_init__(self):
-        for i in range(self.rank):
-            if self.bonds[i][i] != 1:
+    def __init__(self, rank: int, bonds: tuple):
+        # bonds: symmetric tuple-of-tuples, entries in {1 on diag, 2, 3, INF}
+        for i in range(rank):
+            if bonds[i][i] != 1:
                 raise ValueError("diagonal bond entries must be 1")
-            for j in range(self.rank):
-                if self.bonds[i][j] != self.bonds[j][i]:
+            for j in range(rank):
+                if bonds[i][j] != bonds[j][i]:
                     raise ValueError("bond matrix must be symmetric")
-                if i != j and self.bonds[i][j] not in (2, 3, INF):
+                if i != j and bonds[i][j] not in (2, 3, INF):
                     raise ValueError("off-diagonal bonds must be 2, 3 or inf")
+        self.rank = rank
+        self.bonds = bonds
+
+    def __eq__(self, other):
+        if not isinstance(other, CoxeterMatrix):
+            return NotImplemented
+        return (self.rank, self.bonds) == (other.rank, other.bonds)
+
+    def __hash__(self):
+        return hash((self.rank, self.bonds))
 
     def gram(self, i: int, j: int) -> int:
         """2(a_i, a_j): 2 on the diagonal, else 0 / -1 / -2 for bond 2 / 3 / inf."""
@@ -255,10 +263,10 @@ def _positive_orbit(gens, seed, depth: int):
     return seen
 
 
-@dataclass
 class ReflectionSubgroup:
-    cm: CoxeterMatrix
-    generators: tuple  # CoxElement reflections
+    def __init__(self, cm: CoxeterMatrix, generators: tuple):
+        self.cm = cm
+        self.generators = generators  # CoxElement reflections
 
     def generator_roots(self):
         return tuple(_reflection_root(g) for g in self.generators)

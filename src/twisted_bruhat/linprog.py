@@ -14,9 +14,9 @@ returned; a certificate that fails its check raises CertificationFailed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 
 class CertificationFailed(Exception):
@@ -24,8 +24,7 @@ class CertificationFailed(Exception):
     substitution, or interval consistency.  The CLI exits with code 3."""
 
 
-@dataclass(frozen=True)
-class ConeCertificate:
+class ConeCertificate(NamedTuple):
     feasible: bool
     coefficients: tuple  # per generator, when feasible
     functional: tuple  # separating y, when infeasible

@@ -22,8 +22,8 @@ ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .affine_group import (
     AffineWeylElement,
@@ -50,8 +50,7 @@ class TargetNotReached(Exception):
         self.found = found
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     base_root: tuple
     window: tuple  # (lo, hi) of levels searched
     drift: tuple  # (negative-end drift, positive-end drift), both nonzero

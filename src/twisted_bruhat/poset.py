@@ -3,28 +3,31 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PosetNode:
+class PosetNode(NamedTuple):
     key: object  # hashable element handle
     grade: int
     label: str
 
 
-@dataclass(frozen=True)
-class PosetEdge:
+class PosetEdge(NamedTuple):
     lower: object
     upper: object
     reflection: str  # label of the covering reflection ('' if not applicable)
     kind: str = "strong"  # 'weak' edges are also weak-order covers
 
 
-@dataclass
 class GradedPoset:
-    nodes: list = field(default_factory=list)
-    edges: list = field(default_factory=list)
+    def __init__(self, nodes=None, edges=None):
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedPoset):
+            return NotImplemented
+        return (self.nodes, self.edges) == (other.nodes, other.edges)
 
     def grading(self) -> dict:
         return {n.key: n.grade for n in self.nodes}

@@ -130,7 +130,10 @@ def test_translation_conjugation():
 
 def test_translation_outside_coroot_lattice_raises():
     d = build_system("A2")
-    t = translation(d, (Fraction(1, 2), 0))
+    with pytest.raises(ValueError):
+        translation(d, (Fraction(1, 2), 0))
+    # built directly, the element still fails every root-data read
+    t = AffineWeylElement(d, d.identity(), (Fraction(1, 2), 0))
     with pytest.raises(ValueError):
         t.inversion_chains()
     with pytest.raises(ValueError):
@@ -240,13 +243,34 @@ def test_word_of_translations(label):
 
 def test_word_off_the_coroot_lattice_raises():
     d = build_system("A2")
+    off = lambda v: AffineWeylElement(d, d.identity(), v)
     # (a_k, v) is not an integer
     with pytest.raises(ValueError):
-        translation(d, (Fraction(1, 2), 0)).word()
+        off((Fraction(1, 2), 0)).word()
     # the coweight (2a + b)/3 pairs integrally with every root; the walk
     # strips two letters and stops at a length-0 element other than e
     with pytest.raises(ValueError):
-        translation(d, (Fraction(2, 3), Fraction(1, 3))).word()
+        off((Fraction(2, 3), Fraction(1, 3))).word()
+
+
+@pytest.mark.parametrize(
+    "label, vec",
+    [
+        ("A2", (Fraction(2, 3), Fraction(1, 3))),
+        ("A2", (1,)),  # would act as t_a but compare unequal to it
+        ("A2", (1, 0, 0)),
+        ("B2", (0, 1)),  # the short root b, while b^vee = 2b
+        ("B2", (Fraction(1, 2), 0)),
+        ("G2", (0, Fraction(1, 6))),  # half of b^vee = b/3
+    ],
+)
+def test_translation_rejects_coweights_off_the_coroot_lattice(label, vec):
+    """Checked where t_v is built: B2's t_b would otherwise report
+    length() == 3 although it lies outside the affine Weyl group.  Every
+    coroot-lattice vector is accepted (test_word_of_translations)."""
+    d = build_system(label)
+    with pytest.raises(ValueError, match="coroot lattice"):
+        translation(d, vec)
 
 
 @pytest.mark.parametrize("label", TYPES)

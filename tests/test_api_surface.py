@@ -1,17 +1,22 @@
-"""The package surface stays live: exports resolve, the benchmark tracer's
-targets exist, certificate and integrality checks are explicit code rather
-than `assert` (which `python -O` strips), arithmetic stays exact, only a
-fenced set of modules imports `fractions`, finite root arithmetic and the
-finite Weyl group's operations stay integer, and every definition in src/
-is used by the library, its demos or its benchmark, not only by tests."""
+"""The package surface stays live: exports resolve, a cold import loads
+only the modules it uses, the benchmark tracer's targets exist, certificate
+and integrality checks are explicit code rather than `assert` (which
+`python -O` strips), arithmetic stays exact, only a fenced set of modules
+imports `fractions` and none imports `dataclasses`, finite root arithmetic
+and the finite Weyl group's operations stay integer, and every definition
+in src/ is used by the library, its demos or its benchmark, not only by
+tests."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import twisted_bruhat
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "twisted_bruhat"
@@ -24,8 +29,73 @@ def _tree(path):
 
 
 def test_all_exports_resolve():
+    """Each name in __all__ is its home module's object, and the lookup
+    keeps it in the package namespace."""
     for name in twisted_bruhat.__all__:
-        assert hasattr(twisted_bruhat, name), name
+        home = importlib.import_module(
+            f"twisted_bruhat.{twisted_bruhat._HOME[name]}"
+        )
+        assert getattr(twisted_bruhat, name) is getattr(home, name), name
+        assert vars(twisted_bruhat)[name] is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        twisted_bruhat.no_such_name
+    with pytest.raises(AttributeError):
+        twisted_bruhat._private
+
+
+def test_submodules_resolve_as_attributes():
+    for name in ("finite", "affine_group", "biclosed", "orders", "poset",
+                 "linprog", "a2", "generic", "topes", "verify", "cli"):
+        assert getattr(twisted_bruhat, name) is importlib.import_module(
+            f"twisted_bruhat.{name}"
+        )
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        ("twisted_bruhat", ("twisted_bruhat.finite", "twisted_bruhat.orders")),
+        ("twisted_bruhat.generic", ("dataclasses", "twisted_bruhat.orders")),
+        ("twisted_bruhat.cli",
+         ("dataclasses", "twisted_bruhat.a2", "twisted_bruhat.generic",
+          "twisted_bruhat.topes", "twisted_bruhat.verify")),
+    ],
+)
+def test_cold_import_stays_narrow(module, absent):
+    """A fresh interpreter that imports `module` loads none of `absent`:
+    the package loads submodules on first use, the CLI imports a
+    subcommand's modules in its handler, and `dataclasses` (with its
+    `inspect` and `ast`) stays out of src/."""
+    code = (
+        f"import sys; before = set(sys.modules); import {module}; "
+        f"print(sorted(set({absent!r}) & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_records_compare_by_value():
+    from twisted_bruhat.generic import INF, CoxeterMatrix, coxeter_2_3_inf
+
+    cm = coxeter_2_3_inf()
+    same = CoxeterMatrix(3, ((1, 3, 2), (3, 1, INF), (2, INF, 1)))
+    other = CoxeterMatrix(3, ((1, 3, 2), (3, 1, 3), (2, 3, 1)))
+    assert cm == same and hash(cm) == hash(same) and cm != other
+    assert len({cm, same, other}) == 2
+    assert cm != (3, cm.bonds)
+
+    node = twisted_bruhat.PosetNode(key="e", grade=0, label="e")
+    edge = twisted_bruhat.PosetEdge("e", "1", "a")
+    assert repr(node) == "PosetNode(key='e', grade=0, label='e')"
+    assert edge.kind == "strong"
+    poset = twisted_bruhat.GradedPoset([node], [edge])
+    assert poset == twisted_bruhat.GradedPoset([node], [edge])
+    assert poset != twisted_bruhat.GradedPoset([node], [])
+    assert twisted_bruhat.GradedPoset() == twisted_bruhat.GradedPoset([], [])
 
 
 def test_tracer_targets_resolve():
@@ -104,21 +174,32 @@ def test_no_floats(filename):
     assert not found, f"{filename}: {found}"
 
 
+def _importers(module):
+    """The src/ files that import `module`."""
+    return {
+        filename
+        for filename in MODULES
+        for node in ast.walk(_tree(SRC / filename))
+        if (isinstance(node, ast.ImportFrom) and node.module == module)
+        or (isinstance(node, ast.Import)
+            and any(a.name == module for a in node.names))
+    }
+
+
 def test_fraction_imports_are_fenced():
     """Only these modules may import `fractions`: the coroots (`finite`) and
     the affine translations (`affine_group`) until translations move to
     integer coroot coordinates, and the cone certificates (`linprog`,
     `topes`)."""
     allowed = {"finite.py", "affine_group.py", "linprog.py", "topes.py"}
-    importers = {
-        filename
-        for filename in MODULES
-        for node in ast.walk(_tree(SRC / filename))
-        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
-        or (isinstance(node, ast.Import)
-            and any(a.name == "fractions" for a in node.names))
-    }
+    importers = _importers("fractions")
     assert importers <= allowed, sorted(importers - allowed)
+
+
+def test_no_dataclasses_in_src():
+    """`import dataclasses` pulls in `inspect`, `ast` and `dis` on every
+    cold start; records are NamedTuples or plain classes."""
+    assert _importers("dataclasses") == set()
 
 
 def _finite_methods(clsname):
@@ -168,10 +249,16 @@ def test_weyl_group_ops_are_integer():
 
 
 def _definitions():
-    """(module, name) of every module-level def/class and public method."""
+    """(module, name) of every module-level def/class and public method.
+
+    Module-level dunder hooks (a PEP 562 `__getattr__`) are skipped like
+    `_`-prefixed methods: the import system calls them, not the code.
+    """
     for path in sorted(SRC.glob("*.py")):
         for node in _tree(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
                 yield path.stem, node.name
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
