@@ -1,7 +1,7 @@
 """The rank-2 alcove order worked in full: closed-form cover deltas for the
 six translation-coset classes, explicit inversion-set formulas, sphericity
-of short intervals, the infinite-dihedral coset decomposition, poset
-automorphisms, the Poincare series, and the Hasse-figure fragment.
+of short intervals, the infinite-dihedral coset decomposition, the
+Poincare series, and the Hasse-figure fragment.
 
 Throughout, B is hard-fixed to {a, b, a+b}^hat (all three positive chains
 in full); other twisting sets go through the generic engine.
@@ -83,28 +83,25 @@ _CLASS_DELTAS = {
 
 
 def _class_table():
+    """tag -> the class's finite part u, as the element u t_0."""
     d = datum()
-    sa = d.reflection(ALPHA)
-    sb = d.reflection(BETA)
     return {
-        d.identity().imgs: "T",
-        (sa * sb).imgs: "sasbT",
-        (sb * sa).imgs: "sbsaT",
-        (sa * sb * sa).imgs: "sbsasbT",
-        sb.imgs: "sbT",
-        sa.imgs: "saT",
+        tag: from_word(d, word)
+        for tag, word in (
+            ("T", ()), ("sasbT", (1, 2)), ("sbsaT", (2, 1)),
+            ("sbsasbT", (1, 2, 1)), ("sbT", (2,)), ("saT", (1,)),
+        )
     }
 
 
 def class_of(w: AffineWeylElement) -> str:
     """Which of the six translation cosets w lies in (by its finite part)."""
-    return _class_table()[w.fin.imgs]
+    return {u.fin: tag for tag, u in _class_table().items()}[w.fin]
 
 
-def predicted_delta(w, gamma, k: int) -> int:
+def predicted_delta(w: AffineWeylElement, gamma, k: int) -> int:
     """Closed-form l_B(s_{gamma+k delta} w) - l_B(w) for the alcove order."""
-    tag = class_of(w) if isinstance(w, AffineWeylElement) else w
-    slope, const = _CLASS_DELTAS[tag][tuple(gamma)]
+    slope, const = _CLASS_DELTAS[class_of(w)][tuple(gamma)]
     return slope * k + const
 
 
@@ -403,41 +400,6 @@ def _match_prefix_index(m: AffineWeylElement) -> int:
     raise AssertionError("coset minimum is not a w(i)^{-1}")
 
 
-# ----- automorphisms -------------------------------------------------------
-
-_SIGMA = {1: 2, 2: 3, 3: 1}
-_SIGMA_INV = {1: 3, 2: 1, 3: 2}
-
-
-def sigma(w: AffineWeylElement, inverse=False) -> AffineWeylElement:
-    """The order-3 diagram rotation s_3 -> s_1 -> s_2 -> s_3."""
-    table = _SIGMA_INV if inverse else _SIGMA
-    return from_word(datum(), tuple(table[a] for a in w.word()))
-
-
-def automorphism(kind: str, w: AffineWeylElement) -> AffineWeylElement:
-    """sigma / eta / eta_prime / rho -- automorphisms of the alcove order.
-
-    eta(w) = sigma(w) s_a s_b and eta_prime(w) = sigma^{-1}(w) s_b s_a both
-    lower l_B by 2; rho = eta o eta_prime^{-1} preserves l_B and shifts the
-    coset-prefix index i by 2 while fixing the U-factor.
-    """
-    d = datum()
-    sasb = from_word(d, (1, 2))
-    sbsa = from_word(d, (2, 1))
-    if kind == "sigma":
-        return sigma(w)
-    if kind == "eta":
-        return sigma(w) * sasb
-    if kind == "eta_prime":
-        return sigma(w, inverse=True) * sbsa
-    if kind == "eta_prime_inv":
-        return sigma(w * sasb)
-    if kind == "rho":
-        return automorphism("eta", automorphism("eta_prime_inv", w))
-    raise ValueError(f"unknown automorphism kind: {kind}")
-
-
 # ----- Poincare series -----------------------------------------------------
 
 _DENOM = (1, 0, -2, 0, 1)  # t^4 - 2t^2 + 1, constant term first
@@ -511,7 +473,8 @@ def figure_hasse(word_length_bound: int = 6) -> GradedPoset:
     """
     d = datum()
     B = alcove_biclosed()
-    ball = set(length_ball(d, word_length_bound))
+    elements = length_ball(d, word_length_bound)  # sorted by (length, word)
+    ball = set(elements)
     # display words: keep the figure's choice of reduced word where one is
     # given, else fall back to the canonical (lex-least) word
     preferred = {
@@ -525,10 +488,10 @@ def figure_hasse(word_length_bound: int = 6) -> GradedPoset:
             twisted_length_left(w, B),
             preferred.get(w) or "".join(map(str, w.word())) or "e",
         )
-        for w in sorted(ball, key=lambda w: (w.length(), w.word()))
+        for w in elements
     ]
     edges = []
-    for w in ball:
+    for w in elements:
         for refl_root, w2 in lower_covers(w, B):
             if w2 in ball:
                 kind = "weak" if weak_leq(w2, w, B, side="left") else "strong"

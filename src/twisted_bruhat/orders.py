@@ -54,7 +54,6 @@ class CoverCertificate(NamedTuple):
     base_root: tuple
     window: tuple  # (lo, hi) of levels searched
     drift: tuple  # (negative-end drift, positive-end drift), both nonzero
-    stabilization_evidence: int  # consecutive constant-drift steps observed
 
 
 # ----- twisted lengths -----------------------------------------------------
@@ -234,7 +233,6 @@ def scan_ray(w, B, gamma):
                 base_root=gamma,
                 window=(-n, n),
                 drift=(drift_neg, drift_pos),
-                stabilization_evidence=h,
             )
             return -n, n, deltas, cert
         if n >= _HARD_CAP:
@@ -290,15 +288,17 @@ def _descend_layers(y, B, depth):
     """Layered down-sets: layers[i] = elements reached by i lower-cover steps.
 
     Also returns the full list of cover edges discovered, as
-    (lower_elem, upper_elem, reflection root).
+    (lower_elem, upper_elem, reflection root).  Each layer is a dict in
+    discovery order, so the edge order follows the sorted covers and not
+    the elements' hashes.
     """
-    layers = [{y}]
+    layers = [{y: None}]
     edges = []
     for _ in range(depth):
-        nxt = set()
+        nxt = {}
         for z in layers[-1]:
             for refl_root, z2 in lower_covers(z, B):
-                nxt.add(z2)
+                nxt[z2] = None
                 edges.append((z2, z, refl_root))
         layers.append(nxt)
     return layers, edges
@@ -361,7 +361,7 @@ def downset_corank(x, B, n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
     layers, _ = _descend_layers(x, B, n)
-    return layers[n]
+    return set(layers[n])
 
 
 def strong_leq(x, y, B) -> bool:

@@ -11,13 +11,13 @@ builds the hemispaces of biclosed sets (`from_biclosed`) and those of the
 paper's rank-2 figure (`from_descriptor`), and on them the tope order,
 tope blocks with their interval lattices, a convexity check and the
 figure.  Cone feasibility questions are answered exactly by the integer
-simplex in linprog; convexity is certified only at a truncation,
-non-convexity absolutely (a violation is a finite certificate).
+simplex in linprog.  The convexity check's LP search is truncated at a
+level, so it certifies convexity only up to that level; a violation it
+finds is an absolute non-convexity certificate, and so is the witness of
+a Mixed hemispace, a closed form read off its pairs.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .affine_group import is_positive_affine, negate
 from .biclosed import BiclosedSet, dot_action
@@ -158,21 +158,22 @@ def cone_member(datum: CartanDatum, target, generators):
 
 
 # A violation's cone support may exceed the dimension by at most
-# _COMBO_SIZE generators; the +-delta search for Mixed hemispaces stays
-# below level _SEARCH_LEVEL.
+# _COMBO_SIZE generators.
 _COMBO_SIZE = 3
-_SEARCH_LEVEL = 24
 
 
 def check_convex_truncated(H: Hemispace, level_bound: int):
-    """Search for a root of -H in the cone of roots of H (all levels
-    truncated).  A found violation is an absolute non-convexity
-    certificate; 'no violation' certifies nothing beyond the truncation.
+    """Search by exact LP for a root of -H in the cone of the roots of H,
+    all of level at most `level_bound`; for a Mixed H with none there, take
+    the closed-form +-delta witness (`_mixed_violation`).  A violation is
+    an absolute non-convexity certificate; 'no violation' certifies nothing
+    beyond the truncation of the LP search.
     """
     datum = H.datum
     universe = all_roots_to_level(datum, level_bound)
     h_roots = [r for r in universe if H.contains(r)]
     checked = 0
+    violation = None
     for target in universe:
         if H.contains(target):
             continue
@@ -189,61 +190,66 @@ def check_convex_truncated(H: Hemispace, level_bound: int):
                     f"cone support of {len(support)} generators exceeds "
                     "combo size + dimension"
                 )
-            return {
-                "violation": {
-                    "target": target,
-                    "generators": [g for g, _ in support],
-                    "coefficients": [c for _, c in support],
-                },
-                "level_bound": level_bound,
-                "targets_checked": checked,
+            violation = {
+                "target": target,
+                "generators": [g for g, _ in support],
+                "coefficients": [c for _, c in support],
             }
-    result = {
-        "violation": None,
+            break
+    if violation is None and H.biclosed is not None and (
+        H.biclosed.classify() == "Mixed"
+    ):
+        violation = _mixed_violation(H)
+    return {
+        "violation": violation,
         "level_bound": level_bound,
         "targets_checked": checked,
     }
-    if H.biclosed is not None and H.biclosed.classify() == "Mixed":
-        witness = _mixed_violation(H)
-        if witness is not None:
-            result["violation"] = witness
-    return result
+
+
+def _lowest(H: Hemispace, mu, member: bool):
+    """The lowest positive level k >= k0 of mu + k delta whose membership
+    in H is `member`, or None.  Levels from e up are in H iff the signed
+    tail is, and the levels k0 <= k < e below them are flipped."""
+    tail, e = H.chains[mu]
+    k0 = _k0(H.datum, mu)
+    if (tail != (H.sign == "-")) == member:
+        return e
+    return k0 if e > k0 else None
+
+
+def _top(H: Hemispace, mu):
+    """The top level of the line mu + Z delta in H, or None if its upper
+    tail lies in H or it misses H.  Below k0, mu - j delta is in H iff
+    -mu + j delta is not."""
+    tail, e = H.chains[mu]
+    if tail != (H.sign == "-"):
+        return None
+    if e > _k0(H.datum, mu):
+        return e - 1
+    j = _lowest(H, tuple(-x for x in mu), False)
+    return None if j is None else -j
 
 
 def _mixed_violation(H: Hemispace):
-    """The +-delta construction: a = nu + s delta and b = -nu + t delta in
-    H sum to a delta-multiple; adding it repeatedly to a root of H on an
-    upper-bounded chain escapes into -H."""
-    datum = H.datum
-    for nu in datum.roots:
+    """The +-delta witness, read off the pairs (tail, e): a = nu + s delta
+    and b = -nu + t delta in H at their lowest positive levels, so
+    s + t >= k0(nu) + k0(-nu) = 1, and c the top root of H on a line whose
+    upper tail leaves H; then c + a + b = c + (s + t) delta lies above c,
+    in -H.  None if no line or no pair nu, -nu qualifies."""
+    roots = H.datum.roots
+    c = next(((mu, l) for mu in roots if (l := _top(H, mu)) is not None), None)
+    if c is None:
+        return None
+    for nu in roots:
         neg_nu = tuple(-x for x in nu)
-        for s in range(_k0(datum, nu), _SEARCH_LEVEL):
-            a = (nu, s)
-            if not H.contains(a):
-                continue
-            for t in range(_k0(datum, neg_nu), _SEARCH_LEVEL):
-                b = (neg_nu, t)
-                if not H.contains(b) or s + t < 1:
-                    continue
-                found = _escape_along_delta(H, a, b)
-                if found is not None:
-                    return found
-    return None
-
-
-def _escape_along_delta(H, a, b):
-    step = a[1] + b[1]
-    for c in all_roots_to_level(H.datum, _SEARCH_LEVEL):
-        if not H.contains(c):
-            continue
-        for m in range(1, 6):
-            tgt = (c[0], c[1] + m * step)
-            if not H.contains(tgt):
-                return {
-                    "target": tgt,
-                    "generators": [c, a, b],
-                    "coefficients": [Fraction(1), Fraction(m), Fraction(m)],
-                }
+        s, t = _lowest(H, nu, True), _lowest(H, neg_nu, True)
+        if s is not None and t is not None:
+            return {
+                "target": (c[0], c[1] + s + t),
+                "generators": [c, (nu, s), (neg_nu, t)],
+                "coefficients": [1, 1, 1],
+            }
     return None
 
 

@@ -6,6 +6,7 @@ truth for what 'verified' means."""
 from __future__ import annotations
 
 import random
+from operator import sub
 
 from . import a2, generic, topes
 from .affine_group import from_word, identity, reflection
@@ -24,7 +25,6 @@ from .orders import (
     level_set_sample,
     lower_covers,
     no_local_extremum_check,
-    twisted_length_left,
     twisted_length_right,
     weak_leq,
 )
@@ -104,45 +104,18 @@ def check_corank_finiteness():
     return "corank finiteness", True, f"{total} downset elements, 0 failures"
 
 
-def check_class_deltas():
-    """The six-class closed-form length deltas match the generic engine."""
-    rng = random.Random(13)
-    B = a2.alcove_biclosed()
-    datum = B.datum
-    rays = (a2.ALPHA, a2.BETA, a2.AB)
-    mismatches = 0
-    cases = 0
-    for _ in range(50):
-        w = from_word(datum, random_word(datum, rng, 6))
-        lw = twisted_length_left(w, B)
-        tag = a2.class_of(w)
-        for gamma in rays:
-            for k in range(-20, 21):
-                got = (
-                    twisted_length_left(reflection(datum, (gamma, k)) * w, B)
-                    - lw
-                )
-                if got != a2.predicted_delta(tag, gamma, k):
-                    mismatches += 1
-                cases += 1
-    ok = mismatches == 0
-    return "class-delta formulas", ok, f"{cases} cases, {mismatches} mismatches"
-
-
-def _group_tops(name, k_sign):
-    """The chain tops of N(a2.closed_form_element(name, .)) as exact affine
-    forms (c_m1, c_m2, c_k, c_0) in (m1, m2, k), or None if the finite part
+def _affine_tops(build, k_sign):
+    """The chain tops of N(build(m1, m2, k)) as exact affine forms
+    (c_m1, c_m2, c_k, c_0) in (m1, m2, k), or None if the finite part
     moves.
 
     The element is U t_{V + K Lambda} with U fixed, so each top
     (mu, U(V + K Lambda)) - [U^{-1} mu > 0] is affine in K: four
-    evaluations inside the domain give it exactly.
+    evaluations inside the domain of k (`a2.Family.k_sign`) give it exactly.
     """
     k0, step = (-1, -1) if k_sign < 0 else (0, 1)
     points = ((0, 0, k0), (1, 0, k0), (0, 1, k0), (0, 0, k0 + step))
-    elems = [
-        a2.closed_form_element(name, 2 * m1, 2 * m2, k) for m1, m2, k in points
-    ]
+    elems = [build(*point) for point in points]
     if len({e.fin.imgs for e in elems}) != 1:
         return None
     t0, t1, t2, tk = (e.chain_tops() for e in elems)
@@ -151,6 +124,60 @@ def _group_tops(name, k_sign):
         ck = (tk[mu] - top) * step
         forms[mu] = (t1[mu] - top, t2[mu] - top, ck, top - ck * k0)
     return forms
+
+
+def _alcove_length(build, positive):
+    """l_B(w) for B = (Phi+)^hat as an affine form in (m1, m2, k) over
+    w = build(m1, m2, k), or None.
+
+    Over mu > 0, N(w^{-1}) has the levels 0..t_mu, all in B, and over -mu
+    the levels 1..t_{-mu}, none in B.  Where t_mu + t_{-mu} = -1 the pair
+    adds max(0, t_{-mu}) - max(0, t_mu + 1) = t_{-mu} to l_B(w).
+    """
+    tops = _affine_tops(lambda m1, m2, k: build(m1, m2, k).inverse(), 0)
+    if tops is None:
+        return None
+    for mu, top in tops.items():
+        pair = tuple(a + b for a, b in zip(top, tops[tuple(-x for x in mu)]))
+        if pair != (0, 0, 0, -1):
+            return None
+    negative = [top for mu, top in tops.items() if not positive(mu)]
+    return tuple(map(sum, zip(*negative)))
+
+
+def check_class_deltas():
+    """The cover deltas l_B(s_{gamma+k delta} w) - l_B(w) = slope * k + const
+    of `a2._CLASS_DELTAS` hold for every w and k: over the class elements
+    w = u t_{m1 a^vee + m2 b^vee} both lengths are exact affine forms in
+    (m1, m2, k) (`_alcove_length`), and the delta is (0, 0, slope, const).
+    """
+    B = a2.alcove_biclosed()
+    datum = B.datum
+    positive = datum.is_positive
+    alcove = {mu: (positive(mu), 0 if positive(mu) else 1) for mu in datum.roots}
+    if B.chains() != alcove:
+        return "class-delta formulas", False, "B is not (Phi+)^hat"
+    mismatches = []
+    for tag, u in a2._class_table().items():
+        z = lambda m1, m2, k: u * a2.translation(m1, m2)
+        before = _alcove_length(z, positive)
+        for gamma, (slope, const) in a2._CLASS_DELTAS[tag].items():
+            after = _alcove_length(
+                lambda m1, m2, k: reflection(datum, (gamma, k)) * z(m1, m2, k),
+                positive,
+            )
+            delta = None
+            if None not in (before, after):
+                delta = tuple(map(sub, after, before))
+            if delta != (0, 0, slope, const):
+                mismatches.append((tag, gamma, delta))
+    return (
+        "class-delta formulas",
+        not mismatches,
+        f"{len(a2._CLASS_DELTAS)} classes, "
+        f"{sum(map(len, a2._CLASS_DELTAS.values()))} rays, every w and k; "
+        f"mismatches: {mismatches[:3]}",
+    )
 
 
 def _empty_on_domain(lo, hi, k_sign):
@@ -174,7 +201,10 @@ def check_inversion_formulas():
     mismatches = []
     chains = 0
     for name, family in a2.CLOSED_FORMS.items():
-        group = _group_tops(name, family.k_sign)
+        group = _affine_tops(
+            lambda m1, m2, k: a2.closed_form_element(name, 2 * m1, 2 * m2, k),
+            family.k_sign,
+        )
         if group is None:
             mismatches.append((name, "finite part moves"))
             continue

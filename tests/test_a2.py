@@ -1,6 +1,7 @@
 """The rank-2 alcove order: class deltas, closed-form inversion sets,
-sphericity, the dihedral coset decomposition, automorphisms, the Poincare
-series, and the Hasse-figure fragment."""
+sphericity, the dihedral coset decomposition, automorphisms (defined here:
+only tests use them), the Poincare series, and the Hasse-figure
+fragment."""
 
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from twisted_bruhat import (
     build_system,
+    dot_action,
     from_word,
     identity,
     interval,
@@ -51,6 +53,48 @@ def test_class_deltas_match_engine(setup):
             for k in range(-8, 9):
                 got = twisted_length_left(reflection(d, (gamma, k)) * w, B) - lw
                 assert got == a2.predicted_delta(w, gamma, k)
+
+
+def test_class_delta_proof_passes():
+    _, ok, detail = verify.check_class_deltas()
+    assert ok, detail
+    assert detail == "6 classes, 18 rays, every w and k; mismatches: []"
+
+
+_CLASS_ENTRIES = [
+    (tag, gamma, i)
+    for tag, row in a2._CLASS_DELTAS.items()
+    for gamma in row
+    for i in (0, 1)
+]
+
+
+@pytest.mark.parametrize(
+    "tag,gamma,i", _CLASS_ENTRIES,
+    ids=[f"{tag}-{gamma}-{'slope' if i == 0 else 'const'}"
+         for tag, gamma, i in _CLASS_ENTRIES],
+)
+def test_class_delta_proof_reports_each_entry(monkeypatch, tag, gamma, i):
+    """Each of the 36 table entries, off by +1 or -1, fails the proof at
+    exactly its (class, ray)."""
+    entry = a2._CLASS_DELTAS[tag][gamma]
+    for off in (1, -1):
+        bad = entry[:i] + (entry[i] + off,) + entry[i + 1:]
+        with monkeypatch.context() as m:
+            m.setitem(a2._CLASS_DELTAS[tag], gamma, bad)
+            _, ok, detail = verify.check_class_deltas()
+        assert not ok
+        assert f"[({tag!r}, {gamma!r}, " in detail, detail
+
+
+def test_class_delta_proof_refuses_other_twisting_sets(monkeypatch):
+    """The pair argument needs B = (Phi+)^hat: another B is refused."""
+    alcove = a2.alcove_biclosed()
+    for other in (alcove.complement(),
+                  dot_action(from_word(alcove.datum, (1,)), alcove)):
+        monkeypatch.setattr(a2, "alcove_biclosed", lambda: other)
+        _, ok, detail = verify.check_class_deltas()
+        assert not ok and detail == "B is not (Phi+)^hat", detail
 
 
 def test_closed_forms_match_inversion_sets():
@@ -253,15 +297,50 @@ def test_uvk_u_wi_inversion_closed_form(setup):
             assert uvk_u_wi_inversion(k, i) == inversion_set(w)
 
 
+# ----- automorphisms of the alcove order ------------------------------------
+
+_SIGMA = {1: 2, 2: 3, 3: 1}
+_SIGMA_INV = {1: 3, 2: 1, 3: 2}
+
+
+def sigma(w, inverse=False):
+    """The order-3 diagram rotation s_3 -> s_1 -> s_2 -> s_3."""
+    table = _SIGMA_INV if inverse else _SIGMA
+    return from_word(a2.datum(), tuple(table[a] for a in w.word()))
+
+
+def automorphism(kind, w):
+    """sigma / eta / eta_prime / rho -- automorphisms of the alcove order.
+
+    eta(w) = sigma(w) s_a s_b and eta_prime(w) = sigma^{-1}(w) s_b s_a both
+    lower l_B by 2; rho = eta o eta_prime^{-1} preserves l_B and shifts the
+    coset-prefix index i by 2 while fixing the U-factor.
+    """
+    d = a2.datum()
+    sasb = from_word(d, (1, 2))
+    sbsa = from_word(d, (2, 1))
+    if kind == "sigma":
+        return sigma(w)
+    if kind == "eta":
+        return sigma(w) * sasb
+    if kind == "eta_prime":
+        return sigma(w, inverse=True) * sbsa
+    if kind == "eta_prime_inv":
+        return sigma(w * sasb)
+    if kind == "rho":
+        return automorphism("eta", automorphism("eta_prime_inv", w))
+    raise ValueError(f"unknown automorphism kind: {kind}")
+
+
 def test_automorphism_lengths(setup):
     d, B = setup
     rng = random.Random(53)
     for _ in range(100):
         w = rand_elem(d, rng, 10)
         lb = twisted_length_left(w, B)
-        assert twisted_length_left(a2.automorphism("eta", w), B) == lb - 2
-        assert twisted_length_left(a2.automorphism("eta_prime", w), B) == lb - 2
-        assert twisted_length_left(a2.automorphism("rho", w), B) == lb
+        assert twisted_length_left(automorphism("eta", w), B) == lb - 2
+        assert twisted_length_left(automorphism("eta_prime", w), B) == lb - 2
+        assert twisted_length_left(automorphism("rho", w), B) == lb
 
 
 def test_automorphisms_preserve_order(setup):
@@ -276,7 +355,7 @@ def test_automorphisms_preserve_order(setup):
         _, w2 = rng.choice(ups)
         for kind in ("eta", "eta_prime", "rho"):
             assert strong_leq(
-                a2.automorphism(kind, w), a2.automorphism(kind, w2), B
+                automorphism(kind, w), automorphism(kind, w2), B
             )
 
 
@@ -287,7 +366,7 @@ def test_rho_shifts_coset_index(setup):
         for z in (identity(d), u, v, u * v, v * u):
             w = a2.coset_prefix(i).inverse() * z
             dec0 = a2.dihedral_decompose(w)
-            dec1 = a2.dihedral_decompose(a2.automorphism("rho", w))
+            dec1 = a2.dihedral_decompose(automorphism("rho", w))
             assert dec1.i == dec0.i + 2
             assert dec1.u_v_word == dec0.u_v_word
 
@@ -297,7 +376,7 @@ def test_eta_prime_inv_roundtrip(setup):
     rng = random.Random(55)
     for _ in range(50):
         w = rand_elem(d, rng, 8)
-        assert a2.automorphism("eta_prime_inv", a2.automorphism("eta_prime", w)) == w
+        assert automorphism("eta_prime_inv", automorphism("eta_prime", w)) == w
 
 
 def test_sigma_is_a_homomorphism(setup):
@@ -305,8 +384,8 @@ def test_sigma_is_a_homomorphism(setup):
     rng = random.Random(56)
     for _ in range(30):
         x, y = rand_elem(d, rng, 6), rand_elem(d, rng, 6)
-        assert a2.sigma(x * y) == a2.sigma(x) * a2.sigma(y)
-        assert a2.sigma(a2.sigma(x, inverse=True)) == x
+        assert sigma(x * y) == sigma(x) * sigma(y)
+        assert sigma(sigma(x, inverse=True)) == x
 
 
 def test_poincare_series_frozen():

@@ -11,6 +11,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -189,9 +190,8 @@ def _importers(module):
 def test_fraction_imports_are_fenced():
     """Only these modules may import `fractions`: the coroots (`finite`) and
     the affine translations (`affine_group`) until translations move to
-    integer coroot coordinates, and the cone certificates (`linprog`,
-    `topes`)."""
-    allowed = {"finite.py", "affine_group.py", "linprog.py", "topes.py"}
+    integer coroot coordinates, and the cone certificates (`linprog`)."""
+    allowed = {"finite.py", "affine_group.py", "linprog.py"}
     importers = _importers("fractions")
     assert importers <= allowed, sorted(importers - allowed)
 
@@ -249,7 +249,8 @@ def test_weyl_group_ops_are_integer():
 
 
 def _definitions():
-    """(module, name) of every module-level def/class and public method.
+    """(module, name, node) of every module-level def/class and public
+    method.
 
     Module-level dunder hooks (a PEP 562 `__getattr__`) are skipped like
     `_`-prefixed methods: the import system calls them, not the code.
@@ -259,36 +260,40 @@ def _definitions():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
                 node.name.startswith("__") and node.name.endswith("__")
             ):
-                yield path.stem, node.name
+                yield path.stem, node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(
                         item, ast.FunctionDef
                     ) and not item.name.startswith("_"):
-                        yield path.stem, item.name
+                        yield path.stem, item.name, item
 
 
-def _references():
-    """Every identifier used (not defined) anywhere in the scanned trees.
+def _identifiers(tree):
+    """Every identifier used (not defined) in an AST.
 
     String constants count too: the benchmark tracer looks attributes up by
     name.
     """
-    refs = set()
-    for top in SCANNED:
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(_tree(path)):
-                if isinstance(node, ast.Name):
-                    refs.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    refs.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    refs.add(node.name)
-                elif isinstance(node, ast.Constant) and isinstance(
-                    node.value, str
-                ):
-                    refs.add(node.value)
-    return refs
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _references():
+    """How often each identifier is used in the scanned trees."""
+    return Counter(
+        name
+        for top in SCANNED
+        for path in (ROOT / top).rglob("*.py")
+        for name in _identifiers(_tree(path))
+    )
 
 
 #: The only definitions that nothing but tests may call, and why.
@@ -302,8 +307,13 @@ TEST_ONLY = {
 
 def test_every_definition_is_used():
     """References from tests/ do not count: an oracle that only a test
-    calls lives in that test.  The allow-list stays exact."""
+    calls lives in that test.  Nor do references inside the definition's
+    own body, such as a recursive call.  The allow-list stays exact."""
     refs = _references()
-    dead = {f"{mod}.{name}" for mod, name in _definitions() if name not in refs}
+    dead = {
+        f"{mod}.{name}"
+        for mod, name, node in _definitions()
+        if refs[name] == sum(ref == name for ref in _identifiers(node))
+    }
     assert sorted(dead - TEST_ONLY.keys()) == [], "used only by tests"
     assert sorted(TEST_ONLY.keys() - dead) == [], "stale allow-list entry"

@@ -234,6 +234,20 @@ def test_convexity_no_violation_for_convex_classes(a2):
         assert report["targets_checked"] > 0
 
 
+def assert_violation_certificate(H, v):
+    """Re-verify a non-convexity certificate independently: the target is in
+    -H, the generators in H, and the positive combination is the target."""
+    assert not H.contains(v["target"])
+    assert all(H.contains(g) for g in v["generators"])
+    dim = len(v["target"][0]) + 1
+    combo = [Fraction(0)] * dim
+    for g, c in zip(v["generators"], v["coefficients"]):
+        assert c > 0
+        vec = topes._vec(H.datum, g)
+        combo = [x + c * y for x, y in zip(combo, vec)]
+    assert combo == list(topes._vec(H.datum, v["target"]))
+
+
 def test_convexity_violation_for_mixed():
     rng = random.Random(85)
     for _ in range(3):
@@ -242,17 +256,94 @@ def test_convexity_violation_for_mixed():
         report = topes.check_convex_truncated(H, level_bound=5)
         v = report["violation"]
         assert v is not None
-        # re-verify the certificate from scratch
-        assert not H.contains(v["target"])
-        assert all(H.contains(g) for g in v["generators"])
-        datum = B.datum
-        dim = len(v["target"][0]) + 1
-        combo = [Fraction(0)] * dim
-        for g, c in zip(v["generators"], v["coefficients"]):
-            assert c > 0
-            vec = topes._vec(datum, g)
-            combo = [x + c * y for x, y in zip(combo, vec)]
-        assert combo == list(topes._vec(datum, v["target"]))
+        assert_violation_certificate(H, v)
+
+
+# The former +-delta search for the witness of a Mixed hemispace, kept as
+# the oracle of the closed form `topes._mixed_violation`.
+_SEARCH_LEVEL = 24
+
+
+def search_mixed_violation(H):
+    """The +-delta construction: a = nu + s delta and b = -nu + t delta in
+    H sum to a delta-multiple; adding it repeatedly to a root of H on an
+    upper-bounded chain escapes into -H."""
+    datum = H.datum
+    for nu in datum.roots:
+        neg_nu = tuple(-x for x in nu)
+        for s in range(topes._k0(datum, nu), _SEARCH_LEVEL):
+            a = (nu, s)
+            if not H.contains(a):
+                continue
+            for t in range(topes._k0(datum, neg_nu), _SEARCH_LEVEL):
+                b = (neg_nu, t)
+                if not H.contains(b) or s + t < 1:
+                    continue
+                found = _escape_along_delta(H, a, b)
+                if found is not None:
+                    return found
+    return None
+
+
+def _escape_along_delta(H, a, b):
+    step = a[1] + b[1]
+    for c in topes.all_roots_to_level(H.datum, _SEARCH_LEVEL):
+        if not H.contains(c):
+            continue
+        for m in range(1, 6):
+            tgt = (c[0], c[1] + m * step)
+            if not H.contains(tgt):
+                return {
+                    "target": tgt,
+                    "generators": [c, a, b],
+                    "coefficients": [Fraction(1), Fraction(m), Fraction(m)],
+                }
+    return None
+
+
+def test_lowest_and_top_match_level_scan():
+    """The O(1) reads of the pairs behind the Mixed witness agree with a
+    scan of each line mu + Z delta past every threshold."""
+    rng = random.Random(96)
+    for type_label in ("A2", "A3", "B2", "G2"):
+        for _ in range(15):
+            H = topes.from_biclosed(
+                random_biclosed(type_label, rng), rng.choice("+-")
+            )
+            bound = H.level_bound() + 2
+            for mu in H.datum.roots:
+                line = range(-bound, bound + 1)
+                inside = [l for l in line if H.contains((mu, l))]
+                for member in (True, False):
+                    want = next((
+                        k for k in line
+                        if k >= topes._k0(H.datum, mu)
+                        and H.contains((mu, k)) == member
+                    ), None)
+                    assert topes._lowest(H, mu, member) == want
+                upper_out = not H.contains((mu, bound))
+                want = max(inside) if inside and upper_out else None
+                assert topes._top(H, mu) == want
+
+
+def test_mixed_witness_matches_search():
+    """On 200 seeded A3 Mixed hemispaces (100 sets, both signs) the closed
+    form finds a witness exactly where the level-24 search does, and every
+    witness of either passes the certificate check."""
+    rng = random.Random(95)
+    found = 0
+    for _ in range(100):
+        B = random_biclosed("A3", rng, mixed=True, twist_len=2)
+        for sign in "+-":
+            H = topes.from_biclosed(B, sign)
+            v = topes._mixed_violation(H)
+            want = search_mixed_violation(H)
+            assert (v is None) == (want is None), (B, sign)
+            for cert in (v, want):
+                if cert is not None:
+                    assert_violation_certificate(H, cert)
+            found += v is not None
+    assert found > 0
 
 
 def test_closure_axioms_spot_check(a2):
