@@ -434,12 +434,6 @@ class FiniteBiclosed:
             (psi.roots - _span_roots(psi, d1)) | _span_roots(psi, d2)
         )
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteBiclosed) and self.roots == other.roots
-
-    def __hash__(self):
-        return hash(self.roots)
-
     def __repr__(self):
         names = sorted(self.datum.root_name(r) for r in self.roots)
         return "P{" + ",".join(names) + "}"

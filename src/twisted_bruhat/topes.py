@@ -4,13 +4,13 @@ A hemispace is H = B union -(Phi^hat \\ B) (sign '+') or its negation
 (sign '-') for B a biclosed set of positive affine roots; the order based
 at a hemispace H0 is F <= G iff (F delta H0) subset (G delta H0), which is
 finite-checkable inside a block (hemispaces at finite symmetric
-difference).  A hemispace holds only B's pair (tail, e) per delta-chain
-(`BiclosedSet.chains`: constant from level e up, flipped below) and its
-sign, so symmetric differences are read off in closed form.  The library
-builds the hemispaces of biclosed sets (`from_biclosed`) and those of the
-paper's rank-2 figure (`from_descriptor`), and on them the tope order,
-tope blocks with their interval lattices, a convexity check and the
-figure.  Cone feasibility questions are answered exactly by the integer
+difference).  A hemispace is its biclosed set and a sign; it reads B's
+pair (tail, e) per delta-chain (`BiclosedSet.chains`: constant from level
+e up, flipped below), so symmetric differences are read off in closed
+form.  As B = w . P(psi, d1, d2)^hat, every hemispace, those of the
+paper's rank-2 figure included, has a P-triple and a twist.  On hemispaces the library builds the tope
+order, tope blocks with their interval lattices, a convexity check and
+the figure.  Cone feasibility questions are answered exactly by the integer
 simplex in linprog.  The convexity check's LP search is truncated at a
 level, so it certifies convexity only up to that level; a violation it
 finds is an absolute non-convexity certificate, and so is the witness of
@@ -20,7 +20,7 @@ a Mixed hemispace, a closed form read off its pairs.
 from __future__ import annotations
 
 from .affine_group import is_positive_affine, negate
-from .biclosed import BiclosedSet, dot_action
+from .biclosed import BiclosedSet, dot_action, parse_biclosed
 from .finite import CartanDatum, _span_roots
 from .linprog import CertificationFailed, cone_membership
 from .orders import NotComparable  # re-exported: topes.NotComparable
@@ -49,21 +49,22 @@ def all_roots_to_level(datum: CartanDatum, level: int):
 
 
 class Hemispace:
-    """Total membership oracle over the whole affine root system.
+    """B u -(Phi^hat \\ B) (sign '+') or its negation (sign '-') for the
+    BiclosedSet B = `biclosed`: a total membership oracle over the whole
+    affine root system.
 
-    `chains` holds B's pair (tail, e) per finite root mu (see
+    `chains` is B's pair (tail, e) per finite root mu (see
     `BiclosedSet.chains`): the positive root mu + k delta is in B iff
-    `tail`, except at the levels k0 <= k < e.  A hemispace built from a
-    BiclosedSet keeps it as `biclosed`.
+    `tail`, except at the levels k0 <= k < e.
     """
 
-    def __init__(self, datum, chains, sign="+", biclosed=None, label=""):
+    def __init__(self, biclosed: BiclosedSet, sign="+", label=""):
         if sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
-        self.datum = datum
-        self.chains = chains
-        self.sign = sign
         self.biclosed = biclosed
+        self.datum = biclosed.datum
+        self.chains = biclosed.chains()
+        self.sign = sign
         self.label = label
 
     def contains(self, r) -> bool:
@@ -75,8 +76,8 @@ class Hemispace:
 
     def negated(self) -> "Hemispace":
         return Hemispace(
-            self.datum, self.chains, "-" if self.sign == "+" else "+",
-            self.biclosed, "-" + self.label if self.label else "",
+            self.biclosed, "-" if self.sign == "+" else "+",
+            "-" + self.label if self.label else "",
         )
 
     def level_bound(self) -> int:
@@ -88,30 +89,7 @@ class Hemispace:
 
 
 def from_biclosed(B: BiclosedSet, sign="+", label="") -> Hemispace:
-    return Hemispace(B.datum, B.chains(), sign, B, label)
-
-
-def from_descriptor(datum, full_bases, flips, sign="+", label="") -> Hemispace:
-    """The hemispace of B = (full delta-chains over `full_bases`) with the
-    positive roots `flips` toggled.  The flips on each chain must be its
-    lowest levels k0, k0 + 1, ..., so that B is again one pair (tail, e) per
-    chain."""
-    full = frozenset(tuple(b) for b in full_bases)
-    levels = {mu: set() for mu in datum.roots}
-    for base, k in flips:
-        if not is_positive_affine(datum, (base, k)):
-            raise ValueError("flips must be positive affine roots")
-        levels[tuple(base)].add(k)
-    chains = {}
-    for mu, ks in levels.items():
-        e = _k0(datum, mu) + len(ks)
-        if ks and max(ks) != e - 1:
-            raise ValueError(
-                f"flips on {datum.root_name(mu)} are not the lowest levels "
-                "of its chain"
-            )
-        chains[mu] = (mu in full, e)
-    return Hemispace(datum, chains, sign, label=label)
+    return Hemispace(B, sign, label)
 
 
 def symdiff_positive(F: Hemispace, G: Hemispace) -> frozenset:
@@ -157,11 +135,6 @@ def cone_member(datum: CartanDatum, target, generators):
     )
 
 
-# A violation's cone support may exceed the dimension by at most
-# _COMBO_SIZE generators.
-_COMBO_SIZE = 3
-
-
 def check_convex_truncated(H: Hemispace, level_bound: int):
     """Search by exact LP for a root of -H in the cone of the roots of H,
     all of level at most `level_bound`; for a Mixed H with none there, take
@@ -185,10 +158,11 @@ def check_convex_truncated(H: Hemispace, level_bound: int):
                 for g, c in zip(h_roots, cert.coefficients)
                 if c != 0
             ]
-            if len(support) > _COMBO_SIZE + (len(target[0]) + 1):
+            # a basic solution has at most one generator per dimension
+            if len(support) > len(target[0]) + 1:
                 raise CertificationFailed(
                     f"cone support of {len(support)} generators exceeds "
-                    "combo size + dimension"
+                    "the dimension"
                 )
             violation = {
                 "target": target,
@@ -196,9 +170,7 @@ def check_convex_truncated(H: Hemispace, level_bound: int):
                 "coefficients": [c for _, c in support],
             }
             break
-    if violation is None and H.biclosed is not None and (
-        H.biclosed.classify() == "Mixed"
-    ):
+    if violation is None and H.biclosed.classify() == "Mixed":
         violation = _mixed_violation(H)
     return {
         "violation": violation,
@@ -289,8 +261,6 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
     differences with `base`; the poset carries a `reps` dict mapping keys
     to (element, Hemispace) representatives.
     """
-    if center.biclosed is None:
-        raise ValueError("block generation needs a biclosed-backed center")
     from .affine_group import identity
 
     datum = center.datum
@@ -328,13 +298,13 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
 
 def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
     """Enumerate [H1, H2] in the tope poset based at `base` and verify
-    every pair has a unique meet and join inside the interval."""
+    every pair has a unique meet and join inside the interval.  The
+    interval is read off the block of H1, which its P-triple and twist
+    generate (`tope_block`), so H1 may be any hemispace."""
     d1 = symdiff_positive(H1, base)
     d2 = symdiff_positive(H2, base)
     if not d1 <= d2:
         raise NotComparable("H1 is not <= H2 based at the given base")
-    if H1.biclosed is None:
-        raise ValueError("interval enumeration needs a biclosed-backed H1")
     radius = len(d2) - len(d1) + 1
     block = tope_block(H1, base, radius)
     members = {
@@ -361,64 +331,28 @@ def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
 
 # ----- the rank-2 tope-poset figure ----------------------------------------
 
-_A = (1, 0)
-_B = (0, 1)
-_AB = (1, 1)
-_NA = (-1, 0)
-_NB = (0, -1)
-_NAB = (-1, -1)
+#: H1..H19: the inversion sets N(x), one word x each.
+_H_WORDS = (
+    "e", "1", "2", "3", "1.2", "2.1", "1.3", "3.1", "2.3", "3.2", "1.2.1",
+    "1.2.3", "2.1.3", "1.3.2", "1.3.1", "3.1.2", "2.3.1", "2.3.2", "3.2.1",
+)
 
-#: finite biclosed parts of the bottom hemispace tier (inversion sets).
-_H_FINITE = {
-    "H1": (),
-    "H2": ((_A, 0),),
-    "H3": ((_B, 0),),
-    "H4": ((_NAB, 1),),
-    "H5": ((_A, 0), (_AB, 0)),
-    "H6": ((_B, 0), (_AB, 0)),
-    "H7": ((_A, 0), (_NB, 1)),
-    "H8": ((_NAB, 1), (_NB, 1)),
-    "H9": ((_B, 0), (_NA, 1)),
-    "H10": ((_NAB, 1), (_NA, 1)),
-    "H11": ((_A, 0), (_AB, 0), (_B, 0)),
-    "H12": ((_A, 0), (_AB, 0), (_A, 1)),
-    "H13": ((_B, 0), (_AB, 0), (_B, 1)),
-    "H14": ((_A, 0), (_NB, 1), (_A, 1)),
-    "H15": ((_A, 0), (_NB, 1), (_NAB, 1)),
-    "H16": ((_NAB, 2), (_NB, 1), (_NAB, 1)),
-    "H17": ((_B, 0), (_NA, 1), (_B, 1)),
-    "H18": ((_B, 0), (_NA, 1), (_NAB, 1)),
-    "H19": ((_NAB, 2), (_NA, 1), (_NAB, 1)),
-}
+#: T1..T6: a P-triple with trivial twist, and the generators x, y of its
+#: block; T_i1..T_i4 are the triple twisted by x, y, x.y and y.x.
+_T_TRIPLES = (
+    ("psi:e d1:{2}", "2", "1.3.1"),
+    ("psi:1 d1:{1}", "1", "2.3.2"),
+    ("psi:1 d1:{2}", "1.2.1", "3"),
+    ("psi:1.2.1 d1:{1}", "2", "1.3.1"),
+    ("psi:2.1 d1:{2}", "1", "2.3.2"),
+    ("psi:2.1 d1:{1}", "1.2.1", "3"),
+)
 
-#: middle tier: two full chains plus finite perturbations on a third line.
-_T_BASES = {
-    "T1": (_A, _AB),
-    "T2": (_B, _AB),
-    "T3": (_B, _NA),
-    "T4": (_NAB, _NA),
-    "T5": (_NAB, _NB),
-    "T6": (_A, _NB),
-}
-#: per T_i, the two perturbation roots e1 (level 0 side) and e2 (level 1).
-_T_EXTRAS = {
-    "T1": ((_B, 0), (_NB, 1)),
-    "T2": ((_A, 0), (_NA, 1)),
-    "T3": ((_AB, 0), (_NAB, 1)),
-    "T4": ((_B, 0), (_NB, 1)),
-    "T5": ((_A, 0), (_NA, 1)),
-    "T6": ((_AB, 0), (_NAB, 1)),
-}
+#: U1..U6: the six chambers psi, every psi-positive chain in full.
+_U_CHAMBERS = ("e", "1", "1.2", "1.2.1", "2.1", "2")
 
-#: top tier: the six positive systems, all chains in full.
-_U_BASES = {
-    "U1": (_A, _B, _AB),
-    "U2": (_NA, _B, _AB),
-    "U3": (_NA, _B, _NAB),
-    "U4": (_NA, _NB, _NAB),
-    "U5": (_A, _NB, _NAB),
-    "U6": (_A, _NB, _AB),
-}
+#: The top grade of each tier; a negated hemispace counts down from it.
+_TIER_SPAN = {"H": 3, "T": 2, "U": 0}
 
 _H_EDGES = [
     ("H1", "H2"), ("H1", "H3"), ("H1", "H4"),
@@ -437,22 +371,21 @@ def _figure_datum():
 
 
 def figure_hemispaces():
-    """All labelled hemispaces of the displayed tope poset (plus negatives)."""
+    """All labelled hemispaces of the displayed tope poset (plus negatives),
+    each built from its biclosed set."""
     datum = _figure_datum()
-    specs = [(name, (), roots) for name, roots in _H_FINITE.items()]
-    for name, bases in _T_BASES.items():
-        e1, e2 = _T_EXTRAS[name]
-        specs += [
-            (name, bases, ()),
-            (name + "1", bases, (e1,)),
-            (name + "2", bases, (e2,)),
-            (name + "3", bases, (e1, (e1[0], e1[1] + 1))),
-            (name + "4", bases, (e2, (e2[0], e2[1] + 1))),
-        ]
-    specs += [(name, bases, ()) for name, bases in _U_BASES.items()]
+    specs = [(f"H{i}", x, "psi:e d1:{1,2}") for i, x in enumerate(_H_WORDS, 1)]
+    for i, (triple, x, y) in enumerate(_T_TRIPLES, 1):
+        twists = ("e", x, y, f"{x}.{y}", f"{y}.{x}")
+        specs += [(f"T{i}{j or ''}", w, triple) for j, w in enumerate(twists)]
+    specs += [
+        (f"U{i}", "e", f"psi:{c} d1:{{}}") for i, c in enumerate(_U_CHAMBERS, 1)
+    ]
     out = {
-        name: from_descriptor(datum, bases, flips, "+", name)
-        for name, bases, flips in specs
+        label: from_biclosed(
+            parse_biclosed(datum, f"twist:{w} {triple} d2:{{}}"), "+", label
+        )
+        for label, w, triple in specs
     }
     for name in list(out):
         out["-" + name] = out[name].negated()
@@ -470,19 +403,10 @@ def _figure_edges():
     return edges
 
 
-def _figure_grade(label: str) -> int:
-    neg = label.startswith("-")
-    core = label[1:] if neg else label
-    if core.startswith("H"):
-        g = len(_H_FINITE[core])
-    elif core.startswith("U"):
-        g = 0
-    else:  # T tier
-        g = 0 if len(core) == 2 else (1 if core[2] in "12" else 2)
-    if neg:
-        span = 3 if core.startswith("H") else (0 if core.startswith("U") else 2)
-        return span - g
-    return g
+def _figure_grade(label: str, flips: int) -> int:
+    if label.startswith("-"):
+        return _TIER_SPAN[label[1]] - flips
+    return flips
 
 
 def figure_topes():
@@ -497,6 +421,7 @@ def figure_topes():
     datum = _figure_datum()
     hs = figure_hemispaces()
     records = []
+    nodes = []
     for label, h in hs.items():
         flip_names = sorted(
             (datum.root_name(mu), k)
@@ -514,9 +439,8 @@ def figure_topes():
                 "flips": [f"{n}+{k}d" for n, k in flip_names],
             }
         )
-    nodes = [
-        PosetNode(label, _figure_grade(label), label) for label in hs
-    ]
+        grade = _figure_grade(label, len(flip_names))
+        nodes.append(PosetNode(label, grade, label))
     edges = []
     for lo, hi in _figure_edges():
         F, G = hs[lo], hs[hi]

@@ -9,7 +9,7 @@ import random
 from operator import sub
 
 from . import a2, generic, topes
-from .affine_group import from_word, identity, reflection
+from .affine_group import format_word, from_word, identity, reflection
 from .biclosed import (
     BiclosedSet,
     dot_action,
@@ -25,6 +25,7 @@ from .orders import (
     level_set_sample,
     lower_covers,
     no_local_extremum_check,
+    twisted_length_left,
     twisted_length_right,
     weak_leq,
 )
@@ -91,7 +92,8 @@ def check_local_finiteness():
 
 
 def check_corank_finiteness():
-    """downset_corank terminates for n <= 4, with every ray certified."""
+    """downset_corank terminates for n <= 4, and every y in the corank-n
+    layer below x has l_B(y) = l_B(x) - n."""
     rng = random.Random(12)
     backends = _backends(rng)
     total = 0
@@ -100,6 +102,14 @@ def check_corank_finiteness():
             x = from_word(B.datum, random_word(B.datum, rng, 4))
             n = rng.randint(1, 4)
             layer = downset_corank(x, B, n)
+            want = twisted_length_left(x, B) - n
+            for y in layer:
+                if twisted_length_left(y, B) != want:
+                    return "corank finiteness", False, (
+                        f"{name}: {format_word(y.word())} in the corank-{n} "
+                        f"layer below {format_word(x.word())} has l_B "
+                        f"{twisted_length_left(y, B)}, not {want}"
+                    )
             total += len(layer)
     return "corank finiteness", True, f"{total} downset elements, 0 failures"
 

@@ -39,3 +39,19 @@ def test_check_antichain_reports_only_a_short_search(monkeypatch):
         monkeypatch.setattr(verify, "antichain_at_level", broken)
         with pytest.raises(type(exc)):
             verify.check_antichain()
+
+
+def test_check_corank_finiteness_names_an_element_off_its_layer(monkeypatch):
+    """A layer element whose twisted length is not l_B(x) - n is a FAIL
+    naming the backend, the element, x and both lengths."""
+    real = verify.downset_corank
+
+    def with_x(x, B, n):
+        return real(x, B, n) | {x}
+
+    monkeypatch.setattr(verify, "downset_corank", with_x)
+    name, ok, detail = verify.check_corank_finiteness()
+    assert (name, ok) == ("corank finiteness", False)
+    assert detail.startswith("A2 alcove: ")
+    word, _, rest = detail[len("A2 alcove: "):].partition(" in the corank-")
+    assert f"layer below {word} has l_B " in rest

@@ -1,8 +1,8 @@
 """CLI stdout stays byte-identical to the recorded outputs in tests/golden/.
 
-The commands are the README `interval`/`covers`/`levels` examples, and
+The commands are the README `interval`/`covers`/`levels` examples,
 `covers` plus a two-grade `interval --format dot` for A3, B2 and G2 under a
-non-trivial twist.  Re-record only when an output is meant to change:
+non-trivial twist, and the rank-2 tope figure as records and as DOT.  Re-record only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -37,6 +37,8 @@ COMMANDS = {
     "g2_covers": ("covers", *G2, "--elem", "1.2"),
     "g2_interval_dot": ("interval", *G2, "--x", "1.3.2", "--y", "2.1.2",
                         "--format", "dot"),
+    "topes": ("topes",),
+    "topes_dot": ("topes", "--format", "dot"),
 }
 
 

@@ -17,9 +17,13 @@ from twisted_bruhat import (
     weak_leq,
 )
 from twisted_bruhat import topes
-from twisted_bruhat.affine_group import negate
+from twisted_bruhat.affine_group import is_positive_affine, negate
 from twisted_bruhat.finite import enumerate_P_triples
-from twisted_bruhat.linprog import cone_membership
+from twisted_bruhat.linprog import (
+    CertificationFailed,
+    ConeCertificate,
+    cone_membership,
+)
 from conftest import random_biclosed, random_element
 
 
@@ -154,7 +158,7 @@ def test_symdiff_matches_level_scan():
             assert _symdiff_or_blocks(topes.symdiff_positive, F, G) == want
             outcomes["apart" if want == "DifferentBlocks" else "same"] += 1
     assert min(outcomes.values()) > 100, outcomes
-    # the figure's descriptor hemispaces, against each other and against
+    # the figure's hemispaces, against each other and against other
     # biclosed ones (inversion sets share a block with H1)
     a2 = build_system("A2")
     hs = list(topes.figure_hemispaces().values()) + [
@@ -166,42 +170,6 @@ def test_symdiff_matches_level_scan():
             assert _symdiff_or_blocks(
                 topes.symdiff_positive, F, G
             ) == _symdiff_or_blocks(scan_symdiff, F, G)
-
-
-def test_flips_must_be_positive_roots(a2):
-    with pytest.raises(ValueError, match="positive affine roots"):
-        topes.from_descriptor(a2, (), (((-1, 0), 0),))
-
-
-def test_flips_must_be_lowest_levels(a2):
-    """Level 1 without level 0 on a positive root leaves a gap: B would not
-    be one pair (tail, e) on that chain."""
-    with pytest.raises(ValueError, match="lowest levels"):
-        topes.from_descriptor(a2, (), (((1, 0), 1),))
-    with pytest.raises(ValueError, match="lowest levels"):
-        topes.from_descriptor(a2, ((1, 1),), (((1, 0), 0), ((1, 0), 2)))
-    # negative bases start at level 1
-    with pytest.raises(ValueError, match="lowest levels"):
-        topes.from_descriptor(a2, (), (((-1, 0), 2),))
-    H = topes.from_descriptor(a2, (), (((1, 0), 1), ((1, 0), 0), ((-1, 0), 1)))
-    assert H.chains[(1, 0)] == (False, 2) and H.chains[(-1, 0)] == (False, 2)
-
-
-def test_descriptor_of_inversion_set_matches_biclosed(a2):
-    """from_descriptor((), N(w)) and from_biclosed(from_inversion_set(w))
-    are the same hemispace: same membership to level 6, empty symmetric
-    difference, and the same pairs."""
-    rng = random.Random(94)
-    for _ in range(20):
-        w = random_element(a2, rng, 7)
-        for sign in "+-":
-            D = topes.from_descriptor(a2, (), inversion_set(w), sign)
-            H = topes.from_biclosed(from_inversion_set(w), sign)
-            for r in topes.all_roots_to_level(a2, 6):
-                assert D.contains(r) == H.contains(r), (w, r)
-            assert topes.symdiff_positive(D, H) == frozenset()
-            assert D.chains == H.chains
-            assert D.level_bound() == H.level_bound()
 
 
 def test_different_blocks_detected(a2):
@@ -246,6 +214,22 @@ def assert_violation_certificate(H, v):
         vec = topes._vec(H.datum, g)
         combo = [x + c * y for x, y in zip(combo, vec)]
     assert combo == list(topes._vec(H.datum, v["target"]))
+
+
+def test_convexity_refuses_a_non_basic_certificate(monkeypatch, a2):
+    """The simplex returns a basic solution, with at most one generator per
+    dimension; a certificate with more is refused, not reported."""
+
+    def wide(datum, target, generators):
+        n = len(target[0]) + 2
+        return ConeCertificate(
+            True, (1,) * n + (0,) * (len(generators) - n), ()
+        )
+
+    monkeypatch.setattr(topes, "cone_member", wide)
+    H = topes.from_biclosed(from_inversion_set(from_word(a2, (1, 2, 3))))
+    with pytest.raises(CertificationFailed, match="exceeds the dimension"):
+        topes.check_convex_truncated(H, level_bound=2)
 
 
 def test_convexity_violation_for_mixed():
@@ -403,6 +387,24 @@ def test_tope_block_of_twisted_center(seed):
         topes.symdiff_positive(topes.from_biclosed(dot_action(g, B)), center)
 
 
+@pytest.mark.parametrize("i", range(1, 7))
+def test_tope_block_of_figure_T_holds_its_twists(i):
+    """T_i1..T_i4 lie within two generator steps of T_i in its block."""
+    hs = topes.figure_hemispaces()
+    T = hs[f"T{i}"]
+    block = topes.tope_block(T, T, radius=2)
+    for j in range(1, 5):
+        assert topes.symdiff_positive(hs[f"T{i}{j}"], T) in block.reps
+
+
+def test_interval_lattice_of_figure():
+    """[H1, H5] = [N(e), N(1.2)] is the chain e < 1 < 1.2."""
+    hs = topes.figure_hemispaces()
+    report = topes.interval_lattice_check(hs["H1"], hs["H5"], hs["H1"])
+    assert report["interval_size"] == 3
+    assert report["is_lattice"]
+
+
 def test_interval_lattice_check(a2):
     B0 = from_inversion_set(identity(a2))
     center = topes.from_biclosed(B0)
@@ -455,3 +457,126 @@ def test_figure_edges_flip_one_root():
         assert len(diff) == 1
         (r,) = diff
         assert F.contains(negate(r)) and G.contains(r)
+
+
+# ----- oracle: the figure as drawn, one descriptor per label ----------------
+
+_A = (1, 0)
+_B = (0, 1)
+_AB = (1, 1)
+_NA = (-1, 0)
+_NB = (0, -1)
+_NAB = (-1, -1)
+
+#: finite biclosed parts of the bottom hemispace tier (inversion sets).
+_H_FINITE = {
+    "H1": (),
+    "H2": ((_A, 0),),
+    "H3": ((_B, 0),),
+    "H4": ((_NAB, 1),),
+    "H5": ((_A, 0), (_AB, 0)),
+    "H6": ((_B, 0), (_AB, 0)),
+    "H7": ((_A, 0), (_NB, 1)),
+    "H8": ((_NAB, 1), (_NB, 1)),
+    "H9": ((_B, 0), (_NA, 1)),
+    "H10": ((_NAB, 1), (_NA, 1)),
+    "H11": ((_A, 0), (_AB, 0), (_B, 0)),
+    "H12": ((_A, 0), (_AB, 0), (_A, 1)),
+    "H13": ((_B, 0), (_AB, 0), (_B, 1)),
+    "H14": ((_A, 0), (_NB, 1), (_A, 1)),
+    "H15": ((_A, 0), (_NB, 1), (_NAB, 1)),
+    "H16": ((_NAB, 2), (_NB, 1), (_NAB, 1)),
+    "H17": ((_B, 0), (_NA, 1), (_B, 1)),
+    "H18": ((_B, 0), (_NA, 1), (_NAB, 1)),
+    "H19": ((_NAB, 2), (_NA, 1), (_NAB, 1)),
+}
+
+#: middle tier: two full chains plus finite perturbations on a third line.
+_T_BASES = {
+    "T1": (_A, _AB),
+    "T2": (_B, _AB),
+    "T3": (_B, _NA),
+    "T4": (_NAB, _NA),
+    "T5": (_NAB, _NB),
+    "T6": (_A, _NB),
+}
+#: per T_i, the two perturbation roots e1 (level 0 side) and e2 (level 1).
+_T_EXTRAS = {
+    "T1": ((_B, 0), (_NB, 1)),
+    "T2": ((_A, 0), (_NA, 1)),
+    "T3": ((_AB, 0), (_NAB, 1)),
+    "T4": ((_B, 0), (_NB, 1)),
+    "T5": ((_A, 0), (_NA, 1)),
+    "T6": ((_AB, 0), (_NAB, 1)),
+}
+
+#: top tier: the six positive systems, all chains in full.
+_U_BASES = {
+    "U1": (_A, _B, _AB),
+    "U2": (_NA, _B, _AB),
+    "U3": (_NA, _B, _NAB),
+    "U4": (_NA, _NB, _NAB),
+    "U5": (_A, _NB, _NAB),
+    "U6": (_A, _NB, _AB),
+}
+
+
+def from_descriptor(datum, full_bases, flips):
+    """The pairs (tail, e) of B = (full delta-chains over `full_bases`) with
+    the positive roots `flips` toggled.  The flips on each chain must be its
+    lowest levels k0, k0 + 1, ..., so that B is again one pair (tail, e) per
+    chain."""
+    full = frozenset(tuple(b) for b in full_bases)
+    levels = {mu: set() for mu in datum.roots}
+    for base, k in flips:
+        if not is_positive_affine(datum, (base, k)):
+            raise ValueError("flips must be positive affine roots")
+        levels[tuple(base)].add(k)
+    chains = {}
+    for mu, ks in levels.items():
+        e = topes._k0(datum, mu) + len(ks)
+        if ks and max(ks) != e - 1:
+            raise ValueError(
+                f"flips on {datum.root_name(mu)} are not the lowest levels "
+                "of its chain"
+            )
+        chains[mu] = (mu in full, e)
+    return chains
+
+
+def descriptor_figure(datum):
+    """The pairs of every positive label of the figure, in its order."""
+    specs = [(name, (), roots) for name, roots in _H_FINITE.items()]
+    for name, bases in _T_BASES.items():
+        e1, e2 = _T_EXTRAS[name]
+        specs += [
+            (name, bases, ()),
+            (name + "1", bases, (e1,)),
+            (name + "2", bases, (e2,)),
+            (name + "3", bases, (e1, (e1[0], e1[1] + 1))),
+            (name + "4", bases, (e2, (e2[0], e2[1] + 1))),
+        ]
+    specs += [(name, bases, ()) for name, bases in _U_BASES.items()]
+    return {
+        name: from_descriptor(datum, bases, flips)
+        for name, bases, flips in specs
+    }
+
+
+def test_figure_matches_descriptor_oracle(a2):
+    """All 110 figure hemispaces have the drawn descriptor's pairs, and so
+    does the BiclosedSet behind each; on inversion sets N(w) the descriptor
+    (no full chains, flips N(w)) agrees with `from_inversion_set`."""
+    hs = topes.figure_hemispaces()
+    want = descriptor_figure(a2)
+    assert list(hs) == list(want) + ["-" + label for label in want]
+    for label, h in hs.items():
+        chains = want[label.lstrip("-")]
+        assert h.chains == chains, label
+        assert h.biclosed.chains() == chains, label
+        assert (h.label, h.sign) == (label, "-" if label[0] == "-" else "+")
+    rng = random.Random(94)
+    for _ in range(20):
+        w = random_element(a2, rng, 7)
+        want = from_descriptor(a2, (), inversion_set(w))
+        assert from_inversion_set(w).chains() == want, w
