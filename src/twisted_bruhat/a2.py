@@ -1,6 +1,7 @@
 """The rank-2 alcove order worked in full: closed-form cover deltas for the
 six translation-coset classes, explicit inversion-set formulas, sphericity
-of short intervals, the infinite-dihedral coset decomposition, the
+of short intervals, the infinite-dihedral coset decomposition read off the
+translation with its twisted-length table (both proved in `verify`), the
 Poincare series, and the Hasse-figure fragment.
 
 Throughout, B is hard-fixed to {a, b, a+b}^hat (all three positive chains
@@ -21,6 +22,8 @@ does not; see tests).
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from typing import NamedTuple
 
 from .affine_group import (
@@ -292,16 +295,27 @@ def sphericity(poset: GradedPoset) -> str:
     for e in poset.edges:
         up[e.lower].add(e.upper)
     for a in up:
-        middles = {}
-        for z in up[a]:
-            for b in up[z]:
-                middles.setdefault(b, set()).add(z)
-        if any(len(m) != 2 for m in middles.values()):
+        middles = Counter(b for z in up[a] for b in up[z])  # b -> #{z}
+        if any(n != 2 for n in middles.values()):
             return "NonSpherical"
     return "Spherical"
 
 
 # ----- infinite-dihedral coset decomposition -------------------------------
+
+#: u v = t_mu and coset_prefix(6 s) = t_{lambda_s}, in `translation`'s
+#: coordinates; u fixes lambda_s, as -a + b is orthogonal to a + b.
+MU = (1, 1)
+LAMBDA = {1: (-1, 1), -1: (1, -1)}
+
+#: form of z -> (slope, (const for even i, const for odd i)):
+#: l_B(w(i)^{-1} z) = slope * k + const.
+_FORM_LENGTHS = {
+    "u(vu)^k": (-4, (-3, -2)),
+    "(vu)^k": (-4, (0, -1)),
+    "v(uv)^k": (4, (1, 2)),
+    "(uv)^k": (4, (0, -1)),
+}
 
 
 def u_element() -> AffineWeylElement:
@@ -318,86 +332,65 @@ def coset_prefix(i: int) -> AffineWeylElement:
     """w(i): the length-|i| prefix of (s_b s_3 s_a)^inf (i>=0) or
     (s_a s_3 s_b)^inf (i<0)."""
     cycle = (2, 3, 1) if i >= 0 else (1, 3, 2)
-    n = abs(i)
-    return from_word(datum(), tuple(cycle[j % 3] for j in range(n)))
+    return from_word(datum(), tuple(cycle[j % 3] for j in range(abs(i))))
 
 
 class DihedralDecomposition(NamedTuple):
     i: int
-    u_v_word: tuple  # alternating letters in {'u', 'v'}
     form: str  # one of 'u(vu)^k', '(vu)^k', 'v(uv)^k', '(uv)^k'
     k: int
 
+    @property
+    def u_v_word(self) -> tuple:
+        """z as its alternating letters in {'u', 'v'}: head + period^k."""
+        head, period = self.form[:-3].split("(")
+        return tuple(head + period * self.k)
+
     def predicted_twisted_length(self) -> int:
-        even = self.i % 2 == 0
-        k = self.k
-        if self.form == "u(vu)^k":
-            return -4 * k - 3 if even else -4 * k - 2
-        if self.form == "(vu)^k":
-            return -4 * k if even else -4 * k - 1
-        if self.form == "v(uv)^k":
-            return 4 * k + 1 if even else 4 * k + 2
-        return 4 * k if even else 4 * k - 1
+        slope, const = _FORM_LENGTHS[self.form]
+        return slope * self.k + const[self.i % 2]
 
 
-def _u_subgroup_positive_roots(level_bound: int):
-    """Positive roots of U = <v, u>: the (a+b) +- k delta lines."""
-    out = []
-    for k in range(0, level_bound + 1):
-        out.append((AB, k))
-    for k in range(1, level_bound + 1):
-        out.append(((-1, -1), k))
-    return out
+@lru_cache(maxsize=None)
+def _coset_candidates():
+    """The 24 (s, r, j0, y, b): b = w(s r)^{-1} y for y in {e, u}, and j0
+    the least j, 1 for (s, r) = (-1, 0) as w(0) is counted at s = +1."""
+    ys = {"": identity(datum()), "u": u_element()}
+    return tuple(
+        (s, r, int((s, r) == (-1, 0)), y, coset_prefix(s * r).inverse() * ys[y])
+        for s in (1, -1) for r in range(6) for y in ys
+    )
 
 
 def dihedral_decompose(w: AffineWeylElement) -> DihedralDecomposition:
-    """Write w = w(i)^{-1} z with z in U = <v, u>, w(i)^{-1} minimal in wU."""
-    u, v = u_element(), v_element()
-    m = w
-    letters = []
-    while True:
-        if (m * u).length() < m.length():
-            m = m * u
-            letters.append("u")
-        elif (m * v).length() < m.length():
-            m = m * v
-            letters.append("v")
-        else:
-            break
-    # minimality in wU: m sends no root on the (a+b) lines negative
-    bound = m.max_inversion_level() + 1
-    if any(
-        m.inverse().in_inversion_set(r)
-        for r in _u_subgroup_positive_roots(bound)
-    ):
+    """The unique w = w(i)^{-1} z with z in U = <u, v>, read off w's finite
+    part and translation V; no group products.
+
+    For i = s (6 j + r) with 0 <= r < 6 and z = y (uv)^{k'}, w(i)^{-1} z
+    is b t_{-j lambda_s + k' mu} for the candidate (s, r, j0, y, b).  So a
+    candidate with w's finite part fits iff V - trans(b) = (s j + k',
+    -s j + k') has integral j >= j0 and k'.  `verify.check_dihedral_cosets`
+    proves that exactly one fits every w; else CertificationFailed.
+    """
+    found = []
+    for s, r, j0, y, b in _coset_candidates():
+        if b.fin != w.fin:
+            continue
+        d1, d2 = (x - t for x, t in zip(w.trans, b.trans))
+        (sj, odd), kp = divmod(d1 - d2, 2), (d1 + d2) // 2
+        if not odd and s * sj >= j0:
+            found.append((6 * sj + s * r, y, kp))  # i = s (6 j + r)
+    if len(found) != 1:
         raise CertificationFailed(
-            "greedy coset descent did not reach the minimal representative"
+            f"{len(found)} dihedral coset decompositions of {w!r}"
         )
-    z_word = tuple(reversed(letters))
-    if any(x == y for x, y in zip(z_word, z_word[1:])):
-        raise CertificationFailed(f"non-alternating U-word {z_word}")
-    i = _match_prefix_index(m)
-    if not z_word:
-        form, k = "(uv)^k", 0
-    elif z_word[0] == "u" and z_word[-1] == "u":
-        form, k = "u(vu)^k", (len(z_word) - 1) // 2
-    elif z_word[0] == "v" and z_word[-1] == "v":
-        form, k = "v(uv)^k", (len(z_word) - 1) // 2
-    elif z_word[0] == "v":
-        form, k = "(vu)^k", len(z_word) // 2
+    ((i, y, kp),) = found
+    # u (uv)^{k'} = v (uv)^{k'-1}
+    if not y:
+        form, k = ("(uv)^k", kp) if kp >= 0 else ("(vu)^k", -kp)
     else:
-        form, k = "(uv)^k", len(z_word) // 2
-    return DihedralDecomposition(i, z_word, form, k)
-
-
-def _match_prefix_index(m: AffineWeylElement) -> int:
-    """The i with w(i)^{-1} = m.  w(i) is a prefix of a power of a Coxeter
-    element, hence reduced of length |i|, so i is -l(m) or l(m)."""
-    n = m.length()
-    for i in (-n, n):
-        if coset_prefix(i).inverse() == m:
-            return i
-    raise AssertionError("coset minimum is not a w(i)^{-1}")
+        form, k = ("u(vu)^k", -kp) if kp <= 0 else ("v(uv)^k", kp - 1)
+    return DihedralDecomposition(i, form, k)
 
 
 # ----- Poincare series -----------------------------------------------------
@@ -437,21 +430,15 @@ def poincare_recursion_residual(d_max: int):
     f1 = poincare_series("even", d_max)
     f2 = poincare_series("odd", d_max)
 
-    def coef(seq, n):
-        return seq[n] if 0 <= n < len(seq) else 0
+    def c(seq, n):
+        return seq[n] if n >= 0 else 0
 
-    res1, res2 = [], []
-    for n in range(d_max + 1):
-        rhs1 = (
-            (1 if n == 0 else 0)
-            + 2 * coef(f2, n - 1)
-            - 2 * coef(f1, n - 2)
-            + coef(f2, n - 3)
-        )
-        rhs2 = (1 if n == 0 else 0) + 3 * coef(f1, n - 1) - 2 * coef(f2, n - 2)
-        res1.append(f1[n] - rhs1)
-        res2.append(f2[n] - rhs2)
-    return res1, res2
+    ns = range(d_max + 1)
+    return (
+        [f1[n] - (n == 0) - 2 * c(f2, n - 1) + 2 * c(f1, n - 2) - c(f2, n - 3)
+         for n in ns],
+        [f2[n] - (n == 0) - 3 * c(f1, n - 1) + 2 * c(f2, n - 2) for n in ns],
+    )
 
 
 # ----- the Hasse-figure fragment -------------------------------------------

@@ -19,9 +19,12 @@ a Mixed hemispace, a closed form read off its pairs.
 
 from __future__ import annotations
 
-from .affine_group import is_positive_affine, negate
+from itertools import combinations
+
+from .affine_group import identity, is_positive_affine, negate, reflection
+from .affine_group import simple_reflections
 from .biclosed import BiclosedSet, dot_action, parse_biclosed
-from .finite import CartanDatum, _span_roots
+from .finite import CartanDatum, _span_roots, build_system
 from .linprog import CertificationFailed, cone_membership
 from .orders import NotComparable  # re-exported: topes.NotComparable
 from .poset import GradedPoset, PosetEdge, PosetNode
@@ -234,15 +237,11 @@ def _block_generators(center: Hemispace):
     the canonical simple generators of the affine reflection subgroup),
     conjugated by the twist w of B = w . P^hat, so that each w g w^{-1}
     keeps B in its block."""
-    from .affine_group import reflection
-
     B = center.biclosed
     datum = B.datum
     span = _span_roots(B.psi, B.delta1 | B.delta2)
     if span == frozenset(datum.roots):
         # W' is the whole affine group; use its simple reflections.
-        from .affine_group import simple_reflections
-
         return list(simple_reflections(datum))
     w = B.twist
     gens = []
@@ -261,8 +260,6 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
     differences with `base`; the poset carries a `reps` dict mapping keys
     to (element, Hemispace) representatives.
     """
-    from .affine_group import identity
-
     datum = center.datum
     gens = _block_generators(center)
     seen = {}
@@ -351,29 +348,11 @@ _T_TRIPLES = (
 #: U1..U6: the six chambers psi, every psi-positive chain in full.
 _U_CHAMBERS = ("e", "1", "1.2", "1.2.1", "2.1", "2")
 
-#: The top grade of each tier; a negated hemispace counts down from it.
-_TIER_SPAN = {"H": 3, "T": 2, "U": 0}
-
-_H_EDGES = [
-    ("H1", "H2"), ("H1", "H3"), ("H1", "H4"),
-    ("H2", "H5"), ("H2", "H7"), ("H3", "H6"), ("H3", "H9"),
-    ("H4", "H8"), ("H4", "H10"),
-    ("H5", "H11"), ("H5", "H12"), ("H6", "H11"), ("H6", "H13"),
-    ("H7", "H14"), ("H7", "H15"), ("H8", "H15"), ("H8", "H16"),
-    ("H9", "H17"), ("H9", "H18"), ("H10", "H18"), ("H10", "H19"),
-]
-
-
-def _figure_datum():
-    from .finite import build_system
-
-    return build_system("A2")
-
 
 def figure_hemispaces():
     """All labelled hemispaces of the displayed tope poset (plus negatives),
     each built from its biclosed set."""
-    datum = _figure_datum()
+    datum = build_system("A2")
     specs = [(f"H{i}", x, "psi:e d1:{1,2}") for i, x in enumerate(_H_WORDS, 1)]
     for i, (triple, x, y) in enumerate(_T_TRIPLES, 1):
         twists = ("e", x, y, f"{x}.{y}", f"{y}.{x}")
@@ -392,69 +371,53 @@ def figure_hemispaces():
     return out
 
 
-def _figure_edges():
-    edges = list(_H_EDGES)
-    for i in range(1, 7):
-        t = f"T{i}"
-        edges += [(t, t + "1"), (t, t + "2"), (t + "1", t + "3"),
-                  (t + "2", t + "4")]
-    # mirrored tiers, direction reversed under negation
-    edges += [("-" + b, "-" + a) for a, b in edges]
-    return edges
-
-
-def _figure_grade(label: str, flips: int) -> int:
-    if label.startswith("-"):
-        return _TIER_SPAN[label[1]] - flips
-    return flips
-
-
 def figure_topes():
-    """Regenerate the displayed tope-poset fragment.
+    """Regenerate the displayed tope-poset fragment: (records, poset), a
+    descriptor record per label and a GradedPoset of the figure's covers.
 
-    Returns (records, poset): structured descriptor records for every
-    label, and a GradedPoset over the labels whose edges are the figure's
-    covers, each verified against the finite tope-order criterion (the
-    lower tope agrees with -Phi^hat on the one-root symmetric difference).
-    Grades are per connected component (the tiers lie in distinct blocks).
+    Two positive labels whose hemispaces differ on one root r are a cover,
+    from the one holding -r up to the one holding r; negated labels mirror
+    them.  Grades count flips, per tier (the tiers lie in distinct blocks);
+    a negated hemispace counts down from the most flips in its tier.
     """
-    datum = _figure_datum()
+    datum = build_system("A2")
     hs = figure_hemispaces()
-    records = []
-    nodes = []
-    for label, h in hs.items():
-        flip_names = sorted(
+    flips = {
+        label: sorted(
             (datum.root_name(mu), k)
             for mu, (_, e) in h.chains.items()
             for k in range(_k0(datum, mu), e)
         )
-        records.append(
-            {
-                "label": label,
-                "sign": h.sign,
-                "full_chain_bases": sorted(
-                    datum.root_name(mu) for mu, (tail, _) in h.chains.items()
-                    if tail
-                ),
-                "flips": [f"{n}+{k}d" for n, k in flip_names],
-            }
-        )
-        grade = _figure_grade(label, len(flip_names))
-        nodes.append(PosetNode(label, grade, label))
+        for label, h in hs.items()
+    }
+    positive = [label for label in hs if label[0] != "-"]
+    span = {}
+    for label in positive:
+        span[label[0]] = max(span.get(label[0], 0), len(flips[label]))
+    records = []
+    nodes = []
+    for label, h in hs.items():
+        full = (datum.root_name(mu) for mu, (tail, _) in h.chains.items() if tail)
+        records.append({
+            "label": label, "sign": h.sign, "full_chain_bases": sorted(full),
+            "flips": [f"{n}+{k}d" for n, k in flips[label]],
+        })
+        n = len(flips[label])
+        nodes.append(PosetNode(label, span[label[1]] - n if h.sign == "-" else n, label))
     edges = []
-    for lo, hi in _figure_edges():
-        F, G = hs[lo], hs[hi]
-        diff = symdiff_positive(F, G)
-        if len(diff) != 1:
-            raise CertificationFailed(
-                f"figure edge {lo} -> {hi} flips {len(diff)} roots"
-            )
-        (r,) = diff
-        # upward = away from the all-negative hemispace: the lower tope
-        # holds the negative root of the flipped pair.
-        if not (F.contains(negate(r)) and G.contains(r)):
-            raise CertificationFailed(f"figure edge {lo} -> {hi} points downward")
-        edges.append(PosetEdge(lo, hi, datum.root_name(r[0]), "weak"))
+    for a, b in combinations(positive, 2):
+        try:
+            diff = symdiff_positive(hs[a], hs[b])
+        except DifferentBlocks:
+            continue
+        if len(diff) == 1:
+            (r,) = diff
+            lo, hi = (a, b) if hs[a].contains(negate(r)) else (b, a)
+            edges.append(PosetEdge(lo, hi, datum.root_name(r[0]), "weak"))
+    edges += [
+        PosetEdge("-" + e.upper, "-" + e.lower, e.reflection, "weak")
+        for e in edges
+    ]
     poset = GradedPoset(nodes, edges)
     if not poset.check_grading():
         raise CertificationFailed("tope figure grading is broken")

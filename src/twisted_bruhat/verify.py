@@ -1,4 +1,4 @@
-"""The full verification suite: twelve independent checks, each returning
+"""The full verification suite: thirteen independent checks, each returning
 (name, passed, detail).  `run_all` executes every check; the CLI and the
 acceptance tests both consume this module so there is a single source of
 truth for what 'verified' means."""
@@ -6,6 +6,7 @@ truth for what 'verified' means."""
 from __future__ import annotations
 
 import random
+from itertools import product
 from operator import sub
 
 from . import a2, generic, topes
@@ -84,10 +85,8 @@ def check_local_finiteness():
             tried += 1
             if x != y and poset.nodes and not poset.check_grading():
                 return "local finiteness", False, f"bad grading on {name}"
-            if poset.nodes:
-                keys = set(poset.keys())
-                if x not in keys or y not in keys:
-                    return "local finiteness", False, f"endpoints lost on {name}"
+            if poset.nodes and not {x, y} <= set(poset.keys()):
+                return "local finiteness", False, f"endpoints lost on {name}"
     return "local finiteness", True, f"{tried} intervals, all finite"
 
 
@@ -115,9 +114,9 @@ def check_corank_finiteness():
 
 
 def _affine_tops(build, k_sign):
-    """The chain tops of N(build(m1, m2, k)) as exact affine forms
-    (c_m1, c_m2, c_k, c_0) in (m1, m2, k), or None if the finite part
-    moves.
+    """The chain tops of N(build(p, q, k)) as exact affine forms
+    (c_p, c_q, c_k, c_0) in the parameters (p, q, k), such as (m1, m2, k)
+    or (j, 0, k), or None if the finite part moves.
 
     The element is U t_{V + K Lambda} with U fixed, so each top
     (mu, U(V + K Lambda)) - [U^{-1} mu > 0] is affine in K: four
@@ -137,14 +136,14 @@ def _affine_tops(build, k_sign):
 
 
 def _alcove_length(build, positive):
-    """l_B(w) for B = (Phi+)^hat as an affine form in (m1, m2, k) over
-    w = build(m1, m2, k), or None.
+    """l_B(w) for B = (Phi+)^hat as an affine form (c_p, c_q, c_k, c_0) in
+    the parameters (p, q, k) of w = build(p, q, k), or None.
 
     Over mu > 0, N(w^{-1}) has the levels 0..t_mu, all in B, and over -mu
     the levels 1..t_{-mu}, none in B.  Where t_mu + t_{-mu} = -1 the pair
     adds max(0, t_{-mu}) - max(0, t_mu + 1) = t_{-mu} to l_B(w).
     """
-    tops = _affine_tops(lambda m1, m2, k: build(m1, m2, k).inverse(), 0)
+    tops = _affine_tops(lambda p, q, k: build(p, q, k).inverse(), 0)
     if tops is None:
         return None
     for mu, top in tops.items():
@@ -155,18 +154,25 @@ def _alcove_length(build, positive):
     return tuple(map(sum, zip(*negative)))
 
 
+def _alcove_positive():
+    """The positivity test of the A2 roots, or None if `a2`'s B is not
+    (Phi+)^hat, the twisting set that `_alcove_length` assumes."""
+    B = a2.alcove_biclosed()
+    positive = B.datum.is_positive
+    alcove = {mu: (positive(mu), 0 if positive(mu) else 1) for mu in B.datum.roots}
+    return positive if B.chains() == alcove else None
+
+
 def check_class_deltas():
     """The cover deltas l_B(s_{gamma+k delta} w) - l_B(w) = slope * k + const
     of `a2._CLASS_DELTAS` hold for every w and k: over the class elements
     w = u t_{m1 a^vee + m2 b^vee} both lengths are exact affine forms in
     (m1, m2, k) (`_alcove_length`), and the delta is (0, 0, slope, const).
     """
-    B = a2.alcove_biclosed()
-    datum = B.datum
-    positive = datum.is_positive
-    alcove = {mu: (positive(mu), 0 if positive(mu) else 1) for mu in datum.roots}
-    if B.chains() != alcove:
+    positive = _alcove_positive()
+    if positive is None:
         return "class-delta formulas", False, "B is not (Phi+)^hat"
+    datum = a2.datum()
     mismatches = []
     for tag, u in a2._class_table().items():
         z = lambda m1, m2, k: u * a2.translation(m1, m2)
@@ -181,13 +187,65 @@ def check_class_deltas():
                 delta = tuple(map(sub, after, before))
             if delta != (0, 0, slope, const):
                 mismatches.append((tag, gamma, delta))
-    return (
-        "class-delta formulas",
-        not mismatches,
-        f"{len(a2._CLASS_DELTAS)} classes, "
-        f"{sum(map(len, a2._CLASS_DELTAS.values()))} rays, every w and k; "
-        f"mismatches: {mismatches[:3]}",
-    )
+    detail = (f"{len(a2._CLASS_DELTAS)} classes, "
+              f"{sum(map(len, a2._CLASS_DELTAS.values()))} rays, every w and k")
+    return "class-delta formulas", not mismatches, f"{detail}; mismatches: {mismatches[:3]}"
+
+
+def check_dihedral_cosets():
+    """Every w is w(i)^{-1} z with z in U = <u, v> exactly once, and l_B(w)
+    is `a2._FORM_LENGTHS` at z's form, k and i mod 2, for every i and k.
+
+    coset_prefix(6 s) = t_{lambda_s}, u v = t_mu and u t_{lambda_s} =
+    t_{lambda_s} u make w(i)^{-1} z = b t_{(s j + k', -s j + k')} for
+    i = s (6 j + r), z = y t_{k' mu} and the candidate b = w(s r)^{-1} y.
+    In each class (finite part, t1 + t2 mod 2) of t = trans(b), the values
+    t1 - t2 + 2 s j, j >= j0, must be two rays, s = +1 up from some a and
+    s = -1 down from a - 2: they cover V1 - V2 once; k' is free.  Each
+    family (s, r, form) has l_B exact and affine over (j, 0, k)
+    (`_alcove_length`): it must be (0, 0, slope, const[r mod 2]).
+    """
+    name = "dihedral cosets"
+    t, u, v = a2.translation, a2.u_element(), a2.v_element()
+    parts = {"": identity(a2.datum()), "u": u, "v": v}
+    candidates = a2._coset_candidates()
+    if u * v != t(*a2.MU) or any(
+        a2.coset_prefix(6 * s) != t(*lam) or u * t(*lam) != t(*lam) * u
+        for s, lam in a2.LAMBDA.items()
+    ) or any(
+        b != a2.coset_prefix(s * r).inverse() * parts[y]
+        for s, r, _, y, b in candidates
+    ):
+        return name, False, "a coset identity fails"
+    rays = {(tag, p): [] for tag in a2._class_table() for p in (0, 1)}
+    for s, _, j0, _, b in candidates:
+        t1, t2 = b.trans
+        rays[a2.class_of(b), (t1 + t2) % 2].append((s, t1 - t2 + 2 * s * j0))
+    for key, found in rays.items():
+        ends = dict(found)
+        if len(found) != 2 or ends.keys() != {1, -1} or ends[-1] != ends[1] - 2:
+            shown = ", ".join(f"s={s:+d} at {a}" for s, a in sorted(found))
+            return name, False, f"class {key} has rays [{shown}]"
+    positive = _alcove_positive()
+    if positive is None:
+        return name, False, "B is not (Phi+)^hat"
+    mismatches = []
+    for form, (slope, const) in a2._FORM_LENGTHS.items():
+        head, period = form[:-3].split("(")  # 'u(vu)^k': 'u', 'vu'
+        mu = a2.MU if period == "uv" else tuple(-x for x in a2.MU)  # vu = t_-mu
+        for (s, (l1, l2)), r in product(a2.LAMBDA.items(), range(6)):
+            top = a2.coset_prefix(s * r).inverse()
+            length = _alcove_length(
+                lambda j, _, k: top * t(-j * l1, -j * l2) * parts[head]
+                * t(k * mu[0], k * mu[1]),
+                positive,
+            )
+            if length != (0, 0, slope, const[r % 2]):
+                mismatches.append((form, ("even", "odd")[r % 2]))
+    mismatches = list(dict.fromkeys(mismatches))
+    detail = (f"{len(candidates)} candidates tile {len(rays)} classes once; "
+              f"{12 * len(a2._FORM_LENGTHS)} families, every i and k")
+    return name, not mismatches, f"{detail}; mismatches: {mismatches}"
 
 
 def _empty_on_domain(lo, hi, k_sign):
@@ -248,17 +306,10 @@ def check_poincare():
     datum = B.datum
     f_even = a2.poincare_series("even", 8)
     f_odd = a2.poincare_series("odd", 8)
-    for x, series in (
-        (identity(datum), f_even),
-        (from_word(datum, (1,)), f_odd),
-    ):
+    for x, series in ((identity(datum), f_even), (from_word(datum, (1,)), f_odd)):
         counts = [len(downset_corank(x, B, d)) for d in range(9)]
         if counts != series:
-            return (
-                "poincare series",
-                False,
-                f"counts {counts} != series {series}",
-            )
+            return "poincare series", False, f"counts {counts} != series {series}"
     r1, r2 = a2.poincare_recursion_residual(10)
     ok = not any(r1) and not any(r2)
     return "poincare series", ok, f"residuals {max(map(abs, r1 + r2))}"
@@ -273,11 +324,8 @@ def check_level_sets():
         for k in range(-2, 3):
             sizes = [len(level_set_sample(B, k, r)) for r in radii]
             if not (sizes[0] < sizes[1] < sizes[2]):
-                return (
-                    "infinite level sets",
-                    False,
-                    f"{name} k={k}: sizes {sizes} not strictly increasing",
-                )
+                detail = f"{name} k={k}: sizes {sizes} not strictly increasing"
+                return "infinite level sets", False, detail
     return "infinite level sets", True, "all level sets grow with radius"
 
 
@@ -336,10 +384,8 @@ def check_interval_growth():
             return "interval growth", False, f"Ntilde({t!r}) = {got}"
     w = generic.target_element(cm)
     begin = generic.n_tilde_A_in_subgroup(w, sub, depth=3)
-    r1r2r1 = r1 * r2 * r1
-    r12321 = r1 * r2 * r3 * r2 * r1
-    r1231321 = r1 * r2 * r3 * r1 * r3 * r2 * r1
-    for need in (r1, r1r2r1, r12321, r1231321):
+    quoted = (r1 * r2 * r1, r1 * r2 * r3 * r2 * r1, r1 * r2 * r3 * r1 * r3 * r2 * r1)
+    for need in (r1, *quoted):
         if need not in begin:
             return "interval growth", False, "quoted A-reflection list missing"
     table = generic.interval_growth(cm, budgets=(6, 8, 9, 10))
@@ -352,20 +398,15 @@ def check_interval_growth():
 def check_convexity_dichotomy():
     rng = random.Random(20)
     datumA2 = build_system("A2")
-    cases = []
     w = from_word(datumA2, (1, 2, 3))
-    cases.append(("A2 finite N(w)", topes.from_biclosed(from_inversion_set(w)), False))
-    cases.append(("A2 alcove", topes.from_biclosed(full_positive_biclosed(datumA2)), False))
-    for i in range(2):
-        cases.append(
-            (
-                f"A3 mixed {i}",
-                topes.from_biclosed(
-                    random_biclosed("A3", rng, mixed=True, twist_len=1)
-                ),
-                True,
-            )
-        )
+    cases = [
+        ("A2 finite N(w)", topes.from_biclosed(from_inversion_set(w)), False),
+        ("A2 alcove", topes.from_biclosed(full_positive_biclosed(datumA2)), False),
+    ] + [
+        (f"A3 mixed {i}", topes.from_biclosed(
+            random_biclosed("A3", rng, mixed=True, twist_len=1)), True)
+        for i in range(2)
+    ]
     B_inf = random_biclosed("A3", rng)
     while B_inf.classify() == "Mixed":
         B_inf = random_biclosed("A3", rng)
@@ -374,11 +415,8 @@ def check_convexity_dichotomy():
         report = topes.check_convex_truncated(H, level_bound=6)
         got = report["violation"] is not None
         if got != want_violation:
-            return (
-                "convexity dichotomy",
-                False,
-                f"{name}: violation={got}, expected {want_violation}",
-            )
+            detail = f"{name}: violation={got}, expected {want_violation}"
+            return "convexity dichotomy", False, detail
     return "convexity dichotomy", True, f"{len(cases)} hemispaces separated"
 
 
@@ -388,19 +426,11 @@ def check_tope_blocks():
     datum = build_system("A2")
     center_B = from_inversion_set(identity(datum))
     center = topes.from_biclosed(center_B)
-    block = topes.tope_block(center, center, radius=4)
-    reps = block.reps
-    items = list(reps.items())
+    items = list(topes.tope_block(center, center, radius=4).reps.items())
     for _ in range(200):
-        (ka, (wa, Fa)), (kb, (wb, Fb)) = rng.sample(items, 2)
-        tope_le = ka <= kb
-        weak_le = weak_leq(wa, wb, center_B, side="right")
-        if tope_le != weak_le:
-            return (
-                "tope blocks",
-                False,
-                f"order mismatch at {wa!r}, {wb!r}",
-            )
+        (ka, (wa, _)), (kb, (wb, _)) = rng.sample(items, 2)
+        if (ka <= kb) != weak_leq(wa, wb, center_B, side="right"):
+            return "tope blocks", False, f"order mismatch at {wa!r}, {wb!r}"
     failures = 0
     for _ in range(20):
         w = from_word(datum, random_word(datum, rng, 6))
@@ -423,13 +453,11 @@ def check_figures():
         return "figure regeneration", False, f"hasse labels missing: {missing}"
     if not hasse.check_grading():
         return "figure regeneration", False, "hasse grading broken"
-    records, tope_poset = topes.figure_topes()
+    records, _ = topes.figure_topes()  # raises if its grading breaks
     tope_labels = {r["label"] for r in records}
     for need in ("H1", "H19", "T1", "T64", "U6", "-H1", "-T64"):
         if need not in tope_labels:
             return "figure regeneration", False, f"tope label missing: {need}"
-    if not tope_poset.check_grading():
-        return "figure regeneration", False, "tope grading broken"
     return (
         "figure regeneration",
         True,
@@ -441,6 +469,7 @@ ALL_CHECKS = (
     check_local_finiteness,
     check_corank_finiteness,
     check_class_deltas,
+    check_dihedral_cosets,
     check_inversion_formulas,
     check_poincare,
     check_level_sets,

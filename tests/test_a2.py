@@ -1,7 +1,7 @@
 """The rank-2 alcove order: class deltas, closed-form inversion sets,
-sphericity, the dihedral coset decomposition, automorphisms (defined here:
-only tests use them), the Poincare series, and the Hasse-figure
-fragment."""
+sphericity, the dihedral coset decomposition (with the former greedy
+descent as its oracle), automorphisms (defined here: only tests use them),
+the Poincare series, and the Hasse-figure fragment."""
 
 import random
 
@@ -20,7 +20,7 @@ from twisted_bruhat import (
     upper_covers,
 )
 from twisted_bruhat import a2, verify
-from twisted_bruhat.orders import length_ball
+from twisted_bruhat.orders import CertificationFailed, length_ball
 
 
 @pytest.fixture(scope="module")
@@ -214,9 +214,73 @@ def test_sphericity_rejects_long_intervals(setup):
         a2.sphericity(poset)
 
 
+# ----- oracle: the former greedy coset descent -------------------------------
+
+
+def _u_subgroup_positive_roots(level_bound: int):
+    """Positive roots of U = <v, u>: the (a+b) +- k delta lines."""
+    out = []
+    for k in range(0, level_bound + 1):
+        out.append((a2.AB, k))
+    for k in range(1, level_bound + 1):
+        out.append(((-1, -1), k))
+    return out
+
+
+def greedy_decompose(w):
+    """Write w = w(i)^{-1} z with z in U = <v, u>, w(i)^{-1} minimal in wU,
+    by a greedy descent of products; (i, z_word, form, k)."""
+    u, v = a2.u_element(), a2.v_element()
+    m = w
+    letters = []
+    while True:
+        if (m * u).length() < m.length():
+            m = m * u
+            letters.append("u")
+        elif (m * v).length() < m.length():
+            m = m * v
+            letters.append("v")
+        else:
+            break
+    # minimality in wU: m sends no root on the (a+b) lines negative
+    bound = m.max_inversion_level() + 1
+    if any(
+        m.inverse().in_inversion_set(r)
+        for r in _u_subgroup_positive_roots(bound)
+    ):
+        raise CertificationFailed(
+            "greedy coset descent did not reach the minimal representative"
+        )
+    z_word = tuple(reversed(letters))
+    if any(x == y for x, y in zip(z_word, z_word[1:])):
+        raise CertificationFailed(f"non-alternating U-word {z_word}")
+    i = match_prefix_index(m)
+    if not z_word:
+        form, k = "(uv)^k", 0
+    elif z_word[0] == "u" and z_word[-1] == "u":
+        form, k = "u(vu)^k", (len(z_word) - 1) // 2
+    elif z_word[0] == "v" and z_word[-1] == "v":
+        form, k = "v(uv)^k", (len(z_word) - 1) // 2
+    elif z_word[0] == "v":
+        form, k = "(vu)^k", len(z_word) // 2
+    else:
+        form, k = "(uv)^k", len(z_word) // 2
+    return i, z_word, form, k
+
+
+def match_prefix_index(m):
+    """The i with w(i)^{-1} = m.  w(i) is a prefix of a power of a Coxeter
+    element, hence reduced of length |i|, so i is -l(m) or l(m)."""
+    n = m.length()
+    for i in (-n, n):
+        if a2.coset_prefix(i).inverse() == m:
+            return i
+    raise AssertionError("coset minimum is not a w(i)^{-1}")
+
+
 def _scan_prefix_index(m):
-    """The former window scan of `a2._match_prefix_index`, as its oracle:
-    the first i in [-l(m) - 2, l(m) + 2] with w(i)^{-1} = m, or None."""
+    """The window scan, as the oracle of `match_prefix_index`: the first i
+    in [-l(m) - 2, l(m) + 2] with w(i)^{-1} = m, or None."""
     bound = m.length() + 2
     for i in range(-bound, bound + 1):
         if a2.coset_prefix(i).inverse() == m:
@@ -232,6 +296,10 @@ def dihedral_reassemble(dec):
     return w
 
 
+def _fields(dec):
+    return dec.i, dec.u_v_word, dec.form, dec.k
+
+
 def test_dihedral_decomposition_roundtrip_and_length(setup):
     d, B = setup
     rng = random.Random(52)
@@ -239,12 +307,33 @@ def test_dihedral_decomposition_roundtrip_and_length(setup):
     for _ in range(400):
         w = rand_elem(d, rng, 12)
         dec = a2.dihedral_decompose(w)
+        assert _fields(dec) == greedy_decompose(w)
         assert dihedral_reassemble(dec) == w
         assert dec.predicted_twisted_length() == twisted_length_left(w, B)
         # alternating u/v word
         assert all(x != y for x, y in zip(dec.u_v_word, dec.u_v_word[1:]))
         forms.add(dec.form)
     assert forms == {"u(vu)^k", "(vu)^k", "v(uv)^k", "(uv)^k"}
+
+
+def test_dihedral_decomposition_matches_greedy_on_ball(setup):
+    d, _ = setup
+    ball = length_ball(d, 12)
+    assert len(ball) == 235
+    for w in ball:
+        assert _fields(a2.dihedral_decompose(w)) == greedy_decompose(w), w
+
+
+def test_dihedral_decompose_refuses_an_ambiguous_tiling(monkeypatch):
+    """Two candidates that both fit w, or none, are a certification failure."""
+    d = a2.datum()
+    candidates = a2._coset_candidates()
+    monkeypatch.setattr(a2, "_coset_candidates", lambda: candidates * 2)
+    with pytest.raises(CertificationFailed, match="2 dihedral coset"):
+        a2.dihedral_decompose(identity(d))
+    monkeypatch.setattr(a2, "_coset_candidates", lambda: ())
+    with pytest.raises(CertificationFailed, match="0 dihedral coset"):
+        a2.dihedral_decompose(identity(d))
 
 
 def test_match_prefix_index_matches_scan(setup):
@@ -258,9 +347,9 @@ def test_match_prefix_index_matches_scan(setup):
         want = _scan_prefix_index(m)
         if want is None:
             with pytest.raises(AssertionError):
-                a2._match_prefix_index(m)
+                match_prefix_index(m)
         else:
-            assert a2._match_prefix_index(m) == want
+            assert match_prefix_index(m) == want
             assert abs(want) == m.length()
             matched += 1
     assert matched == 19  # w(i)^{-1} for |i| <= 9
@@ -271,6 +360,78 @@ def test_coset_prefix_inverses_are_minimal():
         m = a2.coset_prefix(i).inverse()
         dec = a2.dihedral_decompose(m)
         assert dec.i == i and dec.u_v_word == ()
+
+
+def test_dihedral_proof_passes():
+    name, ok, detail = verify.check_dihedral_cosets()
+    assert (name, ok) == ("dihedral cosets", True), detail
+    assert detail == (
+        "24 candidates tile 12 classes once; 48 families, every i and k; "
+        "mismatches: []"
+    )
+
+
+_FORM_ENTRIES = [
+    (form, entry) for form in a2._FORM_LENGTHS
+    for entry in ("slope", "even", "odd")
+]
+
+
+@pytest.mark.parametrize(
+    "form,entry", _FORM_ENTRIES,
+    ids=[f"{form}-{entry}" for form, entry in _FORM_ENTRIES],
+)
+def test_dihedral_proof_reports_each_entry(monkeypatch, form, entry):
+    """Each of the 12 table entries, off by +1 or -1, fails the proof at
+    its form and at the parities it feeds: a slope at both."""
+    slope, const = a2._FORM_LENGTHS[form]
+    for off in (1, -1):
+        if entry == "slope":
+            bad, parities = (slope + off, const), ("even", "odd")
+        elif entry == "even":
+            bad, parities = (slope, (const[0] + off, const[1])), ("even",)
+        else:
+            bad, parities = (slope, (const[0], const[1] + off)), ("odd",)
+        with monkeypatch.context() as m:
+            m.setitem(a2._FORM_LENGTHS, form, bad)
+            _, ok, detail = verify.check_dihedral_cosets()
+        assert not ok
+        assert detail.endswith(
+            f"mismatches: {[(form, p) for p in parities]!r}"
+        ), detail
+
+
+_CANDIDATES = a2._coset_candidates()
+
+
+@pytest.mark.parametrize("drop", range(len(_CANDIDATES)))
+def test_dihedral_proof_reports_a_missing_candidate(monkeypatch, drop):
+    """Without any one candidate, its class keeps a single ray."""
+    rest = _CANDIDATES[:drop] + _CANDIDATES[drop + 1:]
+    monkeypatch.setattr(a2, "_coset_candidates", lambda: rest)
+    _, ok, detail = verify.check_dihedral_cosets()
+    assert not ok and detail.startswith("class (") and "has rays [s=" in detail
+
+
+def test_dihedral_proof_reports_a_shifted_ray(monkeypatch):
+    """A candidate whose least j is off leaves a gap or an overlap."""
+    for shift in (1, -1):
+        moved = [
+            (s, r, j0 + shift if i == 0 else j0, y, b)
+            for i, (s, r, j0, y, b) in enumerate(_CANDIDATES)
+        ]
+        monkeypatch.setattr(a2, "_coset_candidates", lambda: moved)
+        _, ok, detail = verify.check_dihedral_cosets()
+        assert not ok and "has rays" in detail, detail
+
+
+def test_dihedral_proof_checks_the_candidates(monkeypatch):
+    """A candidate b that is not w(s r)^{-1} y fails the identities."""
+    (s, r, j0, y, b), *rest = _CANDIDATES
+    wrong = (s, r, j0, y, b * a2.u_element())
+    monkeypatch.setattr(a2, "_coset_candidates", lambda: (wrong, *rest))
+    _, ok, detail = verify.check_dihedral_cosets()
+    assert (ok, detail) == (False, "a coset identity fails")
 
 
 def uvk_u_wi_inversion(k: int, i: int):

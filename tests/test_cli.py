@@ -322,14 +322,96 @@ def test_numeric_limits_are_accepted(capsys, monkeypatch):
 
 
 def test_figure_check_failure_exit_code(capsys, monkeypatch):
-    """A broken tope-figure certificate exits 3, not with an AssertionError."""
+    """A broken tope-figure certificate exits 3, not with an AssertionError:
+    symmetric differences cut to one root make covers that skip grades."""
     from twisted_bruhat import topes
 
     real = topes.symdiff_positive
     monkeypatch.setattr(
-        topes, "symdiff_positive", lambda F, G: real(F, G) | {((1, 1), 7)}
+        topes, "symdiff_positive", lambda F, G: frozenset(sorted(real(F, G))[:1])
     )
     code, _, err = run(capsys, ["topes"])
     assert code == 3
-    assert err.startswith("certification failure: figure edge")
-    assert "Traceback" not in err
+    assert err == "certification failure: tope figure grading is broken\n"
+
+
+
+def _word(n):
+    """An A2 word of n letters."""
+    return ".".join(("1", "2", "3")[i % 3] for i in range(n))
+
+
+def _argv(via, cfg, opts):
+    """opts as flags, or as a config file."""
+    if via == "flag":
+        return [a for key, value in opts.items() for a in (f"--{key}", value)]
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in opts.items()))
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("via", ("flag", "config"))
+@pytest.mark.parametrize("name", ("x", "y", "elem", "twist"))
+def test_word_limit(capsys, monkeypatch, tmp_path, via, name):
+    """A word of MAX_WORD letters is accepted; one more letter exits 2
+    where the text is parsed, before any product."""
+    words, specs = [], []
+    real_word, real_biclosed = cli.from_word, cli.parse_biclosed
+    monkeypatch.setattr(
+        cli, "from_word", lambda d, w: words.append(w) or real_word(d, w)
+    )
+    monkeypatch.setattr(
+        cli, "parse_biclosed",
+        lambda d, spec: specs.append(spec) or real_biclosed(d, spec),
+    )
+    command = "covers" if name == "elem" else "interval"
+    for n in (cli.MAX_WORD, cli.MAX_WORD + 1):
+        opts = {"type": "A2", "biclosed": ALCOVE}
+        if name == "twist":
+            opts["biclosed"] = f"twist:{_word(n)} psi:e d1:{{}} d2:{{}}"
+        else:
+            opts[name] = _word(n)
+        if name in ("x", "y"):  # x = y at the limit: a one-node interval
+            other = "y" if name == "x" else "x"
+            opts[other] = opts[name] if n == cli.MAX_WORD else "e"
+        del words[:], specs[:]
+        code, out, err = run(
+            capsys, [command] + _argv(via, tmp_path / "c.cfg", opts)
+        )
+        if n == cli.MAX_WORD:
+            assert (code, err) == (0, ""), err
+            continue
+        label = "biclosed twist" if name == "twist" else name
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --{label} must have at most {cli.MAX_WORD} letters, "
+            f"got {n}\n"
+        )
+        assert all(len(w) <= cli.MAX_WORD for w in words)
+        assert specs == ([] if name == "twist" else [ALCOVE])
+
+
+@pytest.mark.parametrize("via", ("flag", "config"))
+def test_gap_limit(capsys, monkeypatch, tmp_path, via):
+    """`interval` accepts a grade gap of MAX_GAP and refuses MAX_GAP + 1
+    with exit 2, before the cover search."""
+    from twisted_bruhat.poset import GradedPoset
+
+    searched = []
+    monkeypatch.setattr(
+        cli, "interval", lambda x, y, B: searched.append(y) or GradedPoset()
+    )
+    # l_B = 8 and 9 in the alcove order
+    for y, gap in (("1.2.1.3.1.2.1.3", cli.MAX_GAP), (_word(9), cli.MAX_GAP + 1)):
+        opts = {"type": "A2", "biclosed": ALCOVE, "x": "e", "y": y}
+        del searched[:]
+        code, out, err = run(
+            capsys, ["interval"] + _argv(via, tmp_path / "c.cfg", opts)
+        )
+        if gap == cli.MAX_GAP:
+            assert (code, err, len(searched)) == (0, "", 1), err
+        else:
+            assert (code, out, searched) == (2, "", [])
+            assert err == (
+                f"error: l_B(y) - l_B(x) must be at most {cli.MAX_GAP}, "
+                f"got {gap}\n"
+            )

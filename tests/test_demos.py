@@ -1,6 +1,7 @@
 """The demos run to completion.  Each runs in a fresh interpreter inside a
 temporary directory, because figures.py writes its .dot files to the working
-directory.  infinite_interval.py is left out: it takes several seconds."""
+directory.  infinite_interval.py is left out: it takes several seconds, and
+CI runs it as a step of its own."""
 
 import subprocess
 import sys

@@ -2,20 +2,29 @@
 
 The commands are the README `interval`/`covers`/`levels` examples,
 `covers` plus a two-grade `interval --format dot` for A3, B2 and G2 under a
-non-trivial twist, and the rank-2 tope figure as records and as DOT.  Re-record only when an output is meant to change:
+non-trivial twist, the rank-2 tope figure as records and as DOT, and the
+rank-2 alcove order's `hasse` figure (DOT and JSONL) and `poincare` series.
+The stdout of `demos/alcove_order_walkthrough.py`, which prints coset
+decompositions and their predicted lengths, is recorded too.  Re-record
+only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
 import contextlib
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from twisted_bruhat import cli
 
+from conftest import src_env
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 ALCOVE = "twist:e psi:e d1:{} d2:{}"
 A3 = ("--type", "A3", "--biclosed", "twist:1.4 psi:2 d1:{1} d2:{3}")
 B2 = ("--type", "B2", "--biclosed", "twist:3 psi:1 d1:{2} d2:{}")
@@ -39,7 +48,14 @@ COMMANDS = {
                         "--format", "dot"),
     "topes": ("topes",),
     "topes_dot": ("topes", "--format", "dot"),
+    "a2_hasse_dot": ("hasse",),
+    "a2_hasse_jsonl": ("hasse", "--format", "jsonl"),
+    "a2_poincare_even": ("poincare", "--parity", "even"),
+    "a2_poincare_odd": ("poincare", "--parity", "odd"),
 }
+
+#: recording name -> demo script whose stdout is recorded
+DEMO_RUNS = {"a2_walkthrough": "alcove_order_walkthrough.py"}
 
 
 def _stdout(argv):
@@ -49,6 +65,14 @@ def _stdout(argv):
     return code, buf.getvalue().encode("utf-8")
 
 
+def _demo_stdout(script):
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / script)],
+        env=src_env(), capture_output=True, timeout=300,
+    )
+    return proc.returncode, proc.stdout
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_stdout_matches_recording(name):
     code, out = _stdout(COMMANDS[name])
@@ -56,10 +80,19 @@ def test_stdout_matches_recording(name):
     assert out == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(DEMO_RUNS))
+def test_demo_stdout_matches_recording(name):
+    code, out = _demo_stdout(DEMO_RUNS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in COMMANDS.items():
-        code, out = _stdout(argv)
+    runs = {name: (_stdout, argv) for name, argv in COMMANDS.items()}
+    runs.update((name, (_demo_stdout, script)) for name, script in DEMO_RUNS.items())
+    for name, (run, arg) in runs.items():
+        code, out = run(arg)
         if code != 0:
             raise SystemExit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.out").write_bytes(out)

@@ -448,6 +448,35 @@ def test_figure_typo_corrected_descriptors():
     )
 
 
+#: The figure's covers as drawn: the bottom tier, then per T_i the edges
+#: T_i -> T_i1, T_i2 and T_i1 -> T_i3, T_i2 -> T_i4.
+_H_EDGES = [
+    ("H1", "H2"), ("H1", "H3"), ("H1", "H4"),
+    ("H2", "H5"), ("H2", "H7"), ("H3", "H6"), ("H3", "H9"),
+    ("H4", "H8"), ("H4", "H10"),
+    ("H5", "H11"), ("H5", "H12"), ("H6", "H11"), ("H6", "H13"),
+    ("H7", "H14"), ("H7", "H15"), ("H8", "H15"), ("H8", "H16"),
+    ("H9", "H17"), ("H9", "H18"), ("H10", "H18"), ("H10", "H19"),
+]
+
+
+def drawn_figure_edges():
+    edges = list(_H_EDGES)
+    for i in range(1, 7):
+        t = f"T{i}"
+        edges += [(t, t + "1"), (t, t + "2"), (t + "1", t + "3"),
+                  (t + "2", t + "4")]
+    # mirrored tiers, direction reversed under negation
+    edges += [("-" + b, "-" + a) for a, b in edges]
+    return edges
+
+
+def test_figure_edges_match_the_drawing():
+    """The derived covers are the drawn ones, in the same order."""
+    _, poset = topes.figure_topes()
+    assert [(e.lower, e.upper) for e in poset.edges] == drawn_figure_edges()
+
+
 def test_figure_edges_flip_one_root():
     _, poset = topes.figure_topes()
     hs = topes.figure_hemispaces()
