@@ -37,13 +37,12 @@ from .biclosed import full_positive_biclosed
 from .finite import build_system
 from .orders import (
     CertificationFailed,
-    _reflection_label,
+    _cover_edge,
     length_ball,
     lower_covers,
     twisted_length_left,
-    weak_leq,
 )
-from .poset import GradedPoset, PosetEdge, PosetNode
+from .poset import GradedPoset, PosetNode
 
 ALPHA = (1, 0)
 BETA = (0, 1)
@@ -85,8 +84,9 @@ _CLASS_DELTAS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _class_table():
-    """tag -> the class's finite part u, as the element u t_0."""
+    """tag -> the class's finite part u, as u t_0 (cached: read-only)."""
     d = datum()
     return {
         tag: from_word(d, word)
@@ -477,11 +477,10 @@ def figure_hasse(word_length_bound: int = 6) -> GradedPoset:
         )
         for w in elements
     ]
-    edges = []
-    for w in elements:
-        for refl_root, w2 in lower_covers(w, B):
-            if w2 in ball:
-                kind = "weak" if weak_leq(w2, w, B, side="left") else "strong"
-                label = _reflection_label(d, refl_root)
-                edges.append(PosetEdge(w2, w, label, kind))
+    edges = [
+        _cover_edge(d, w2, w, refl_root)
+        for w in elements
+        for refl_root, w2 in lower_covers(w, B)
+        if w2 in ball
+    ]
     return GradedPoset(nodes, edges)

@@ -1,8 +1,9 @@
 """Biclosed sets in the affine root system, as twisted lifts of finite ones.
 
 Every biclosed set of positive affine roots is of the form
-``w . P(psi, d1, d2)^hat`` where ``P^hat`` lifts a finite biclosed set to
-all its delta-chains and ``.`` is the dot action
+``w . P(psi, d1, d2)^hat`` where ``P^hat`` lifts the finite biclosed set
+of a P-triple (validated here: d1, d2 orthogonal sets of simple roots of
+psi) to all its delta-chains and ``.`` is the dot action
 ``w . B = (N(w) \\ w(-B)) | (w(B) \\ -N(w))``.  On each delta-chain
 ``mu + Z_{>=k0} delta`` such a set is constant above one level and flipped
 below it, so it is stored as one bit and one threshold per finite root
@@ -28,9 +29,9 @@ from .affine_group import (
 )
 from .finite import (
     CartanDatum,
-    FiniteBiclosed,
     PositiveSystem,
     WeylElement,
+    _span_roots,
     build_system,
     standard_positive_system,
 )
@@ -56,11 +57,22 @@ def _longest_element(type_label) -> WeylElement:
 
 
 @lru_cache(maxsize=None)
-def _finite_part(psi: PositiveSystem, delta1, delta2) -> FiniteBiclosed:
-    """FiniteBiclosed(psi, d1, d2), built once per triple.  Invalid triples
-    raise and are not stored, so the cache holds at most the finitely many
-    P-triples of each type."""
-    return FiniteBiclosed(psi, delta1, delta2)
+def _P_roots(psi: PositiveSystem, d1: frozenset, d2: frozenset) -> frozenset:
+    """P(psi, d1, d2) = (psi \\ span(d1)) | span(d2), once per triple.  An
+    invalid triple raises ValueError and is not stored, so the cache holds
+    at most the finitely many P-triples of each type."""
+    datum = psi.datum
+    simples = set(psi.simple_system)
+    if not d1 <= simples or not d2 <= simples:
+        raise ValueError("delta1/delta2 must be simple roots of psi")
+    for a in d1:
+        for b in d2:
+            if datum.inner(a, b) != 0:
+                raise ValueError(
+                    f"orthogonality violated: ({datum.root_name(a)},"
+                    f" {datum.root_name(b)}) != 0"
+                )
+    return (psi.roots - _span_roots(psi, d1)) | _span_roots(psi, d2)
 
 
 class BiclosedSet:
@@ -76,14 +88,9 @@ class BiclosedSet:
         self.datum = psi.datum
         self.twist = twist
         self.psi = psi
-        self.finite_part = _finite_part(
-            psi,
-            frozenset(tuple(r) for r in delta1),
-            frozenset(tuple(r) for r in delta2),
-        )
-        self.delta1 = self.finite_part.delta1
-        self.delta2 = self.finite_part.delta2
-        self.P_roots = self.finite_part.roots
+        self.delta1 = frozenset(tuple(r) for r in delta1)
+        self.delta2 = frozenset(tuple(r) for r in delta2)
+        self.P_roots = _P_roots(psi, self.delta1, self.delta2)
         self._chains = None
         self._lB = {}
         self._lBp = {}

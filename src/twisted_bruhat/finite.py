@@ -9,14 +9,13 @@ for B2 and G2), besides the affine translations that `WeylElement.apply`
 maps; there is no floating point anywhere.
 
 Also houses the finite Weyl group (fully enumerated -- at rank <= 3 it has
-at most 24 elements), positive systems, and the finite biclosed sets
-P(psi, d1, d2) = (psi \\ span(d1)) | span(d2) for orthogonal simple
-subsets d1, d2.  `WeylTable` holds the group as integer tables, built on
-first use from the integer root images: products, inverses and lengths
-are lookups in it, and so are positive systems, reduced words (finite and
-affine) and the root images of affine elements.  `WeylElement.apply`
-sums in ints and keeps Fraction only for a rational vector, i.e. an
-affine translation.
+at most 24 elements), positive systems, and the P-triples (psi, d1, d2)
+of orthogonal simple subsets d1, d2 of psi.  `WeylTable` holds the group
+as integer tables, built on first use from the integer root images:
+products, inverses and lengths are lookups in it, and so are positive
+systems, reduced words (finite and affine) and the root images of affine
+elements.  `WeylElement.apply` sums in ints and keeps Fraction only for a
+rational vector, i.e. an affine translation.
 """
 
 from __future__ import annotations
@@ -409,47 +408,13 @@ def _span_roots(psi: PositiveSystem, simples):
     )
 
 
-class FiniteBiclosed:
-    """The finite biclosed set P(psi, d1, d2) = (psi \\ span(d1)) | span(d2)."""
-
-    def __init__(self, psi: PositiveSystem, delta1, delta2):
-        datum = psi.datum
-        d1 = frozenset(tuple(r) for r in delta1)
-        d2 = frozenset(tuple(r) for r in delta2)
-        simples = set(psi.simple_system)
-        if not d1 <= simples or not d2 <= simples:
-            raise ValueError("delta1/delta2 must be simple roots of psi")
-        for a in d1:
-            for b in d2:
-                if datum.inner(a, b) != 0:
-                    raise ValueError(
-                        f"orthogonality violated: ({datum.root_name(a)},"
-                        f" {datum.root_name(b)}) != 0"
-                    )
-        self.datum = datum
-        self.psi = psi
-        self.delta1 = d1
-        self.delta2 = d2
-        self.roots = frozenset(
-            (psi.roots - _span_roots(psi, d1)) | _span_roots(psi, d2)
-        )
-
-    def __repr__(self):
-        names = sorted(self.datum.root_name(r) for r in self.roots)
-        return "P{" + ",".join(names) + "}"
-
-
 @lru_cache(maxsize=None)
 def enumerate_P_triples(datum: CartanDatum):
     """All valid (psi, d1, d2) with d1 orthogonal to d2, as a tuple built
     once per datum (at most 408 triples, for A3)."""
     triples = []
-    seen_psi = set()
     for w in datum.weyl_elements:
-        psi = PositiveSystem(datum, w)
-        if psi.roots in seen_psi:
-            continue
-        seen_psi.add(psi.roots)
+        psi = PositiveSystem(datum, w)  # w(Phi+) determines w
         simples = psi.simple_system
         n = len(simples)
         for mask1 in range(1 << n):

@@ -278,10 +278,18 @@ def upper_covers(w, B):
 # ----- strong order: intervals and coranks ---------------------------------
 
 
-def _reflection_label(datum, r):
+def _cover_edge(datum, lo, hi, r):
+    """The Hasse edge of the strong cover hi = s_r lo, r = (gamma, k) with
+    gamma > 0: "weak" (a left weak cover) iff s_r is simple, i.e. r is
+    (alpha_i, 0) or (theta, -1).  N(hi^-1) is N(lo^-1) with the l(s_r) roots
+    of lo^-1 N(s_r) added or removed, so a weak relation has gap l(s_r)."""
     gamma, k = r
     name = datum.root_name(gamma)
-    return f"s[{name}{'+' if k >= 0 else ''}{k}d]" if k else f"s[{name}]"
+    label = f"s[{name}{'+' if k >= 0 else ''}{k}d]" if k else f"s[{name}]"
+    simple = (k == 0 and gamma in datum.simple_roots) or (
+        k == -1 and gamma == datum.highest_root
+    )
+    return PosetEdge(lo, hi, label, "weak" if simple else "strong")
 
 
 def _descend_layers(y, B, depth):
@@ -339,20 +347,16 @@ def interval(x, y, B) -> GradedPoset:
         raise CertificationFailed(
             f"interval [{x!r}, {y!r}]: y is not reachable upward from x"
         )
-    datum = B.datum
     nodes = [
         PosetNode(z, twisted_length_left(z, B), format_word(z.word()))
         for z in sorted(keep, key=lambda z: (twisted_length_left(z, B), z.word()))
     ]
-    seen_edges = set()
-    poset_edges = []
-    for lo, hi, refl in edges:
-        if lo in keep and hi in keep and (lo, hi) not in seen_edges:
-            seen_edges.add((lo, hi))
-            kind = "weak" if weak_leq(lo, hi, B, side="left") else "strong"
-            poset_edges.append(
-                PosetEdge(lo, hi, _reflection_label(datum, refl), kind)
-            )
+    # layers hold distinct grades and lower covers are distinct: no repeats
+    poset_edges = [
+        _cover_edge(B.datum, lo, hi, refl)
+        for lo, hi, refl in edges
+        if lo in keep and hi in keep
+    ]
     return GradedPoset(nodes, poset_edges)
 
 
@@ -388,17 +392,13 @@ def _chain_differences(a_chains, b_chains):
     return diffs
 
 
-def weak_leq(u, v, B, side="right") -> bool:
-    """u <='_B v (side=right, inversion sets N) or u <=_B-weak-left (N of inverses).
+def weak_leq(u, v, B) -> bool:
+    """u <='_B v in the right twisted weak order.
 
-    Criterion: N(u)\\N(v) ⊆ B and N(v)\\N(u) ⊆ complement of B.
+    Criterion: N(u)\\N(v) ⊆ B and N(v)\\N(u) ⊆ complement of B.  The
+    left order compares inverses: weak_leq(u.inverse(), v.inverse(), B).
     """
-    if side == "left":
-        a, b = u.inverse().inversion_chains(), v.inverse().inversion_chains()
-    elif side == "right":
-        a, b = u.inversion_chains(), v.inversion_chains()
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    a, b = u.inversion_chains(), v.inversion_chains()
     for base, lo, hi in _chain_differences(a, b):
         if B.count_in_chain(base, lo, hi) != hi - lo + 1:
             return False
@@ -410,7 +410,7 @@ def weak_leq(u, v, B, side="right") -> bool:
 
 def weak_chain(u, v, B):
     """A saturated right-weak chain u -> v by greedy least simple letters."""
-    if not weak_leq(u, v, B, side="right"):
+    if not weak_leq(u, v, B):
         raise NotComparable("u is not below v in the right twisted weak order")
     datum = B.datum
     gens = simple_reflections(datum)
@@ -422,7 +422,7 @@ def weak_chain(u, v, B):
             nxt = cur * s
             if (
                 twisted_length_right(nxt, B) == lcur + 1
-                and weak_leq(nxt, v, B, side="right")
+                and weak_leq(nxt, v, B)
             ):
                 chain.append(nxt)
                 cur = nxt
@@ -510,8 +510,6 @@ def dot_iso_check(w, B, pairs):
     wB = dot_action(w, B)
     violations = []
     for u, v in pairs:
-        if weak_leq(u, v, B, side="right") != weak_leq(
-            w * u, w * v, wB, side="right"
-        ):
+        if weak_leq(u, v, B) != weak_leq(w * u, w * v, wB):
             violations.append((u, v))
     return violations

@@ -429,7 +429,7 @@ def check_tope_blocks():
     items = list(topes.tope_block(center, center, radius=4).reps.items())
     for _ in range(200):
         (ka, (wa, _)), (kb, (wb, _)) = rng.sample(items, 2)
-        if (ka <= kb) != weak_leq(wa, wb, center_B, side="right"):
+        if (ka <= kb) != weak_leq(wa, wb, center_B):
             return "tope blocks", False, f"order mismatch at {wa!r}, {wb!r}"
     failures = 0
     for _ in range(20):

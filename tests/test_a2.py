@@ -33,6 +33,17 @@ def rand_elem(d, rng, max_len=10):
     return from_word(d, tuple(rng.choice((1, 2, 3)) for _ in range(rng.randrange(0, max_len))))
 
 
+def test_class_of_reads_a_cached_table(setup, monkeypatch):
+    """The class table is built once: a second class_of builds no element."""
+    d, _ = setup
+    w = from_word(d, (1, 2, 3))
+    first = a2.class_of(w)
+    calls = []
+    monkeypatch.setattr(a2, "from_word", lambda *a: calls.append(a))
+    assert a2.class_of(w) == first
+    assert calls == []
+
+
 def test_class_of_translation_cosets(setup):
     d, _ = setup
     assert a2.class_of(a2.translation(2, -1)) == "T"

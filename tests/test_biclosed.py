@@ -18,11 +18,12 @@ from twisted_bruhat import (
 )
 from twisted_bruhat.affine_group import (
     AffineWeylElement,
+    identity,
     is_positive_affine,
     negate,
 )
-from twisted_bruhat.biclosed import BiclosedSet
-from twisted_bruhat.finite import FiniteBiclosed, enumerate_P_triples
+from twisted_bruhat.biclosed import BiclosedSet, _P_roots
+from twisted_bruhat.finite import enumerate_P_triples, standard_positive_system
 from twisted_bruhat.orders import length_ball
 from conftest import random_biclosed, random_element
 
@@ -175,21 +176,32 @@ def test_dot_action_composes():
 
 @pytest.mark.parametrize("label", TYPES)
 def test_dot_action_shares_finite_part(label):
-    """The finite part is memoised per (psi, d1, d2); it must equal a fresh
-    construction, and the twisted set keeps its own twist."""
+    """The finite part P(psi, d1, d2) is memoised per triple; it must equal
+    a fresh construction, and the twisted set keeps its own twist."""
     rng = random.Random(38)
     d = build_system(label)
     for _ in range(10):
         B = random_biclosed(label, rng)
         u = random_element(d, rng, 5)
         uB = dot_action(u, B)
-        fresh = FiniteBiclosed(B.psi, list(B.delta1), list(B.delta2))
-        P = uB.finite_part
-        assert P is B.finite_part
-        assert (P.psi, P.delta1, P.delta2, P.roots) == (
-            fresh.psi, fresh.delta1, fresh.delta2, fresh.roots
-        )
+        assert uB.P_roots is B.P_roots
+        assert (uB.psi, uB.delta1, uB.delta2) == (B.psi, B.delta1, B.delta2)
+        assert uB.P_roots == _P_roots.__wrapped__(B.psi, B.delta1, B.delta2)
         assert uB.twist == u * B.twist
+
+
+def test_invalid_P_triples_raise_and_are_not_cached():
+    """d1, d2 must be orthogonal sets of simple roots of psi; a triple that
+    is not raises ValueError and leaves the P-triple cache as it was."""
+    d = build_system("A2")
+    psi, e = standard_positive_system(d), identity(d)
+    a, b = d.simple_roots
+    before = _P_roots.cache_info().currsize
+    with pytest.raises(ValueError, match="must be simple roots of psi"):
+        BiclosedSet(e, psi, [d.highest_root], [])
+    with pytest.raises(ValueError, match=r"orthogonality violated: \(a, b\)"):
+        BiclosedSet(e, psi, [a], [b])
+    assert _P_roots.cache_info().currsize == before
 
 
 def test_dot_action_identity_on_N():

@@ -125,6 +125,13 @@ def test_usage_errors(capsys, tmp_path):
         capsys, ["covers", "--type", "A2", "--biclosed", "garbage"]
     )
     assert code == 2
+    # d1 and d2 not orthogonal
+    code, out, err = run(capsys, [
+        "covers", "--type", "A2", "--biclosed", "twist:e psi:e d1:{1} d2:{2}"
+    ])
+    assert (code, out, err) == (
+        2, "", "error: orthogonality violated: (a, b) != 0\n"
+    )
     # malformed config file
     cfg = tmp_path / "cfg"
     cfg.write_text("no equals sign here\n")

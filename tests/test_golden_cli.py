@@ -2,8 +2,10 @@
 
 The commands are the README `interval`/`covers`/`levels` examples,
 `covers` plus a two-grade `interval --format dot` for A3, B2 and G2 under a
-non-trivial twist, the rank-2 tope figure as records and as DOT, and the
-rank-2 alcove order's `hasse` figure (DOT and JSONL) and `poincare` series.
+non-trivial twist, two larger A3 and G2 intervals (16 edges each, weak
+and strong), the rank-2 tope figure as records and as DOT, and the
+rank-2 alcove order's `hasse` figure (DOT and JSONL, and DOT at
+`--bound 10`) and `poincare` series.
 The stdout of `demos/alcove_order_walkthrough.py`, which prints coset
 decompositions and their predicted lengths, is recorded too.  Re-record
 only when an output is meant to change:
@@ -52,6 +54,15 @@ COMMANDS = {
     "a2_hasse_jsonl": ("hasse", "--format", "jsonl"),
     "a2_poincare_even": ("poincare", "--parity", "even"),
     "a2_poincare_odd": ("poincare", "--parity", "odd"),
+    "a3_interval_twisted_psi_dot": (
+        "interval", "--type", "A3", "--biclosed",
+        "twist:1.4 psi:1.3 d1:{1} d2:{3}", "--x", "3.4.3.2.1",
+        "--y", "2.3.2.1", "--format", "dot"),
+    "g2_interval_twisted_psi_dot": (
+        "interval", "--type", "G2", "--biclosed",
+        "twist:2.3 psi:1 d1:{} d2:{2}", "--x", "3.2.1.2.1.3", "--y", "2.1.3",
+        "--format", "dot"),
+    "a2_hasse_bound10_dot": ("hasse", "--bound", "10"),
 }
 
 #: recording name -> demo script whose stdout is recorded

@@ -1,6 +1,7 @@
 """Twisted strong and weak orders: covers, intervals, coranks, level sets."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from twisted_bruhat import (
     weak_chain,
     weak_leq,
 )
-from twisted_bruhat import orders
+from twisted_bruhat import a2, orders
 from twisted_bruhat.affine_group import simple_reflections
 from twisted_bruhat.finite import enumerate_P_triples
 from twisted_bruhat.orders import (
@@ -70,7 +71,7 @@ def test_cover_deltas_are_plus_minus_one():
                 assert twisted_length_left(up, B) == lw + 1
 
 
-def _biclosed_of_each_class(label, rng):
+def _biclosed_of_each_class(label, rng, twist_len=3):
     """One randomly twisted B per biclosed class that the type has."""
     d = build_system(label)
     by_class = {}
@@ -78,7 +79,7 @@ def _biclosed_of_each_class(label, rng):
         B = BiclosedSet(identity(d), psi, d1, d2)
         by_class.setdefault(B.classify(), []).append((psi, d1, d2))
     return [
-        BiclosedSet(random_element(d, rng, 3), *rng.choice(by_class[c]))
+        BiclosedSet(random_element(d, rng, twist_len), *rng.choice(by_class[c]))
         for c in sorted(by_class)
     ]
 
@@ -185,6 +186,39 @@ def test_interval_grading_and_membership():
             assert strong_leq(x, z, B) and strong_leq(z, y, B)
 
 
+def _left_weak(edge, B):
+    """The edge-kind oracle: lower <= upper in the left twisted weak order,
+    by the inversion sets of the inverses."""
+    return weak_leq(edge.lower.inverse(), edge.upper.inverse(), B)
+
+
+def test_edge_kind_matches_left_weak_oracle():
+    """An interval or Hasse-figure edge is "weak" iff its ends compare in
+    the left weak order, on every class of every type under twists of up
+    to 4 letters and on the alcove figure; the figure has s_0 = s_(theta,
+    -1) edges, so taking (theta, +1) for the affine simple root fails."""
+    rng = random.Random(51)
+    kinds = Counter()
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        for B in _biclosed_of_each_class(label, rng, twist_len=4):
+            for _ in range(3):
+                y = random_element(d, rng, 5)
+                x = y
+                for _ in range(3):
+                    los = lower_covers(x, B)
+                    if los:
+                        _, x = rng.choice(los)
+                for edge in interval(x, y, B).edges:
+                    assert (edge.kind == "weak") == _left_weak(edge, B), edge
+                    kinds[edge.kind] += 1
+    B = a2.alcove_biclosed()
+    for edge in a2.figure_hasse(8).edges:
+        assert (edge.kind == "weak") == _left_weak(edge, B), edge
+        kinds[edge.kind] += 1
+    assert kinds["weak"] > 100 and kinds["strong"] > 100
+
+
 def test_strong_leq_antisymmetry_and_reflexivity():
     rng = random.Random(43)
     d = build_system("A2")
@@ -215,7 +249,7 @@ def test_empty_twist_weak_order_is_inversion_containment():
     for _ in range(60):
         u = random_element(d, rng, 6)
         v = random_element(d, rng, 6)
-        assert weak_leq(u, v, B, side="right") == (
+        assert weak_leq(u, v, B) == (
             inversion_set(u) <= inversion_set(v)
         )
 
@@ -228,7 +262,7 @@ def test_weak_implies_strong():
     for _ in range(80):
         u = random_element(d, rng, 5)
         v = random_element(d, rng, 5)
-        if weak_leq(u, v, B, side="left"):
+        if weak_leq(u.inverse(), v.inverse(), B):
             hits += 1
             assert strong_leq(u, v, B)
     assert hits > 5
@@ -241,7 +275,7 @@ def test_weak_chain_structure():
     for _ in range(40):
         u = random_element(d, rng, 5)
         v = random_element(d, rng, 5)
-        if not weak_leq(u, v, B, side="right"):
+        if not weak_leq(u, v, B):
             continue
         chain = weak_chain(u, v, B)
         assert chain[0] == u and chain[-1] == v
@@ -266,8 +300,8 @@ def test_antichain_elements_incomparable():
     sample = rng.sample(chain, 6)
     for i, a in enumerate(sample):
         for b in sample[i + 1:]:
-            assert not weak_leq(a, b, B, side="right")
-            assert not weak_leq(b, a, B, side="right")
+            assert not weak_leq(a, b, B)
+            assert not weak_leq(b, a, B)
 
 
 def _antichain_by_growing_balls(B, k, size_target, radius):

@@ -190,7 +190,7 @@ def test_tope_order_is_right_weak_order(a2):
         v = random_element(a2, rng, 5)
         F = topes.from_biclosed(from_inversion_set(u))
         G = topes.from_biclosed(from_inversion_set(v))
-        assert topes.tope_leq(F, G, base) == weak_leq(u, v, B0, side="right")
+        assert topes.tope_leq(F, G, base) == weak_leq(u, v, B0)
 
 
 def test_convexity_no_violation_for_convex_classes(a2):
@@ -344,7 +344,7 @@ def test_tope_block_matches_weak_order(a2):
     assert len(items) > 10
     for _ in range(100):
         (ka, (wa, _)), (kb, (wb, _)) = rng.sample(items, 2)
-        assert (ka <= kb) == weak_leq(wa, wb, B0, side="right")
+        assert (ka <= kb) == weak_leq(wa, wb, B0)
 
 
 def test_tope_block_reps_match_full_products(a2):
