@@ -18,6 +18,12 @@ band.  The delta is piecewise affine in k with finitely many kinks, so an
 exact check of its values around every kink beyond the window, and of its
 slope past the last one, then proves that no further covers exist on the
 ray.
+
+Intervals and comparisons meet in the middle: lower covers from y for
+ceil(gap/2) grades and upper covers from x for floor(gap/2).  Every
+saturated chain from x to y crosses the middle grade, so x <=_B y iff the
+two searches meet there, and [x, y] is every element on a cover path
+through an element that both reach.
 """
 
 from __future__ import annotations
@@ -138,12 +144,18 @@ def _ray_profile(w, B, gamma):
 def _ray_delta(B, profile, k):
     """Delta(k) from the profile: sum over chains of |chain| - 2|chain ∩ B|."""
     base, lines = profile
-    count = B.count_in_chain
+    chains = B.chains()
     total = -base
     for mu, lo, a, b in lines:
         hi = a + b * k
         if hi >= lo:
-            total += hi - lo + 1 - 2 * count(mu, lo, hi)
+            # B.count_in_chain(mu, lo, hi), read off (tail, e) in place
+            tail, e = chains[mu]
+            if tail:
+                inside = 0 if hi < e else hi - e + 1 if lo < e else hi - lo + 1
+            else:
+                inside = 0 if lo >= e else e - lo if hi >= e else hi - lo + 1
+            total += hi - lo + 1 - 2 * inside
     return total
 
 
@@ -292,31 +304,41 @@ def _cover_edge(datum, lo, hi, r):
     return PosetEdge(lo, hi, label, "weak" if simple else "strong")
 
 
-def _descend_layers(y, B, depth):
-    """Layered down-sets: layers[i] = elements reached by i lower-cover steps.
-
-    Also returns the full list of cover edges discovered, as
-    (lower_elem, upper_elem, reflection root).  Each layer is a dict in
-    discovery order, so the edge order follows the sorted covers and not
-    the elements' hashes.
-    """
-    layers = [{y: None}]
-    edges = []
+def _cover_layers(w, B, depth, step):
+    """layers[i]: the elements i steps of `step` (lower_covers or
+    upper_covers) away from w, each a dict in discovery order; and every
+    cover read, as (z, reflection root, z2) with z2 in step(z, B)."""
+    layers = [{w: None}]
+    steps = []
     for _ in range(depth):
         nxt = {}
         for z in layers[-1]:
-            for refl_root, z2 in lower_covers(z, B):
+            for root, z2 in step(z, B):
                 nxt[z2] = None
-                edges.append((z2, z, refl_root))
+                steps.append((z, root, z2))
         layers.append(nxt)
-    return layers, edges
+    return layers, steps
+
+
+def _meet(x, y, B, gap):
+    """Lower covers from y for ceil(gap/2) grades and upper covers from x
+    for floor(gap/2): (the middle-grade elements that both reach, the lower
+    cover steps, the upper cover steps).  x <=_B y iff the middle is not
+    empty."""
+    down = (gap + 1) // 2
+    below_y, down_steps = _cover_layers(y, B, down, lower_covers)
+    above_x, up_steps = _cover_layers(x, B, gap - down, upper_covers)
+    return below_y[-1].keys() & above_x[-1].keys(), down_steps, up_steps
 
 
 def interval(x, y, B) -> GradedPoset:
     """The closed interval [x, y] in (W~, <=_B) as a graded poset.
 
-    Computed by iterating lower_covers from y down the grade gap and
-    pruning to ancestors of x; empty poset if x is not below y.
+    Meets in the middle (_meet): [x, y] is every element on a cover path
+    from y down to the middle grade or from x up to it, through an element
+    reached from both ends; empty poset if x is not below y.  The edges
+    come in the order of a full lower-cover descent from y, each element's
+    in root order.
     """
     lx = twisted_length_left(x, B)
     ly = twisted_length_left(y, B)
@@ -326,36 +348,45 @@ def interval(x, y, B) -> GradedPoset:
         )
     if lx >= ly:
         return GradedPoset()
-    layers, edges = _descend_layers(y, B, ly - lx)
-    if x not in layers[-1]:
+    middle, down_steps, up_steps = _meet(x, y, B, ly - lx)
+    if not middle:
         return GradedPoset()
-    # keep nodes on some descending path y -> ... -> x
-    keep = {x}
-    frontier = {x}
-    up = {}
-    for lo, hi, _ in edges:
-        up.setdefault(lo, set()).add(hi)
-    while frontier:
-        nxt = set()
-        for z in frontier:
-            for z2 in up.get(z, ()):
-                if z2 not in keep:
-                    keep.add(z2)
-                    nxt.add(z2)
-        frontier = nxt
-    if y not in keep:
+    # keep what leads to the middle; below[hi] = the (root, lo) of every
+    # cover hi = s_root lo inside [x, y].  Each list of steps runs a grade
+    # at a time away from its end, so reversed it meets the middle first.
+    keep = set(middle)
+    below = {}
+    for hi, root, lo in reversed(down_steps):
+        if lo in keep:
+            keep.add(hi)
+            below.setdefault(hi, []).append((root, lo))
+    for lo, root, hi in reversed(up_steps):
+        if hi in keep:
+            keep.add(lo)
+            below.setdefault(hi, []).append((root, lo))
+    # The full descent from y finds each element of [x, y] first from a
+    # cover above it, which is in [x, y] too; so descending over `keep`
+    # alone lists the edges in the same order.
+    datum = B.datum
+    poset_edges = []
+    layer, seen = [y], {y}
+    while layer:
+        nxt = []
+        for hi in layer:
+            for root, lo in sorted(below.get(hi, ()), key=lambda p: p[0]):
+                poset_edges.append(_cover_edge(datum, lo, hi, root))
+                if lo not in seen:
+                    seen.add(lo)
+                    nxt.append(lo)
+        layer = nxt
+    if seen != keep:
         raise CertificationFailed(
-            f"interval [{x!r}, {y!r}]: y is not reachable upward from x"
+            f"interval [{x!r}, {y!r}]: {len(keep - seen)} elements met from "
+            f"x are not reached from y"
         )
     nodes = [
         PosetNode(z, twisted_length_left(z, B), format_word(z.word()))
         for z in sorted(keep, key=lambda z: (twisted_length_left(z, B), z.word()))
-    ]
-    # layers hold distinct grades and lower covers are distinct: no repeats
-    poset_edges = [
-        _cover_edge(B.datum, lo, hi, refl)
-        for lo, hi, refl in edges
-        if lo in keep and hi in keep
     ]
     return GradedPoset(nodes, poset_edges)
 
@@ -364,18 +395,18 @@ def downset_corank(x, B, n: int):
     """{y <=_B x : l_B(x) - l_B(y) = n}, by n-fold cover descent."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    layers, _ = _descend_layers(x, B, n)
-    return set(layers[n])
+    return set(_cover_layers(x, B, n, lower_covers)[0][n])
 
 
 def strong_leq(x, y, B) -> bool:
-    """x <=_B y, decided by membership of x in the downset BFS from y."""
+    """x <=_B y: the lower covers from y and the upper covers from x meet
+    in the middle grade (_meet)."""
     if x == y:
         return True
     gap = twisted_length_left(y, B) - twisted_length_left(x, B)
     if gap <= 0:
         return False
-    return x in downset_corank(y, B, gap)
+    return bool(_meet(x, y, B, gap)[0])
 
 
 # ----- weak order ----------------------------------------------------------

@@ -59,10 +59,10 @@ def _backends(rng):
     return out
 
 
-def _random_comparable_pair(B, rng, max_gap):
+def _random_comparable_pair(B, rng):
     datum = B.datum
     y = from_word(datum, random_word(datum, rng, 5))
-    gap = rng.randint(1, max_gap)
+    gap = rng.randint(1, 6)
     x = y
     for _ in range(gap):
         los = lower_covers(x, B)
@@ -80,7 +80,7 @@ def check_local_finiteness():
     tried = 0
     for (name, B), n_pairs in zip(backends, pairs_per):
         for _ in range(n_pairs):
-            x, y = _random_comparable_pair(B, rng, max_gap=4)
+            x, y = _random_comparable_pair(B, rng)
             poset = interval(x, y, B)
             tried += 1
             if x != y and poset.nodes and not poset.check_grading():

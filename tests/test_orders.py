@@ -27,8 +27,9 @@ from twisted_bruhat import (
     weak_leq,
 )
 from twisted_bruhat import a2, orders
-from twisted_bruhat.affine_group import simple_reflections
+from twisted_bruhat.affine_group import format_word, simple_reflections
 from twisted_bruhat.finite import enumerate_P_triples
+from twisted_bruhat.poset import GradedPoset, PosetNode
 from twisted_bruhat.orders import (
     CertificationFailed,
     TargetNotReached,
@@ -184,6 +185,130 @@ def test_interval_grading_and_membership():
         assert x in keys and y in keys
         for z in keys:
             assert strong_leq(x, z, B) and strong_leq(z, y, B)
+
+
+def _descend_layers(y, B, depth):
+    """The oracle's layered down-sets: layers[i] = elements reached by i
+    lower-cover steps from y, each a dict in discovery order, and every
+    cover edge read, as (lower, upper, reflection root)."""
+    layers = [{y: None}]
+    edges = []
+    for _ in range(depth):
+        nxt = {}
+        for z in layers[-1]:
+            for refl_root, z2 in lower_covers(z, B):
+                nxt[z2] = None
+                edges.append((z2, z, refl_root))
+        layers.append(nxt)
+    return layers, edges
+
+
+def _oracle_interval(x, y, B, descent):
+    """[x, y] by a full descent from y pruned to the ancestors of x.
+
+    descent = _descend_layers(y, B, depth) for a depth of at least the
+    grade gap; the layers and edges below the gap are dropped.
+    """
+    lx = twisted_length_left(x, B)
+    ly = twisted_length_left(y, B)
+    if x == y:
+        return GradedPoset([PosetNode(x, lx, format_word(x.word()))], [])
+    if lx >= ly:
+        return GradedPoset()
+    gap = ly - lx
+    layers = descent[0][: gap + 1]
+    expanded = set().union(*layers[:-1])
+    edges = [e for e in descent[1] if e[1] in expanded]
+    if x not in layers[-1]:
+        return GradedPoset()
+    # keep nodes on some descending path y -> ... -> x
+    keep = {x}
+    frontier = {x}
+    up = {}
+    for lo, hi, _ in edges:
+        up.setdefault(lo, set()).add(hi)
+    while frontier:
+        nxt = set()
+        for z in frontier:
+            for z2 in up.get(z, ()):
+                if z2 not in keep:
+                    keep.add(z2)
+                    nxt.add(z2)
+        frontier = nxt
+    assert y in keep
+    nodes = [
+        PosetNode(z, twisted_length_left(z, B), format_word(z.word()))
+        for z in sorted(keep, key=lambda z: (twisted_length_left(z, B), z.word()))
+    ]
+    poset_edges = [
+        orders._cover_edge(B.datum, lo, hi, refl)
+        for lo, hi, refl in edges
+        if lo in keep and hi in keep
+    ]
+    return GradedPoset(nodes, poset_edges)
+
+
+def test_interval_and_strong_leq_match_full_descent():
+    """The two-ended interval equals the full descent from y pruned to the
+    ancestors of x, nodes and edges in order, and strong_leq equals
+    membership in the descent: every class of every type, grade gaps 0-6,
+    comparable, incomparable and misordered pairs."""
+    rng = random.Random(61)
+    seen = Counter()
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        for B in _biclosed_of_each_class(label, rng):
+            # three gaps down from y; a Finite order has a least element,
+            # so there y starts six grades above a random element
+            gaps = sorted(rng.sample(range(1, 7), 3))
+            y = random_element(d, rng, 3)
+            for _ in range(6 if B.classify() == "Finite" else 0):
+                y = rng.choice(upper_covers(y, B))[1]
+            descent = _descend_layers(y, B, gaps[-1])
+            layers = descent[0]
+            ly = twisted_length_left(y, B)
+            below = [rng.choice(list(layers[gap])) for gap in gaps]
+            for x in below:  # misordered: y is above x
+                assert interval(y, x, B) == GradedPoset()
+                assert not strong_leq(y, x, B)
+                seen["misordered"] += 1
+            xs = [y] + below
+            # near misses: the other upper covers of an element a grade lower
+            for gap in (0, gaps[1]):
+                z = rng.choice(list(layers[gap + 1]))
+                others = [w for _, w in upper_covers(z, B) if w not in layers[gap]]
+                if others:
+                    xs.append(rng.choice(others))
+            for x in xs:
+                gap = ly - twisted_length_left(x, B)
+                poset = interval(x, y, B)
+                assert poset == _oracle_interval(x, y, B, descent), (label, gap)
+                comparable = x in layers[gap]
+                assert strong_leq(x, y, B) == comparable
+                seen["comparable" if comparable else "incomparable"] += 1
+                seen[gap] += bool(poset.nodes)
+    assert all(seen[gap] >= 5 for gap in range(7)), seen
+    assert seen["incomparable"] >= 20 and seen["misordered"] == 51, seen
+
+
+def test_interval_reads_covers_of_the_two_ends(monkeypatch):
+    """A two-grade interval reads the covers of exactly x and y, and a
+    one-grade interval those of y alone."""
+    d = build_system("A2")
+    B = full_positive_biclosed(d)
+    y = from_word(d, (1, 2, 3, 1))
+    x1 = lower_covers(y, B)[0][1]
+    x2 = lower_covers(x1, B)[0][1]
+    read = []
+    real = orders.covers
+    monkeypatch.setattr(
+        orders, "covers", lambda w, B: read.append(w) or real(w, B)
+    )
+    assert len(interval(x2, y, B).nodes) == 4
+    assert len(read) == 2 and set(read) == {x2, y}
+    del read[:]
+    assert len(interval(x1, y, B).nodes) == 2
+    assert read == [y]
 
 
 def _left_weak(edge, B):
