@@ -207,13 +207,17 @@ def _root_reflection(type_label, mu):
     return datum.reflection(mu), datum.coroot(mu)
 
 
+def affine_simple_roots(datum: CartanDatum):
+    """(a_i, 0) for the finite simple roots, then delta - theta = (-theta, 1):
+    the roots of the simple reflections, in letter order."""
+    minus_theta = tuple(-x for x in datum.highest_root)
+    return tuple((a, 0) for a in datum.simple_roots) + ((minus_theta, 1),)
+
+
 @lru_cache(maxsize=None)
 def _simple_reflections_cached(type_label):
     datum = build_system(type_label)
-    gens = [reflection(datum, (a, 0)) for a in datum.simple_roots]
-    # s_{delta - theta} = s_theta t_{theta^vee}
-    gens.append(reflection(datum, (tuple(-x for x in datum.highest_root), 1)))
-    return tuple(gens)
+    return tuple(reflection(datum, r) for r in affine_simple_roots(datum))
 
 
 def simple_reflections(datum: CartanDatum):

@@ -25,6 +25,7 @@ from .affine_group import (
     from_word,
     identity,
     is_positive_affine,
+    negate,
     parse_word,
 )
 from .finite import (
@@ -125,11 +126,9 @@ class BiclosedSet:
         return self._chains
 
     def contains(self, r) -> bool:
-        base, k = r
         if not is_positive_affine(self.datum, r):
             raise ValueError("membership is defined on positive affine roots")
-        tail, e = self.chains()[tuple(base)]
-        return tail != (k < e)
+        return self.in_hemispace(r)
 
     def count_in_chain(self, base, lo: int, hi: int) -> int:
         """|B intersect {base + k delta : lo <= k <= hi}| in O(1), for
@@ -146,13 +145,20 @@ class BiclosedSet:
             return 0
         return e - lo if hi >= e else hi - lo + 1
 
-    def count_inversions_in(self, w: AffineWeylElement, inverse: bool) -> int:
-        """|N(w^{-1}) ∩ B| (inverse=True) or |N(w) ∩ B|."""
-        elem = w.inverse() if inverse else w
+    def count_inversions_in(self, w: AffineWeylElement) -> int:
+        """|N(w) ∩ B|."""
         total = 0
-        for base, (lo, hi) in elem.inversion_chains().items():
+        for base, (lo, hi) in w.inversion_chains().items():
             total += self.count_in_chain(base, lo, hi)
         return total
+
+    def in_hemispace(self, r) -> bool:
+        """r in H_B = B ∪ -(Phi^hat+ \\ B), for any affine root r: r in B if
+        r > 0, and -r not in B if r < 0."""
+        positive = is_positive_affine(self.datum, r)
+        base, k = r if positive else negate(r)
+        tail, e = self.chains()[tuple(base)]
+        return (tail != (k < e)) == positive
 
     # ----- derived structure -------------------------------------------
 

@@ -24,6 +24,12 @@ ceil(gap/2) grades and upper covers from x for floor(gap/2).  Every
 saturated chain from x to y crosses the middle grade, so x <=_B y iff the
 two searches meet there, and [x, y] is every element on a cover path
 through an element that both reach.
+
+Each right weak step is one root: N(u s_a) is N(u) with r = u(a) added
+(r > 0, a step up in length) or -r removed (r < 0), so l'_B(u s_a) =
+l'_B(u) - 1 iff r is in H_B = B | -(Phi^hat+ \\ B) (`in_hemispace`).
+And u <='_B v iff l'_B(v) - l'_B(u) = l(u^-1 v): a reduced word of u^-1 v
+spells a chain from u to v.
 """
 
 from __future__ import annotations
@@ -33,8 +39,11 @@ from typing import NamedTuple
 
 from .affine_group import (
     AffineWeylElement,
+    affine_simple_roots,
     format_word,
     identity,
+    is_positive_affine,
+    negate,
     reflection,
     simple_reflections,
 )
@@ -69,7 +78,8 @@ def twisted_length_left(w: AffineWeylElement, B: BiclosedSet) -> int:
     """l_B(w) = l(w) - 2|N(w^-1) ∩ B|."""
     cached = B._lB.get(w)
     if cached is None:
-        cached = w.length() - 2 * B.count_inversions_in(w, inverse=True)
+        winv = w.inverse()  # l(w^-1) = l(w)
+        cached = winv.length() - 2 * B.count_inversions_in(winv)
         B._lB[w] = cached
     return cached
 
@@ -78,7 +88,7 @@ def twisted_length_right(w: AffineWeylElement, B: BiclosedSet) -> int:
     """l'_B(w) = l(w) - 2|N(w) ∩ B|; equals l_B(w^-1)."""
     cached = B._lBp.get(w)
     if cached is None:
-        cached = w.length() - 2 * B.count_inversions_in(w, inverse=False)
+        cached = w.length() - 2 * B.count_inversions_in(w)
         B._lBp[w] = cached
     return cached
 
@@ -298,9 +308,8 @@ def _cover_edge(datum, lo, hi, r):
     gamma, k = r
     name = datum.root_name(gamma)
     label = f"s[{name}{'+' if k >= 0 else ''}{k}d]" if k else f"s[{name}]"
-    simple = (k == 0 and gamma in datum.simple_roots) or (
-        k == -1 and gamma == datum.highest_root
-    )
+    simples = affine_simple_roots(datum)
+    simple = r in simples or negate(r) in simples
     return PosetEdge(lo, hi, label, "weak" if simple else "strong")
 
 
@@ -412,54 +421,35 @@ def strong_leq(x, y, B) -> bool:
 # ----- weak order ----------------------------------------------------------
 
 
-def _chain_differences(a_chains, b_chains):
-    """Per-base intervals of N(a) \\ N(b); chains share their base_zero lo."""
-    diffs = []
-    for base, (lo, hi) in a_chains.items():
-        other = b_chains.get(base)
-        cut = other[1] if other is not None else lo - 1
-        if hi > cut:
-            diffs.append((base, max(lo, cut + 1), hi))
-    return diffs
-
-
 def weak_leq(u, v, B) -> bool:
     """u <='_B v in the right twisted weak order.
 
-    Criterion: N(u)\\N(v) ⊆ B and N(v)\\N(u) ⊆ complement of B.  The
-    left order compares inverses: weak_leq(u.inverse(), v.inverse(), B).
+    Criterion: N(u)\\N(v) ⊆ B and N(v)\\N(u) ⊆ complement of B, read per
+    root between the tops of the two chains, which share their lowest
+    level.  The left order compares inverses: weak_leq(u^-1, v^-1, B).
     """
     a, b = u.inversion_chains(), v.inversion_chains()
-    for base, lo, hi in _chain_differences(a, b):
-        if B.count_in_chain(base, lo, hi) != hi - lo + 1:
-            return False
-    for base, lo, hi in _chain_differences(b, a):
-        if B.count_in_chain(base, lo, hi) != 0:
+    for mu in a.keys() | b.keys():
+        lo = (a.get(mu) or b[mu])[0]
+        top_u = a.get(mu, (lo, lo - 1))[1]
+        top_v = b.get(mu, (lo, lo - 1))[1]
+        if top_u > top_v:
+            if B.count_in_chain(mu, top_v + 1, top_u) != top_u - top_v:
+                return False
+        elif top_v > top_u and B.count_in_chain(mu, top_u + 1, top_v):
             return False
     return True
 
 
 def weak_chain(u, v, B):
-    """A saturated right-weak chain u -> v by greedy least simple letters."""
+    """A saturated right-weak chain u -> v: u times the prefixes of the
+    lex-least reduced word of u^-1 v, each a step up by one."""
     if not weak_leq(u, v, B):
         raise NotComparable("u is not below v in the right twisted weak order")
-    datum = B.datum
-    gens = simple_reflections(datum)
+    gens = simple_reflections(B.datum)
     chain = [u]
-    cur = u
-    while cur != v:
-        lcur = twisted_length_right(cur, B)
-        for s in gens:
-            nxt = cur * s
-            if (
-                twisted_length_right(nxt, B) == lcur + 1
-                and weak_leq(nxt, v, B)
-            ):
-                chain.append(nxt)
-                cur = nxt
-                break
-        else:  # pragma: no cover - chain property guarantees progress
-            raise AssertionError("chain property violated")
+    for a in (u.inverse() * v).word():
+        chain.append(chain[-1] * gens[a - 1])
     return chain
 
 
@@ -472,19 +462,19 @@ _BALL_CACHE = {}  # type label -> (elements by (length, word), ends)
 def length_ball(datum, radius: int):
     """All w with l(w) <= radius, sorted by (length, word): the first
     ends[radius + 1] elements of one ball per type, which grows a level at
-    a time from its last frontier."""
+    a time from its last frontier.  w s_a is a level up iff w(a) > 0."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     if datum.type_label not in _BALL_CACHE:
         _BALL_CACHE[datum.type_label] = ([identity(datum)], [0, 1])
     elements, ends = _BALL_CACHE[datum.type_label]
-    gens = simple_reflections(datum)
+    steps = tuple(zip(affine_simple_roots(datum), simple_reflections(datum)))
     while len(ends) <= radius + 1:
-        below = set(elements[ends[-3]:ends[-2]]) if len(ends) > 2 else ()
         level = {}  # insertion-ordered; a repeat keeps its first place
         for w in elements[ends[-2]:]:
-            for s in gens:
-                ws = w * s
-                if ws not in below:  # else l(ws) = l(w) - 1
-                    level[ws] = None
+            for a, s in steps:
+                if is_positive_affine(datum, w.apply(a)):
+                    level[w * s] = None
         # No sort needed: the lex-least word of ws is that of the first
         # frontier element w it extends, plus the letter s, and the frontier
         # is in word order; so the level is found in word order.
@@ -495,8 +485,6 @@ def length_ball(datum, radius: int):
 
 def level_set_sample(B, k: int, radius: int):
     """All w with l(w) <= radius and l'_B(w) = k."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     return [
         w
         for w in length_ball(B.datum, radius)
@@ -507,17 +495,17 @@ def level_set_sample(B, k: int, radius: int):
 def no_local_extremum_check(B, radius: int):
     """Check every ball element has a weak upper and lower neighbor among us_i.
 
-    Returns the list of violating (element, kind) pairs; expected empty for
+    l'_B(u s_a) = l'_B(u) - 1 iff u(a) is in the hemispace H_B.  Returns
+    the list of violating (element, kind) pairs; expected empty for
     non-Finite, non-Cofinite B.
     """
-    gens = simple_reflections(B.datum)
+    roots = affine_simple_roots(B.datum)
     violations = []
     for u in length_ball(B.datum, radius):
-        lu = twisted_length_right(u, B)
-        deltas = {twisted_length_right(u * s, B) - lu for s in gens}
-        if 1 not in deltas:
+        down = {B.in_hemispace(u.apply(a)) for a in roots}
+        if False not in down:
             violations.append((u, "no upper neighbor"))
-        if -1 not in deltas:
+        if True not in down:
             violations.append((u, "no lower neighbor"))
     return violations
 

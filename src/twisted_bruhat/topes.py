@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .affine_group import identity, is_positive_affine, negate, reflection
+from .affine_group import identity, negate, reflection
 from .affine_group import simple_reflections
 from .biclosed import BiclosedSet, dot_action, parse_biclosed
 from .finite import CartanDatum, _span_roots, build_system
@@ -52,9 +52,9 @@ def all_roots_to_level(datum: CartanDatum, level: int):
 
 
 class Hemispace:
-    """B u -(Phi^hat \\ B) (sign '+') or its negation (sign '-') for the
-    BiclosedSet B = `biclosed`: a total membership oracle over the whole
-    affine root system.
+    """H_B = B u -(Phi^hat \\ B) (sign '+') or its negation (sign '-') for
+    the BiclosedSet B = `biclosed`: a total membership oracle over the whole
+    affine root system, read off `BiclosedSet.in_hemispace`.
 
     `chains` is B's pair (tail, e) per finite root mu (see
     `BiclosedSet.chains`): the positive root mu + k delta is in B iff
@@ -71,11 +71,7 @@ class Hemispace:
         self.label = label
 
     def contains(self, r) -> bool:
-        positive = is_positive_affine(self.datum, r)
-        base, k = r if positive else negate(r)
-        tail, e = self.chains[tuple(base)]
-        inb = (tail != (k < e)) == positive  # r in B, or -r not in B
-        return inb if self.sign == "+" else not inb
+        return self.biclosed.in_hemispace(r) == (self.sign == "+")
 
     def negated(self) -> "Hemispace":
         return Hemispace(

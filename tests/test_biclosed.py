@@ -25,6 +25,7 @@ from twisted_bruhat.affine_group import (
 from twisted_bruhat.biclosed import BiclosedSet, _P_roots
 from twisted_bruhat.finite import enumerate_P_triples, standard_positive_system
 from twisted_bruhat.orders import length_ball
+from twisted_bruhat.topes import Hemispace
 from conftest import random_biclosed, random_element
 
 TYPES = ("A2", "A3", "B2", "G2")
@@ -99,6 +100,33 @@ def test_membership_matches_pointwise_definition(label):
                 assert B.contains((base, k)) == expected, (
                     format_biclosed(B), base, k
                 )
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_in_hemispace_matches_pointwise_definition(label):
+    """r is in H_B = B | -(Phi^hat+ \\ B) iff r is in B (r > 0) or -r is
+    not (r < 0), on every affine root up to level +-6 and on three twisted
+    sets of every class; a Hemispace of sign '+' holds exactly H_B, one of
+    sign '-' exactly its complement."""
+    datum = build_system(label)
+    rng = random.Random(33)
+    by_class = {}
+    for triple in enumerate_P_triples(datum):
+        B = BiclosedSet(identity(datum), *triple)
+        by_class.setdefault(B.classify(), []).append(triple)
+    assert set(by_class) == CLASSES - ({"Mixed"} if label != "A3" else set())
+    for cls in sorted(by_class):
+        for twist_len in (0, 4, 8):
+            twist = random_element(datum, rng, twist_len)
+            B = BiclosedSet(twist, *rng.choice(by_class[cls]))
+            in_P_hat = lambda r: tuple(r[0]) in B.P_roots
+            plus, minus = Hemispace(B, "+"), Hemispace(B, "-")
+            for r in all_roots_to_level(datum, 6):
+                inside = dot_action_pointwise(twist, in_P_hat, r)
+                for root, expected in ((r, inside), (negate(r), not inside)):
+                    assert B.in_hemispace(root) == expected, (cls, root)
+                    assert plus.contains(root) == expected, (cls, root)
+                    assert minus.contains(root) != expected, (cls, root)
 
 
 @pytest.mark.parametrize("label", TYPES)

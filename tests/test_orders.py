@@ -32,6 +32,7 @@ from twisted_bruhat.finite import enumerate_P_triples
 from twisted_bruhat.poset import GradedPoset, PosetNode
 from twisted_bruhat.orders import (
     CertificationFailed,
+    NotComparable,
     TargetNotReached,
     _check_tail,
     _end_certified,
@@ -406,6 +407,143 @@ def test_weak_chain_structure():
         assert chain[0] == u and chain[-1] == v
         for a, b in zip(chain, chain[1:]):
             assert twisted_length_right(b, B) == twisted_length_right(a, B) + 1
+
+
+def _chain_differences(a_chains, b_chains):
+    """Per-base intervals of N(a) \\ N(b); chains share their base_zero lo."""
+    diffs = []
+    for base, (lo, hi) in a_chains.items():
+        other = b_chains.get(base)
+        cut = other[1] if other is not None else lo - 1
+        if hi > cut:
+            diffs.append((base, max(lo, cut + 1), hi))
+    return diffs
+
+
+def _two_pass_weak_leq(u, v, B):
+    """The former weak_leq: N(u) \\ N(v) and N(v) \\ N(u), one pass each."""
+    a, b = u.inversion_chains(), v.inversion_chains()
+    for base, lo, hi in _chain_differences(a, b):
+        if B.count_in_chain(base, lo, hi) != hi - lo + 1:
+            return False
+    for base, lo, hi in _chain_differences(b, a):
+        if B.count_in_chain(base, lo, hi) != 0:
+            return False
+    return True
+
+
+def _greedy_weak_chain(u, v, B):
+    """The former weak_chain: at each step the least simple letter s with
+    l'_B(cur s) = l'_B(cur) + 1 and cur s <='_B v, by trial products."""
+    if not _two_pass_weak_leq(u, v, B):
+        raise NotComparable("u is not below v in the right twisted weak order")
+    gens = simple_reflections(B.datum)
+    chain = [u]
+    cur = u
+    while cur != v:
+        lcur = twisted_length_right(cur, B)
+        for s in gens:
+            nxt = cur * s
+            if (
+                twisted_length_right(nxt, B) == lcur + 1
+                and _two_pass_weak_leq(nxt, v, B)
+            ):
+                chain.append(nxt)
+                cur = nxt
+                break
+        else:
+            raise AssertionError("chain property violated")
+    return chain
+
+
+def _product_extremum_check(B, radius):
+    """The former no_local_extremum_check: the twisted length of every
+    product u s_i of a ball element."""
+    gens = simple_reflections(B.datum)
+    violations = []
+    for u in length_ball(B.datum, radius):
+        lu = twisted_length_right(u, B)
+        deltas = {twisted_length_right(u * s, B) - lu for s in gens}
+        if 1 not in deltas:
+            violations.append((u, "no upper neighbor"))
+        if -1 not in deltas:
+            violations.append((u, "no lower neighbor"))
+    return violations
+
+
+def _weak_walk(u, B, steps, rng):
+    """An element up to `steps` random right weak covers above u (fewer
+    where a Cofinite order tops out)."""
+    gens = simple_reflections(B.datum)
+    for _ in range(steps):
+        lu = twisted_length_right(u, B)
+        ups = [u * s for s in gens if twisted_length_right(u * s, B) == lu + 1]
+        if not ups:
+            break
+        u = rng.choice(ups)
+    return u
+
+
+def _chain_or_refusal(fn, u, v, B):
+    try:
+        return fn(u, v, B)
+    except NotComparable:
+        return NotComparable
+
+
+def test_weak_order_matches_former_code():
+    """weak_leq and weak_chain equal the two-pass comparison and the greedy
+    chain, chains in order, and refuse the same pairs: every class of every
+    type, on pairs joined by weak covers, their reverses and random pairs."""
+    rng = random.Random(62)
+    seen = Counter()
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        for B in _biclosed_of_each_class(label, rng):
+            for _ in range(6):
+                u = random_element(d, rng, 5)
+                v = _weak_walk(u, B, rng.randrange(7), rng)
+                assert weak_leq(u, v, B)
+                for x, y in ((u, v), (v, u), (u, random_element(d, rng, 5))):
+                    leq = weak_leq(x, y, B)
+                    assert leq == _two_pass_weak_leq(x, y, B)
+                    chain = _chain_or_refusal(weak_chain, x, y, B)
+                    assert chain == _chain_or_refusal(_greedy_weak_chain, x, y, B)
+                    assert (chain is NotComparable) != leq
+                    seen[len(chain) if leq else "incomparable"] += 1
+    assert seen["incomparable"] >= 50 and all(seen[n] for n in range(1, 8)), seen
+
+
+def test_extremum_check_matches_products():
+    """no_local_extremum_check equals the products u s_i, violations in
+    order, on every class of every type; Finite and Cofinite sets have their
+    extremum (at the twist) inside the ball."""
+    rng = random.Random(63)
+    extrema = Counter()
+    for label in ("A2", "A3", "B2", "G2"):
+        for _ in range(3):
+            for B in _biclosed_of_each_class(label, rng):
+                violations = no_local_extremum_check(B, 4)
+                assert violations == _product_extremum_check(B, 4)
+                extrema[B.classify()] += len(violations)
+    assert extrema["Finite"] >= 12 and extrema["Cofinite"] >= 12, extrema
+    infinite = ("InfiniteWordInversion", "InfiniteWordCoinversion", "Mixed")
+    assert not any(extrema[c] for c in infinite), extrema
+
+
+def test_negative_radius_is_refused():
+    """A grown ball is never read from its end."""
+    d = build_system("A2")
+    B = full_positive_biclosed(d)
+    assert len(length_ball(d, 5)) == 46
+    for fn, args in (
+        (length_ball, (d, -2)),
+        (level_set_sample, (B, 0, -1)),
+        (no_local_extremum_check, (B, -2)),
+        (antichain_at_level, (B, 0, 1, -3)),
+    ):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            fn(*args)
 
 
 def test_level_sets_grow():
