@@ -12,11 +12,20 @@ this convention N(uv) decomposes by the product formula and
 N(s_1...s_k) = {a_{s_1}, s_1(a_{s_2}), ...} for reduced words.
 
 Products and inverses take the finite part from the finite group's
-integer `WeylTable`; only the translation is rational.  Everything else
-reads the integers p_k = (a_k, u(v)) and the same table:
-the chain tops t_mu behind the inversion chains, the action on affine
-roots, and reduced words (an integer descent walk).  Reflections take s_mu
-and mu^vee from a per-root cache.
+integer `WeylTable`; only the translation is rational.  Words and covers
+take no products: left multiplication by an affine reflection,
+
+    s_{gamma + k delta} (u t_v) = (s_gamma u) t_{v - k u^{-1} gamma^vee},
+
+is one table lookup for s_gamma u and an integer step over the simple
+coroots for the translation, which is converted to its rational form once,
+when the element is built.  `from_word` walks its letters right to left
+this way, the mirror image of the descent walk behind `word()`, and
+`left_reflections` builds the covers on one reflection ray.  Everything
+else reads the integers p_k = (a_k, u(v)) and the same table: the chain
+tops t_mu behind the inversion chains, the action on affine roots, and
+reduced words (an integer descent walk).  Reflections take s_mu and mu^vee
+from a per-root cache.
 """
 
 from __future__ import annotations
@@ -246,15 +255,77 @@ def translation(datum: CartanDatum, vec) -> AffineWeylElement:
     return AffineWeylElement(datum, datum.identity(), vec)
 
 
+# ----- the integer walk: left multiplication by affine reflections ----------
+
+
+def _left_ray(table, n, gamma):
+    """The ray k -> s_{gamma + k delta} (u t_v) for u = elements[n]: the
+    index of s_gamma u, and the step u^{-1} gamma^vee over the simple
+    coroots."""
+    return table.smul[gamma][n], table.coroots[table.image[table.inv[n]][gamma]]
+
+
+def _coroot_coords(w):
+    """c with w = u t_v, v = sum c_i a_i^vee: c_i = v_i (a_i, a_i)/2, ints
+    exactly when v lies in the coroot lattice; else ValueError."""
+    gram = w.datum.gram
+    c = []
+    for i, x in enumerate(w.trans):
+        q, r = divmod(x.numerator * gram[i][i], 2 * x.denominator)
+        if r:
+            raise ValueError("translation not in the coroot lattice")
+        c.append(q)
+    return c
+
+
+def _from_coroots(datum, n, c):
+    """elements[n] t_v for v = sum c_i a_i^vee: v_i = 2 c_i / (a_i, a_i),
+    passed as an int when integral (the constructor's Fraction is cheaper
+    from an int than from a Fraction)."""
+    gram = datum.gram
+    v = []
+    for i, x in enumerate(c):
+        q, r = divmod(2 * x, gram[i][i])
+        v.append(Fraction(2 * x, gram[i][i]) if r else q)
+    return AffineWeylElement(datum, datum.weyl_table().elements[n], v)
+
+
+def left_reflections(w: AffineWeylElement, gamma, levels):
+    """[s_{gamma + k delta} w for k in levels], for a finite root gamma.
+
+    The ray's finite part s_gamma u and its step u^{-1} gamma^vee are read
+    once; each element is then an integer step away from w, built once.
+    """
+    table = w.datum.weyl_table()
+    n, step = _left_ray(table, table.index[w.fin], gamma)
+    c = _coroot_coords(w)
+    return [
+        _from_coroots(w.datum, n, [x - k * y for x, y in zip(c, step)])
+        for k in levels
+    ]
+
+
 def from_word(datum: CartanDatum, letters) -> AffineWeylElement:
-    """Product of 1-based simple-reflection letters (rank+1 = affine)."""
-    gens = simple_reflections(datum)
-    w = identity(datum)
+    """Product of 1-based simple-reflection letters (rank+1 = affine).
+
+    Read right to left as left multiplications by the simple reflections
+    s_r, r = (a_i, 0) or delta - theta = (-theta, 1): a finite letter moves
+    only the finite part, the affine one also adds u^{-1} theta^vee to the
+    translation.  The element is built once, at the end.
+    """
+    letters = tuple(letters)
     for a in letters:
         if not 1 <= a <= datum.rank + 1:
             raise ValueError(f"letter out of range: {a}")
-        w = w * gens[a - 1]
-    return w
+    table = datum.weyl_table()
+    roots = affine_simple_roots(datum)
+    n, c = table.e, [0] * datum.rank
+    for a in reversed(letters):
+        gamma, k = roots[a - 1]
+        n, step = _left_ray(table, n, gamma)
+        if k:
+            c = [x - k * y for x, y in zip(c, step)]
+    return _from_coroots(datum, n, c)
 
 
 def parse_word(datum: CartanDatum, text: str):

@@ -13,9 +13,10 @@ at most 24 elements), positive systems, and the P-triples (psi, d1, d2)
 of orthogonal simple subsets d1, d2 of psi.  `WeylTable` holds the group
 as integer tables, built on first use from the integer root images:
 products, inverses and lengths are lookups in it, and so are positive
-systems, reduced words (finite and affine) and the root images of affine
-elements.  `WeylElement.apply` sums in ints and keeps Fraction only for a
-rational vector, i.e. an affine translation.
+systems, reduced words (finite and affine), the root images of affine
+elements and left multiplication by each reflection s_mu, with mu^vee over
+the simple coroots in ints.  `WeylElement.apply` sums in ints and keeps
+Fraction only for a rational vector, i.e. an affine translation.
 """
 
 from __future__ import annotations
@@ -280,13 +281,15 @@ class WeylTable:
 
     Element n is ``elements[n]``; write u for it.  ``image[n]`` maps each
     root mu to u(mu), ``mul[n][m]`` is the index of u elements[m], and
-    ``inv[n]`` that of u^{-1}; ``lmul[i][n]`` is that of s_i u for i < rank,
-    and ``lmul[rank][n]`` that of s_theta u.  ``pos[n][i]`` is 1 if
-    u^{-1}(a_i) is positive, else 0, and ``pos[n][rank]`` the same for
+    ``inv[n]`` that of u^{-1}; ``smul[mu][n]`` is that of s_mu u for a root
+    mu, ``lmul[i]`` is ``smul[a_i]`` for i < rank and ``lmul[rank]`` is
+    ``smul[theta]``.  ``coroots[mu]`` is mu^vee over the simple coroots, in
+    ints: mu^vee = sum_i mu_i (a_i, a_i)/(mu, mu) a_i^vee.  ``pos[n][i]``
+    is 1 if u^{-1}(a_i) is positive, else 0, and ``pos[n][rank]`` the same for
     u^{-1}(-theta).  ``cartan[i][k]`` is <a_k, a_i^vee>, and
     ``cartan[rank][k]`` is <a_k, theta^vee>; ``e`` is the index of the
-    identity.  Everything but the Cartan integers is built from the integer
-    root images.
+    identity.  Everything but the Cartan integers and the coroots is built
+    from the integer root images.
     """
 
     def __init__(self, datum: CartanDatum):
@@ -319,9 +322,17 @@ class WeylTable:
             tuple(int(datum.is_positive(image[m][a])) for a in targets)
             for m in self.inv
         )
-        self.lmul = tuple(
-            self.mul[index[datum.reflection(b)]] for b in mirrors
-        )
+        self.smul = {
+            mu: self.mul[index[datum.reflection(mu)]] for mu in datum.roots
+        }
+        self.lmul = tuple(self.smul[b] for b in mirrors)
+        self.coroots = {
+            mu: tuple(
+                m * datum.gram[i][i] // datum.norm_sq(mu)
+                for i, m in enumerate(mu)
+            )
+            for mu in datum.roots
+        }
 
     def reduced_word(self, n, p):
         """Lex-least reduced word of w = u t_v, u = elements[n], given

@@ -9,7 +9,8 @@ is (u^-1 s_gamma) t_{V_k} with V_k affine in k, so over each finite root mu
 its inversion chain runs from lo_mu to an integer top that is affine in k.
 The delta l_B(s_{gamma+k delta} w) - l_B(w) is therefore plain integer
 arithmetic on this ray profile plus B's chain counts; only the covers
-themselves are built as elements.
+themselves are built as elements, each an integer step along its ray
+(`left_reflections`), with no group product.
 
 The window doubles until the drift stabilizes at both ends: the per-step
 change of the delta has been constant (and nonzero) for h consecutive
@@ -43,8 +44,8 @@ from .affine_group import (
     format_word,
     identity,
     is_positive_affine,
+    left_reflections,
     negate,
-    reflection,
     simple_reflections,
 )
 from .biclosed import BiclosedSet, dot_action
@@ -269,21 +270,21 @@ def covers(w, B):
     """All strong-order covers of w: (lower, upper, certificates).
 
     lower/upper are lists of (reflection affine root, element), sorted by
-    (base canonical order, level).  Only the covers are built as elements;
-    their twisted lengths l_B(w) +- 1 are seeded into B's cache.
+    (base canonical order, level).  Only the covers are built as elements,
+    each with no group product: s_{gamma+k delta} w is an integer step
+    along its ray from w (`left_reflections`).  Their twisted lengths
+    l_B(w) +- 1 are seeded into B's cache.
     """
     lower, upper, certs = [], [], []
-    datum = B.datum
     lw = twisted_length_left(w, B)
-    for gamma in datum.positive_roots:
+    for gamma in B.datum.positive_roots:
         lo, hi, deltas, cert = scan_ray(w, B, gamma)
         certs.append(cert)
-        for k in range(lo, hi + 1):
+        levels = [k for k in range(lo, hi + 1) if deltas[k] in (1, -1)]
+        for k, z in zip(levels, left_reflections(w, gamma, levels)):
             d = deltas[k]
-            if d == 1 or d == -1:
-                z = reflection(datum, (gamma, k)) * w
-                B._lB[z] = lw + d
-                (upper if d == 1 else lower).append(((gamma, k), z))
+            B._lB[z] = lw + d
+            (upper if d == 1 else lower).append(((gamma, k), z))
     lower.sort(key=lambda p: p[0])
     upper.sort(key=lambda p: p[0])
     return lower, upper, certs

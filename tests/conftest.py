@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic random words and biclosed sets."""
+"""Shared helpers: deterministic random words and biclosed sets, and a
+counter of affine group products."""
 
 import os
 import random
@@ -22,6 +23,22 @@ def src_env():
 
 def random_element(datum, rng, max_len):
     return from_word(datum, random_word(datum, rng, max_len))
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A list that grows by one entry per AffineWeylElement product."""
+    from twisted_bruhat.affine_group import AffineWeylElement
+
+    calls = []
+    mul = AffineWeylElement.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(AffineWeylElement, "__mul__", counted)
+    return calls
 
 
 @pytest.fixture

@@ -249,8 +249,13 @@ def test_word_off_the_coroot_lattice_raises():
         off((Fraction(1, 2), 0)).word()
     # the coweight (2a + b)/3 pairs integrally with every root; the walk
     # strips two letters and stops at a length-0 element other than e
+    coweight = off((Fraction(2, 3), Fraction(1, 3)))
     with pytest.raises(ValueError):
-        off((Fraction(2, 3), Fraction(1, 3))).word()
+        coweight.word()
+    # nor are its covers built: v has no integer coordinates over the
+    # simple coroots
+    with pytest.raises(ValueError, match="coroot lattice"):
+        covers(coweight, full_positive_biclosed(d))
 
 
 @pytest.mark.parametrize(
@@ -281,6 +286,65 @@ def test_reflections_are_involutions(label):
             t = reflection(d, (gamma, k))
             assert t * t == identity(d)
             assert t.inverse() == t
+
+
+def _from_word_by_products(d, letters):
+    """The former `from_word`, kept as the oracle of the integer walk: one
+    group product per letter, left to right."""
+    gens = simple_reflections(d)
+    w = identity(d)
+    for a in letters:
+        w = w * gens[a - 1]
+    return w
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_from_word_matches_product_oracle(label):
+    """500 seeded words of up to 16 letters, and the empty word: the same
+    element, translation tuple and hash as the product fold."""
+    d = build_system(label)
+    rng = random.Random(23)
+    samples = [()] + [
+        tuple(rng.randint(1, d.rank + 1) for _ in range(rng.randint(0, 16)))
+        for _ in range(500)
+    ]
+    for word in samples:
+        w, oracle = from_word(d, word), _from_word_by_products(d, word)
+        assert w == oracle
+        assert w.trans == oracle.trans and hash(w) == hash(oracle)
+    assert from_word(d, ()) == identity(d)
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_from_word_takes_no_products(label, products):
+    d = build_system(label)
+    rng = random.Random(29)
+    for _ in range(50):
+        from_word(d, [rng.randint(1, d.rank + 1) for _ in range(16)])
+    assert products == []
+
+
+def test_from_word_takes_any_iterable():
+    d = build_system("B2")
+    word = (3, 1, 2, 3, 2, 1, 3)
+    expected = _from_word_by_products(d, word)
+    assert from_word(d, iter(word)) == expected
+    assert from_word(d, (a for a in word)) == expected
+    assert from_word(d, list(word)) == expected
+
+
+@pytest.mark.parametrize("bad", [0, 4, -1])
+def test_from_word_rejects_a_letter_before_any_work(monkeypatch, bad):
+    """Every letter is checked before the walk takes its first step."""
+    from twisted_bruhat import affine_group
+
+    def fail(*args):
+        raise AssertionError("the walk started before the letters were checked")
+
+    monkeypatch.setattr(affine_group, "_left_ray", fail)
+    d = build_system("A2")
+    with pytest.raises(ValueError, match=f"letter out of range: {bad}"):
+        from_word(d, (a for a in (1, 2, 3, bad, 1)))
 
 
 def test_parse_format_word_roundtrip():

@@ -228,6 +228,26 @@ def test_table_products_match_fraction_oracle(label):
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_table_reflections_and_coroots(label):
+    """smul[mu] is left multiplication by s_mu, lmul its rows at the simple
+    roots and theta, and coroots[mu] expands mu^vee over the simple coroots
+    a_i^vee = 2 a_i / (a_i, a_i)."""
+    d = build_system(label)
+    t = d.weyl_table()
+    for mu in d.roots:
+        s = d.reflection(mu)
+        assert [t.elements[m] for m in t.smul[mu]] == [s * u for u in t.elements]
+        expansion = [
+            sum(c * x for c, x in zip(t.coroots[mu], col))
+            for col in zip(*(d.coroot(a) for a in d.simple_roots))
+        ]
+        assert tuple(expansion) == d.coroot(mu)
+    assert t.lmul == tuple(
+        t.smul[b] for b in d.simple_roots + (d.highest_root,)
+    )
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_apply_matches_fraction_oracle(label):
     """Same values and same entry types (int or Fraction) as the oracle, on
     every root and on seeded random vectors: ints, integral Fractions,

@@ -7,7 +7,9 @@ and strong), the rank-2 tope figure as records and as DOT, and the
 rank-2 alcove order's `hasse` figure (DOT and JSONL, and DOT at
 `--bound 10`) and `poincare` series.
 The stdout of `demos/alcove_order_walkthrough.py`, which prints coset
-decompositions and their predicted lengths, is recorded too.  Re-record
+decompositions and their predicted lengths, is recorded too.  The
+`covers` and `interval` commands must also run without one affine group
+product.  Re-record
 only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -82,6 +84,18 @@ def _demo_stdout(script):
         env=src_env(), capture_output=True, timeout=300,
     )
     return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, argv in COMMANDS.items() if argv[0] in ("covers", "interval")]
+)
+def test_covers_and_intervals_take_no_products(name, products):
+    """The cover search builds each cover as an integer step along its ray,
+    and words are walked the same way: no AffineWeylElement product runs
+    in an in-process `covers` or `interval` call."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(COMMANDS[name])) == 0
+    assert products == []
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

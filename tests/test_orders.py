@@ -110,6 +110,25 @@ def test_scan_ray_matches_element_construction():
     assert len(classes) == 5
 
 
+def test_covers_match_product_oracle():
+    """Every cover that `covers` builds along its ray equals the former
+    product reflection(d, root) * w, for each type and each biclosed
+    class, twisted and untwisted elements alike."""
+    rng = random.Random(51)
+    classes = set()
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        for B in _biclosed_of_each_class(label, rng):
+            classes.add(B.classify())
+            for w in (identity(d), random_element(d, rng, 6)):
+                lower, upper, _ = covers(w, B)
+                assert lower or upper
+                for root, z in lower + upper:
+                    oracle = reflection(d, root) * w
+                    assert z == oracle and z.trans == oracle.trans
+    assert len(classes) == 5
+
+
 def test_covers_seed_correct_twisted_lengths():
     rng = random.Random(50)
     for label in ("A2", "A3", "B2", "G2"):
