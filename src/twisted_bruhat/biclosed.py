@@ -11,7 +11,9 @@ below it, so it is stored as one bit and one threshold per finite root
 member counting (used heavily by the twisted length functions), and
 equality as a comparison of normal forms.  A set has many
 representations (w . P^hat = (w x) . P^hat for every x fixing P^hat), and
-none is singled out; the dot action composes twists.
+none is singled out; the dot action composes twists.  It is also the
+linear action on hemispaces, so the chains of a reflected set s_r . B are
+read off those of B (`BiclosedSet.reflected_chains`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .affine_group import (
     from_word,
     identity,
     is_positive_affine,
+    left_reflections,
     negate,
     parse_word,
 )
@@ -160,6 +163,50 @@ class BiclosedSet:
         tail, e = self.chains()[tuple(base)]
         return (tail != (k < e)) == positive
 
+    def reflected_chains(self, r):
+        """The chains of s_r . B for an affine root r = (gamma, m), read off
+        those of B with no group element.
+
+        The dot action is the linear action on hemispaces, H_{w.B} =
+        w(H_B) (Dyer, J. Algebra 163, 1994), and s_r(mu + k delta) =
+        nu + (k - p m) delta for nu = s_gamma(mu), p = <mu, gamma^vee>.  So
+        mu's tail is nu's, and its threshold lies p m above the top level
+        of the line nu + Z delta whose membership in H_B differs from that
+        tail: e_nu - 1 if nu's chain is flipped; else, below k0(nu), where
+        nu - j delta is in H_B iff -nu + j delta is not in B, -e_{-nu} if
+        -nu has the same tail, k0(nu) - 1 if -nu's chain is flipped, and
+        no level otherwise.
+        """
+        gamma, m = r
+        datum = self.datum
+        table = datum.weyl_table()
+        image = table.image[table.smul[tuple(gamma)][table.e]]
+        # mu - s_gamma(mu) = p gamma, read on one nonzero coordinate
+        j = next(i for i, x in enumerate(gamma) if x)
+        g = gamma[j]
+        positive = datum.is_positive
+        chains = self.chains()
+        out = {}
+        for mu in chains:
+            nu = image[mu]
+            tail, e = chains[nu]
+            k0 = 0 if positive(nu) else 1
+            if e > k0:
+                top = e - 1
+            else:
+                neg_tail, neg_e = chains[tuple(-x for x in nu)]
+                if neg_tail == tail:
+                    top = -neg_e
+                elif neg_e > 1 - k0:
+                    top = k0 - 1
+                else:
+                    top = None
+            lowest = 0 if positive(mu) else 1
+            if top is not None:
+                lowest = max(lowest, top + 1 + (mu[j] - nu[j]) // g * m)
+            out[mu] = (tail, lowest)
+        return out
+
     # ----- derived structure -------------------------------------------
 
     def classify(self) -> str:
@@ -198,6 +245,17 @@ class BiclosedSet:
 def dot_action(u: AffineWeylElement, B: BiclosedSet) -> BiclosedSet:
     """u . (w . P^hat) = (uw) . P^hat (the representation composes twists)."""
     return BiclosedSet(u * B.twist, B.psi, B.delta1, B.delta2)
+
+
+def reflect(r, B: BiclosedSet, chains) -> BiclosedSet:
+    """s_r . B for an affine root r = (gamma, m): the twist takes one
+    `left_reflections` step, and the set starts with its chains, as
+    `B.reflected_chains(r)` read them."""
+    gamma, m = r
+    (twist,) = left_reflections(B.twist, gamma, (m,))
+    out = BiclosedSet(twist, B.psi, B.delta1, B.delta2)
+    out._chains = chains
+    return out
 
 
 def empty_biclosed(datum: CartanDatum) -> BiclosedSet:

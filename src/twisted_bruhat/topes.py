@@ -8,22 +8,27 @@ difference).  A hemispace is its biclosed set and a sign; it reads B's
 pair (tail, e) per delta-chain (`BiclosedSet.chains`: constant from level
 e up, flipped below), so symmetric differences are read off in closed
 form.  As B = w . P(psi, d1, d2)^hat, every hemispace, those of the
-paper's rank-2 figure included, has a P-triple and a twist.  On hemispaces the library builds the tope
-order, tope blocks with their interval lattices, a convexity check and
-the figure.  Cone feasibility questions are answered exactly by the integer
-simplex in linprog.  The convexity check's LP search is truncated at a
-level, so it certifies convexity only up to that level; a violation it
-finds is an absolute non-convexity certificate, and so is the witness of
-a Mixed hemispace, a closed form read off its pairs.
+paper's rank-2 figure included, has a P-triple and a twist.  On
+hemispaces the library builds the tope order, tope blocks with their
+interval lattices, a convexity check and the figure.  A block is walked
+by reflections s_r with no group product: the dot action is the linear
+action on hemispaces, H_{w.B} = w(H_B), so each neighbour reads its pairs
+off the current ones (`BiclosedSet.reflected_chains`), and only a new one
+builds its representative and twist, one left reflection step each.  Cone
+feasibility questions are answered exactly by the integer simplex in
+linprog.  The convexity check's LP search is truncated at a level, so it
+certifies convexity only up to that level; a violation it finds is an
+absolute non-convexity certificate, and so is the witness of a Mixed
+hemispace, a closed form read off its pairs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .affine_group import identity, negate, reflection
-from .affine_group import simple_reflections
-from .biclosed import BiclosedSet, dot_action, parse_biclosed
+from .affine_group import affine_simple_roots, identity, left_reflections
+from .affine_group import negate
+from .biclosed import BiclosedSet, parse_biclosed, reflect
 from .finite import CartanDatum, _span_roots, build_system
 from .linprog import CertificationFailed, cone_membership
 from .orders import NotComparable  # re-exported: topes.NotComparable
@@ -101,10 +106,14 @@ def symdiff_positive(F: Hemispace, G: Hemispace) -> frozenset:
     their signed tails differ, and otherwise exactly on the levels from
     min(e_F, e_G) up to below max(e_F, e_G).
     """
-    flip = F.sign != G.sign
-    G_chains = G.chains
+    return _symdiff(F.chains, G.chains, F.sign != G.sign)
+
+
+def _symdiff(chains, G_chains, flip):
+    """`symdiff_positive` on the chains of F and G; `flip` if their signs
+    differ."""
     out = []
-    for mu, (tail, e) in F.chains.items():
+    for mu, (tail, e) in chains.items():
         G_tail, G_e = G_chains[mu]
         if (tail != G_tail) != flip:
             raise DifferentBlocks(
@@ -228,24 +237,23 @@ def _mixed_violation(H: Hemispace):
 
 
 def _block_generators(center: Hemispace):
-    """Reflections generating W' for the center's representation: s_mu and
-    s_{delta-mu} for the roots mu spanning Delta1 u Delta2 (these contain
-    the canonical simple generators of the affine reflection subgroup),
-    conjugated by the twist w of B = w . P^hat, so that each w g w^{-1}
-    keeps B in its block."""
+    """Roots of the reflections generating W' for the center's
+    representation: mu and delta - mu for the positive roots mu spanning
+    Delta1 u Delta2 (their reflections contain the canonical simple
+    generators of the affine reflection subgroup), moved by the twist w of
+    B = w . P^hat.  As w s_r w^{-1} = s_{w(r)}, each keeps B in its block."""
     B = center.biclosed
     datum = B.datum
     span = _span_roots(B.psi, B.delta1 | B.delta2)
     if span == frozenset(datum.roots):
         # W' is the whole affine group; use its simple reflections.
-        return list(simple_reflections(datum))
+        return affine_simple_roots(datum)
     w = B.twist
-    gens = []
-    for mu in sorted(span):
-        if datum.is_positive(mu):
-            for r in ((mu, 0), (tuple(-x for x in mu), 1)):
-                gens.append(w * reflection(datum, r) * w.inverse())
-    return gens
+    return [
+        w.apply(r)
+        for mu in sorted(span) if datum.is_positive(mu)
+        for r in ((mu, 0), (tuple(-x for x in mu), 1))
+    ]
 
 
 def tope_block(center: Hemispace, base: Hemispace, radius: int):
@@ -257,7 +265,9 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
     to (element, Hemispace) representatives.
     """
     datum = center.datum
-    gens = _block_generators(center)
+    roots = _block_generators(center)
+    flip = center.sign != base.sign
+    base_chains = base.chains
     seen = {}
     e = identity(datum)
     key0 = symdiff_positive(center, base)  # raises DifferentBlocks if apart
@@ -266,12 +276,15 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
     for _ in range(radius):
         nxt = []
         for w, F in frontier:
-            for g in gens:
-                # g . (w . B) = (g w) . B: one product per neighbour
-                F2 = from_biclosed(dot_action(g, F.biclosed), center.sign)
-                key = symdiff_positive(F2, base)
+            for r in roots:
+                # s_r . (w . B) = (s_r w) . B: only a new key builds s_r w
+                # and the twist, one left_reflections step each
+                chains = F.biclosed.reflected_chains(r)
+                key = _symdiff(chains, base_chains, flip)
                 if key not in seen:
-                    seen[key] = (g * w, F2)
+                    (w2,) = left_reflections(w, r[0], (r[1],))
+                    F2 = Hemispace(reflect(r, F.biclosed, chains), center.sign)
+                    seen[key] = (w2, F2)
                     nxt.append(seen[key])
         frontier = nxt
     nodes = []
@@ -289,6 +302,25 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
     return poset
 
 
+def _lattice_problems(keys):
+    """[("meet" | "join", a, b)] for the pairs a, b of `keys` (a before or
+    at b) with no meet or no join among `keys`, ordered by inclusion.  A
+    meet exists iff the union of the pair's lower bounds is a key, and a
+    join iff the pair has upper bounds and their intersection is a key."""
+    members = set(keys)
+    problems = []
+    for i, a in enumerate(keys):
+        for b in keys[i:]:
+            meet, join = a & b, a | b
+            lower = [z for z in keys if z <= meet]
+            upper = [z for z in keys if join <= z]
+            if frozenset().union(*lower) not in members:
+                problems.append(("meet", a, b))
+            if not upper or frozenset.intersection(*upper) not in members:
+                problems.append(("join", a, b))
+    return problems
+
+
 def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
     """Enumerate [H1, H2] in the tope poset based at `base` and verify
     every pair has a unique meet and join inside the interval.  The
@@ -300,21 +332,8 @@ def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
         raise NotComparable("H1 is not <= H2 based at the given base")
     radius = len(d2) - len(d1) + 1
     block = tope_block(H1, base, radius)
-    members = {
-        key: rep
-        for key, rep in block.reps.items()
-        if d1 <= key <= d2
-    }
-    keys = list(members)
-    problems = []
-    for i, a in enumerate(keys):
-        for b in keys[i:]:
-            lower = [z for z in keys if z <= a and z <= b]
-            upper = [z for z in keys if a <= z and b <= z]
-            if sum(all(y <= z for y in lower) for z in lower) != 1:
-                problems.append(("meet", a, b))
-            if sum(all(z <= y for y in upper) for z in upper) != 1:
-                problems.append(("join", a, b))
+    keys = [key for key in block.reps if d1 <= key <= d2]
+    problems = _lattice_problems(keys)
     return {
         "interval_size": len(keys),
         "is_lattice": not problems,
