@@ -364,13 +364,15 @@ def _coset_candidates():
 
 def dihedral_decompose(w: AffineWeylElement) -> DihedralDecomposition:
     """The unique w = w(i)^{-1} z with z in U = <u, v>, read off w's finite
-    part and translation V; no group products.
+    part and translation V = trans(w), over the simple coroots; no group
+    products.
 
     For i = s (6 j + r) with 0 <= r < 6 and z = y (uv)^{k'}, w(i)^{-1} z
     is b t_{-j lambda_s + k' mu} for the candidate (s, r, j0, y, b).  So a
     candidate with w's finite part fits iff V - trans(b) = (s j + k',
-    -s j + k') has integral j >= j0 and k'.  `verify.check_dihedral_cosets`
-    proves that exactly one fits every w; else CertificationFailed.
+    -s j + k') in coroot coordinates has integral j >= j0 and k'.
+    `verify.check_dihedral_cosets` proves that exactly one fits every w;
+    else CertificationFailed.
     """
     found = []
     for s, r, j0, y, b in _coset_candidates():

@@ -1,9 +1,10 @@
-"""The affine Weyl group W~ = W x| T in translation normal form.
+"""The affine Weyl group W~ = W x| Q^vee in translation normal form.
 
 An element is stored as a pair ``(finite_part, translation)`` meaning
 ``w = finite_part . t_v`` where ``t_v(x) = x + (x, v) delta``.  The
-translation vector ``v`` lives in the coroot lattice, written over the
-simple-root basis (rational coordinates; integral for simply-laced types).
+translation v lies in the coroot lattice Q^vee, and is stored as its
+integer coordinates c over the simple coroots, v = sum c_i a_i^vee (in A2
+and A3 these are also its coordinates over the simple roots).
 
 Convention (fixed globally, following the source convention for twisted
 orders): ``inversion_set(w)`` is the set of positive affine roots sent
@@ -11,33 +12,28 @@ negative by ``w^{-1}`` -- i.e. the inversion set of the *inverse*.  With
 this convention N(uv) decomposes by the product formula and
 N(s_1...s_k) = {a_{s_1}, s_1(a_{s_2}), ...} for reduced words.
 
-Products and inverses take the finite part from the finite group's
-integer `WeylTable`; only the translation is rational.  Words and covers
-take no products: left multiplication by an affine reflection,
+All arithmetic is in ints, over the finite group's `WeylTable`.  A finite
+u maps coroots to coroots, u(a_i^vee) = (u a_i)^vee, so u(v) is a sum of
+rows ``coroots[u(a_i)]``: products and inverses are a table lookup for the
+finite part and such a sum for the translation.  Words and covers take no
+products: left multiplication by an affine reflection,
 
     s_{gamma + k delta} (u t_v) = (s_gamma u) t_{v - k u^{-1} gamma^vee},
 
-is one table lookup for s_gamma u and an integer step over the simple
-coroots for the translation, which is converted to its rational form once,
-when the element is built.  `from_word` walks its letters right to left
-this way, the mirror image of the descent walk behind `word()`, and
-`left_reflections` builds the covers on one reflection ray.  Everything
-else reads the integers p_k = (a_k, u(v)) and the same table: the chain
-tops t_mu behind the inversion chains, the action on affine roots, and
-reduced words (an integer descent walk).  Reflections take s_mu and mu^vee
-from a per-root cache.
+is one table lookup for s_gamma u and an integer step for the translation.
+`from_word` walks its letters right to left this way, the mirror image of
+the descent walk behind `word()`, and `left_reflections` builds the covers
+on one reflection ray.  Everything else reads the integers
+p_k = (a_k, u(v)) and the same table: the chain tops t_mu behind the
+inversion chains, the action on affine roots, and reduced words (an
+integer descent walk).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .finite import CartanDatum, WeylElement, build_system
-
-
-def _frv(vec):
-    return tuple(Fraction(x) for x in vec)
 
 
 # ----- affine roots ----------------------------------------------------------
@@ -60,16 +56,31 @@ def negate(r):
     return (tuple(-x for x in base), -level)
 
 
+def _image(u: WeylElement, c):
+    """u(v) over the simple coroots for v = sum c_i a_i^vee: the sum of the
+    rows coroots[u(a_i)], as u(a_i^vee) = (u a_i)^vee."""
+    coroots = u.datum.weyl_table().coroots
+    rows = [coroots[a] for a in u.imgs]
+    return [sum(x * y for x, y in zip(c, col)) for col in zip(*rows)]
+
+
 class AffineWeylElement:
-    """Element of the affine Weyl group in (finite part, translation) form."""
+    """Element u t_v of the affine Weyl group: ``fin`` is u, and ``trans``
+    is the tuple of ints c with v = sum c_i a_i^vee over the simple
+    coroots.  A coordinate that is not an integer (a coweight off the
+    coroot lattice, outside W~) raises ValueError."""
 
     __slots__ = ("datum", "fin", "trans", "_hash", "_inv", "_chains", "_word")
 
     def __init__(self, datum: CartanDatum, fin: WeylElement, trans):
+        trans = tuple(trans)
+        c = tuple(map(int, trans))
+        if c != trans:
+            raise ValueError("translation not in the coroot lattice")
         self.datum = datum
         self.fin = fin
-        self.trans = _frv(trans)
-        self._hash = hash((fin.imgs, self.trans))
+        self.trans = c
+        self._hash = hash((fin.imgs, c))
         self._inv = None
         self._chains = None
         self._word = None
@@ -78,17 +89,20 @@ class AffineWeylElement:
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         # (u1 t_v1)(u2 t_v2) = u1 u2 t_{u2^{-1}(v1) + v2}
-        u2inv = other.fin.inverse()
-        v = tuple(
-            a + b for a, b in zip(_frv(u2inv.apply(self.trans)), other.trans)
+        v = _image(other.fin.inverse(), self.trans)
+        return AffineWeylElement(
+            self.datum,
+            self.fin * other.fin,
+            [x + y for x, y in zip(v, other.trans)],
         )
-        return AffineWeylElement(self.datum, self.fin * other.fin, v)
 
     def inverse(self) -> "AffineWeylElement":
+        # (u t_v)^{-1} = u^{-1} t_{-u(v)}
         if self._inv is None:
-            uinv = self.fin.inverse()
-            v = tuple(-x for x in _frv(self.fin.apply(self.trans)))
-            self._inv = AffineWeylElement(self.datum, uinv, v)
+            v = _image(self.fin, self.trans)
+            self._inv = AffineWeylElement(
+                self.datum, self.fin.inverse(), [-x for x in v]
+            )
             self._inv._inv = self
         return self._inv
 
@@ -98,19 +112,17 @@ class AffineWeylElement:
     # ----- integer root data -------------------------------------------
 
     def _pairings(self):
-        """p_k = (a_k, u(v)) as ints for self = u t_v: the one check that v
-        pairs integrally with every root.  Coweights off the coroot lattice
-        pass it, and the descent walk of word() stops them."""
+        """p_k = (a_k, u(v)) = (u^{-1} a_k, v) for self = u t_v, from the
+        pairings q_j = (a_j, v) = sum_i c_i <a_j, a_i^vee>."""
         datum = self.datum
-        # integral coordinates as ints: Fraction arithmetic costs 8x as much
-        v = [x.numerator if x.denominator == 1 else x for x in self.trans]
-        q = [sum(g * x for g, x in zip(row, v)) for row in datum.gram]
-        if any(x.denominator != 1 for x in q):
-            raise ValueError("translation not in the coroot lattice")
         table = datum.weyl_table()
+        q = [
+            sum(c * x for c, x in zip(self.trans, col))
+            for col in zip(*table.cartan)
+        ]
         pre = table.image[table.inv[table.index[self.fin]]]
         return tuple(
-            sum(c * int(x) for c, x in zip(pre[a], q)) for a in datum.simple_roots
+            sum(m * x for m, x in zip(pre[a], q)) for a in datum.simple_roots
         )
 
     def chain_tops(self):
@@ -209,13 +221,6 @@ def identity(datum: CartanDatum) -> AffineWeylElement:
     return AffineWeylElement(datum, datum.identity(), (0,) * datum.rank)
 
 
-@lru_cache(maxsize=None)
-def _root_reflection(type_label, mu):
-    """(s_mu, mu^vee) for a finite root mu, built once per root."""
-    datum = build_system(type_label)
-    return datum.reflection(mu), datum.coroot(mu)
-
-
 def affine_simple_roots(datum: CartanDatum):
     """(a_i, 0) for the finite simple roots, then delta - theta = (-theta, 1):
     the roots of the simple reflections, in letter order."""
@@ -237,8 +242,15 @@ def simple_reflections(datum: CartanDatum):
 def reflection(datum: CartanDatum, r) -> AffineWeylElement:
     """s_{mu + n delta} = s_mu t_{-n mu^vee} for an affine root r = (mu, n)."""
     mu, n = r
-    s_mu, coroot = _root_reflection(datum.type_label, tuple(mu))
-    return AffineWeylElement(datum, s_mu, tuple(-n * x for x in coroot))
+    mu = tuple(mu)
+    table = datum.weyl_table()
+    if mu not in table.coroots:
+        raise ValueError(f"not a root: {mu}")
+    return AffineWeylElement(
+        datum,
+        table.elements[table.smul[mu][table.e]],
+        [-n * x for x in table.coroots[mu]],
+    )
 
 
 def translation(datum: CartanDatum, vec) -> AffineWeylElement:
@@ -248,11 +260,14 @@ def translation(datum: CartanDatum, vec) -> AffineWeylElement:
     each coordinate v_i (a_i, a_i)/2 over the simple coroots is an integer;
     else ValueError.
     """
+    gram = datum.gram
     if len(vec) != datum.rank or any(
-        Fraction(x) * datum.gram[i][i] % 2 for i, x in enumerate(vec)
+        x * gram[i][i] % 2 for i, x in enumerate(vec)
     ):
         raise ValueError("translation not in the coroot lattice")
-    return AffineWeylElement(datum, datum.identity(), vec)
+    return AffineWeylElement(
+        datum, datum.identity(), [x * gram[i][i] // 2 for i, x in enumerate(vec)]
+    )
 
 
 # ----- the integer walk: left multiplication by affine reflections ----------
@@ -265,31 +280,6 @@ def _left_ray(table, n, gamma):
     return table.smul[gamma][n], table.coroots[table.image[table.inv[n]][gamma]]
 
 
-def _coroot_coords(w):
-    """c with w = u t_v, v = sum c_i a_i^vee: c_i = v_i (a_i, a_i)/2, ints
-    exactly when v lies in the coroot lattice; else ValueError."""
-    gram = w.datum.gram
-    c = []
-    for i, x in enumerate(w.trans):
-        q, r = divmod(x.numerator * gram[i][i], 2 * x.denominator)
-        if r:
-            raise ValueError("translation not in the coroot lattice")
-        c.append(q)
-    return c
-
-
-def _from_coroots(datum, n, c):
-    """elements[n] t_v for v = sum c_i a_i^vee: v_i = 2 c_i / (a_i, a_i),
-    passed as an int when integral (the constructor's Fraction is cheaper
-    from an int than from a Fraction)."""
-    gram = datum.gram
-    v = []
-    for i, x in enumerate(c):
-        q, r = divmod(2 * x, gram[i][i])
-        v.append(Fraction(2 * x, gram[i][i]) if r else q)
-    return AffineWeylElement(datum, datum.weyl_table().elements[n], v)
-
-
 def left_reflections(w: AffineWeylElement, gamma, levels):
     """[s_{gamma + k delta} w for k in levels], for a finite root gamma.
 
@@ -298,9 +288,9 @@ def left_reflections(w: AffineWeylElement, gamma, levels):
     """
     table = w.datum.weyl_table()
     n, step = _left_ray(table, table.index[w.fin], gamma)
-    c = _coroot_coords(w)
+    u = table.elements[n]
     return [
-        _from_coroots(w.datum, n, [x - k * y for x, y in zip(c, step)])
+        AffineWeylElement(w.datum, u, [x - k * y for x, y in zip(w.trans, step)])
         for k in levels
     ]
 
@@ -325,7 +315,7 @@ def from_word(datum: CartanDatum, letters) -> AffineWeylElement:
         n, step = _left_ray(table, n, gamma)
         if k:
             c = [x - k * y for x, y in zip(c, step)]
-    return _from_coroots(datum, n, c)
+    return AffineWeylElement(datum, table.elements[n], c)
 
 
 def parse_word(datum: CartanDatum, text: str):

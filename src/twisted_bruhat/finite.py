@@ -4,9 +4,10 @@ Shipped types: A2, A3, B2, G2.  Roots are integer coefficient vectors over
 the simple basis; inner products go through the integer Gram matrix, and
 the pairing <v, r^vee> of a root-lattice vector with a coroot is a Cartan
 integer, so inner products, pairings and reflections of roots are ints.
-A coroot 2r/(r,r) is the one `fractions.Fraction` vector here (rational
-for B2 and G2), besides the affine translations that `WeylElement.apply`
-maps; there is no floating point anywhere.
+`CartanDatum.coroot`, 2r/(r,r) over the simple roots, is the one
+`fractions.Fraction` vector here (rational for B2 and G2); the library
+itself reads coroots over the simple coroots, in ints, from `WeylTable`.
+There is no floating point anywhere.
 
 Also houses the finite Weyl group (fully enumerated -- at rank <= 3 it has
 at most 24 elements), positive systems, and the P-triples (psi, d1, d2)
@@ -15,8 +16,7 @@ as integer tables, built on first use from the integer root images:
 products, inverses and lengths are lookups in it, and so are positive
 systems, reduced words (finite and affine), the root images of affine
 elements and left multiplication by each reflection s_mu, with mu^vee over
-the simple coroots in ints.  `WeylElement.apply` sums in ints and keeps
-Fraction only for a rational vector, i.e. an affine translation.
+the simple coroots in ints.
 """
 
 from __future__ import annotations
@@ -227,17 +227,13 @@ class WeylElement:
         self._hash = hash(self.imgs)
 
     def apply(self, v):
-        """Image of a coefficient vector: int entries are summed as ints,
-        and a Fraction entry (a translation) keeps Fraction arithmetic.  An
-        integral image comes back as ints, any other as Fractions."""
+        """Image of a coefficient vector over the simple roots."""
         n = self.datum.rank
         out = [0] * n
         for c, img in zip(v, self.imgs):
             if c:
                 for j in range(n):
                     out[j] += c * img[j]
-        if all(x.denominator == 1 for x in out):
-            return tuple(int(x) for x in out)
         return tuple(out)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
@@ -290,6 +286,10 @@ class WeylTable:
     ``cartan[rank][k]`` is <a_k, theta^vee>; ``e`` is the index of the
     identity.  Everything but the Cartan integers and the coroots is built
     from the integer root images.
+
+    Affine translations are stored over the simple coroots too, so both
+    act on them in ints: u(v) = sum_i c_i coroots[u(a_i)] for
+    v = sum_i c_i a_i^vee, and (a_k, v) = sum_i c_i cartan[i][k].
     """
 
     def __init__(self, datum: CartanDatum):
@@ -344,8 +344,8 @@ class WeylTable:
         Then s_i w = (s_i u) t_v takes p_k to p_k - <a_k, a_i^vee> p_i, and
         s_0 w = (s_theta u) t_{v + u^{-1} theta^vee} takes it to
         p_k - <a_k, theta^vee> ((theta, u v) + 1).  The walk ends at
-        (e, 0); a length-0 element other than e is a translation off the
-        coroot lattice.
+        (e, 0); a length-0 element other than e would be a translation off
+        the coroot lattice, which `AffineWeylElement` refuses.
         """
         rank, pos, cartan = self.rank, self.pos, self.cartan
         p = list(p)

@@ -199,7 +199,8 @@ def check_dihedral_cosets():
     coset_prefix(6 s) = t_{lambda_s}, u v = t_mu and u t_{lambda_s} =
     t_{lambda_s} u make w(i)^{-1} z = b t_{(s j + k', -s j + k')} for
     i = s (6 j + r), z = y t_{k' mu} and the candidate b = w(s r)^{-1} y.
-    In each class (finite part, t1 + t2 mod 2) of t = trans(b), the values
+    In each class (finite part, t1 + t2 mod 2) of t = trans(b), b's
+    translation over the simple coroots, the values
     t1 - t2 + 2 s j, j >= j0, must be two rays, s = +1 up from some a and
     s = -1 down from a - 2: they cover V1 - V2 once; k' is free.  Each
     family (s, r, form) has l_B exact and affine over (j, 0, k)

@@ -1,12 +1,20 @@
 """Acceptance gate: runs every verification check, one pass/fail line each.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the lines as they
-complete; the same checks back the `twisted-bruhat verify` subcommand.
+complete; the same checks back the `twisted-bruhat verify` subcommand,
+whose stdout is recorded byte for byte in tests/golden/verify.out, one
+line per check.  Re-record only when an output is meant to change:
+
+    PYTHONPATH=src python -m twisted_bruhat.cli verify > tests/golden/verify.out
 """
+
+from pathlib import Path
 
 import pytest
 
 from twisted_bruhat import verify
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify.out"
 
 
 @pytest.mark.parametrize(
@@ -14,8 +22,12 @@ from twisted_bruhat import verify
 )
 def test_acceptance(check):
     name, ok, detail = check()
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    line = f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
+    print(line)
     assert ok, f"{name}: {detail}"
+    recorded = GOLDEN.read_bytes().decode("utf-8").split("\n")
+    assert len(recorded) == len(verify.ALL_CHECKS) + 1 and recorded[-1] == ""
+    assert line == recorded[verify.ALL_CHECKS.index(check)]
 
 
 def test_check_antichain_reports_only_a_short_search(monkeypatch):

@@ -12,11 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twisted_bruhat import (
-    BiclosedSet,
     build_system,
-    covers,
     from_word,
-    full_positive_biclosed,
     identity,
     inversion_set,
     reflection,
@@ -29,7 +26,6 @@ from twisted_bruhat.affine_group import (
     negate,
     parse_word,
 )
-from twisted_bruhat.finite import standard_positive_system
 
 TYPES = ("A2", "A3", "B2", "G2")
 
@@ -128,23 +124,68 @@ def test_translation_conjugation():
         assert lhs == translation(d, w.fin.apply(v))
 
 
-def test_translation_outside_coroot_lattice_raises():
+@pytest.mark.parametrize(
+    "vec",
+    [(Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 2), 0)],
+    ids=["coweight", "half_a"],
+)
+def test_construction_off_the_coroot_lattice_raises(vec):
+    """A translation with a coordinate off the integers is no element of the
+    affine Weyl group: it is refused where it is built, before any length,
+    twisted length or weak-order comparison could read it.  The coweight
+    (2a + b)/3 pairs integrally with every root, so no later read would
+    stop it."""
     d = build_system("A2")
-    with pytest.raises(ValueError):
-        translation(d, (Fraction(1, 2), 0))
-    # built directly, the element still fails every root-data read
-    t = AffineWeylElement(d, d.identity(), (Fraction(1, 2), 0))
-    with pytest.raises(ValueError):
-        t.inversion_chains()
-    with pytest.raises(ValueError):
-        t.apply(((0, 1), 0))
-    with pytest.raises(ValueError):
-        t.word()
-    B = BiclosedSet(t, standard_positive_system(d), (), ())
-    with pytest.raises(ValueError):
-        B.contains(((0, 1), 0))
-    with pytest.raises(ValueError):
-        covers(t, full_positive_biclosed(d))
+    with pytest.raises(ValueError, match="coroot lattice"):
+        AffineWeylElement(d, d.identity(), vec)
+
+
+def _in_roots(w):
+    """w's translation over the simple roots, v_i = 2 c_i / (a_i, a_i), in
+    Fractions: the stored form before translations moved to the simple
+    coroots."""
+    gram = w.datum.gram
+    return tuple(Fraction(2 * c, gram[i][i]) for i, c in enumerate(w.trans))
+
+
+def _from_roots(datum, fin, v):
+    """fin t_v for v over the simple roots: c_i = v_i (a_i, a_i) / 2."""
+    gram = datum.gram
+    return AffineWeylElement(
+        datum, fin, [Fraction(x) * gram[i][i] / 2 for i, x in enumerate(v)]
+    )
+
+
+def _mul_in_fractions(x, y):
+    """The former `__mul__`, kept as the oracle of the integer one:
+    (u1 t_v1)(u2 t_v2) = u1 u2 t_{u2^{-1}(v1) + v2} in Fractions over the
+    simple roots."""
+    v = y.fin.inverse().apply(_in_roots(x))
+    return _from_roots(
+        x.datum, x.fin * y.fin, [a + b for a, b in zip(v, _in_roots(y))]
+    )
+
+
+def _inverse_in_fractions(x):
+    """The former `inverse`: (u t_v)^{-1} = u^{-1} t_{-u(v)} in Fractions."""
+    v = x.fin.apply(_in_roots(x))
+    return _from_roots(x.datum, x.fin.inverse(), [-a for a in v])
+
+
+@pytest.mark.parametrize("label", TYPES)
+def test_products_and_inverses_match_fraction_oracle(label):
+    """500 seeded pairs of words of up to 16 letters: the integer product
+    and inverse are the Fraction ones, and their translations are ints.  In
+    B2 and G2 the simple coroots differ from the simple roots."""
+    d = build_system(label)
+    rng = random.Random(37)
+    word = lambda: [rng.randint(1, d.rank + 1) for _ in range(rng.randint(0, 16))]
+    for _ in range(500):
+        x, y = from_word(d, word()), from_word(d, word())
+        xy, inv = x * y, x.inverse()
+        assert xy == _mul_in_fractions(x, y)
+        assert inv == _inverse_in_fractions(x)
+        assert all(type(c) is int for c in xy.trans + inv.trans)
 
 
 def _chain_tops_in_fractions(w):
@@ -153,7 +194,7 @@ def _chain_tops_in_fractions(w):
     [u^{-1}(mu) > 0]."""
     d = w.datum
     uinv = w.fin.inverse()
-    uv = tuple(Fraction(x) for x in w.fin.apply(w.trans))
+    uv = w.fin.apply(_in_roots(w))
     tops = {}
     for mu in d.roots:
         c = d.inner(mu, uv)
@@ -164,7 +205,7 @@ def _chain_tops_in_fractions(w):
 
 def _apply_in_fractions(w, r):
     base, level = r
-    shift = w.datum.inner(base, w.trans)
+    shift = w.datum.inner(base, _in_roots(w))
     assert shift.denominator == 1
     return (w.fin.apply(base), level + int(shift))
 
@@ -239,23 +280,6 @@ def test_word_of_translations(label):
             sum(n * c[j] for n, c in zip(ns, coroots)) for j in range(d.rank)
         )
         _check_word(d, translation(d, lam))
-
-
-def test_word_off_the_coroot_lattice_raises():
-    d = build_system("A2")
-    off = lambda v: AffineWeylElement(d, d.identity(), v)
-    # (a_k, v) is not an integer
-    with pytest.raises(ValueError):
-        off((Fraction(1, 2), 0)).word()
-    # the coweight (2a + b)/3 pairs integrally with every root; the walk
-    # strips two letters and stops at a length-0 element other than e
-    coweight = off((Fraction(2, 3), Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        coweight.word()
-    # nor are its covers built: v has no integer coordinates over the
-    # simple coroots
-    with pytest.raises(ValueError, match="coroot lattice"):
-        covers(coweight, full_positive_biclosed(d))
 
 
 @pytest.mark.parametrize(

@@ -188,10 +188,11 @@ def _importers(module):
 
 
 def test_fraction_imports_are_fenced():
-    """Only these modules may import `fractions`: the coroots (`finite`) and
-    the affine translations (`affine_group`) until translations move to
-    integer coroot coordinates, and the cone certificates (`linprog`)."""
-    allowed = {"finite.py", "affine_group.py", "linprog.py"}
+    """Only these modules may import `fractions`: the cone certificates
+    (`linprog`), and `finite` for `CartanDatum.coroot` alone, a coroot over
+    the simple roots that the benchmark tracer still names; the library
+    reads coroots over the simple coroots, in ints."""
+    allowed = {"finite.py", "linprog.py"}
     importers = _importers("fractions")
     assert importers <= allowed, sorted(importers - allowed)
 
@@ -202,10 +203,10 @@ def test_no_dataclasses_in_src():
     assert _importers("dataclasses") == set()
 
 
-def _finite_methods(clsname):
+def _methods(filename, clsname):
     (cls,) = [
         node
-        for node in _tree(SRC / "finite.py").body
+        for node in _tree(SRC / filename).body
         if isinstance(node, ast.ClassDef) and node.name == clsname
     ]
     return {
@@ -229,7 +230,7 @@ def test_root_arithmetic_is_integer():
     in ints: <v, r^vee> is a Cartan integer for v in the root lattice, so
     none of them touches Fraction or _fr.  Only `coroot` is rational."""
     found = _names_used(
-        _finite_methods("CartanDatum"),
+        _methods("finite.py", "CartanDatum"),
         ("inner", "norm_sq", "pairing", "reflect", "_generate_roots"),
         ("Fraction", "_fr"),
     )
@@ -238,12 +239,23 @@ def test_root_arithmetic_is_integer():
 
 def test_weyl_group_ops_are_integer():
     """WeylElement.__mul__, inverse and length read the integer tables:
-    none of them touches Fraction or _fr, nor apply, which keeps Fraction
-    arithmetic for rational vectors."""
+    none of them touches Fraction or _fr, nor sums root images by apply."""
     found = _names_used(
-        _finite_methods("WeylElement"),
+        _methods("finite.py", "WeylElement"),
         ("__mul__", "inverse", "length"),
         ("Fraction", "_fr", "apply"),
+    )
+    assert not found, found
+
+
+def test_affine_group_ops_are_integer():
+    """AffineWeylElement.__mul__, inverse and _pairings work on the integer
+    coroot coordinates through the integer tables: none of them touches
+    Fraction, the rational `coroot` or `apply`."""
+    found = _names_used(
+        _methods("affine_group.py", "AffineWeylElement"),
+        ("__mul__", "inverse", "_pairings"),
+        ("Fraction", "coroot", "apply"),
     )
     assert not found, found
 
