@@ -7,7 +7,7 @@ the number of interval elements found strictly grows as the search
 budget rises, with every membership backed by a reflection-chain
 certificate.
 
-Run: python3 demos/infinite_interval.py  (about a minute)
+Run: python3 demos/infinite_interval.py  (about a second)
 """
 
 from twisted_bruhat import generic

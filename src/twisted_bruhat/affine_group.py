@@ -68,7 +68,8 @@ class AffineWeylElement:
     """Element u t_v of the affine Weyl group: ``fin`` is u, and ``trans``
     is the tuple of ints c with v = sum c_i a_i^vee over the simple
     coroots.  A coordinate that is not an integer (a coweight off the
-    coroot lattice, outside W~) raises ValueError."""
+    coroot lattice, outside W~), or a count of coordinates other than the
+    rank, raises ValueError."""
 
     __slots__ = ("datum", "fin", "trans", "_hash", "_inv", "_chains", "_word")
 
@@ -77,6 +78,8 @@ class AffineWeylElement:
         c = tuple(map(int, trans))
         if c != trans:
             raise ValueError("translation not in the coroot lattice")
+        if len(c) != datum.rank:
+            raise ValueError(f"translation needs {datum.rank} coordinates")
         self.datum = datum
         self.fin = fin
         self.trans = c

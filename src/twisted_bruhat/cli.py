@@ -27,7 +27,7 @@ EXIT_USAGE = 2
 EXIT_CERT_FAIL = 3
 
 # Upper limits that keep each run within a few seconds (2-vCPU machine):
-# sect4 cost roughly doubles per budget unit and takes about 7 s at 12; an
+# sect4 cost grows 1.5-1.9x per budget unit and takes about 3 s at 12; an
 # A3 `levels` ball grows with the cube of the radius (about 2 s at 20);
 # `hasse` at bound 20 takes about 1 s; `poincare` output grows with dmax.
 # Element words (--x, --y, --elem and the twist of --biclosed) are checked

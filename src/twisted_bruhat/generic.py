@@ -13,6 +13,13 @@ off it, so s_gamma(v) = v - B(v, gamma) gamma and every root, matrix entry and
 form value is a plain int.  The representation is faithful, so elements are
 compared by their matrices.
 
+An element is stored as its columns w(a_j) and w^{-1}(a_j).  Words,
+lengths, `from_word` and inversion roots take no group products: they walk
+those columns as integer tables (Casselman, Invent. Math. 1994).  s_i is a
+left descent of w iff w^{-1}(a_i) < 0 (Bjorner-Brenti, GTM 231, Ch. 4),
+and a step by s_i on either side moves each column by a multiple of one
+other column, read off the doubled Gram row of a_i.
+
 Convention: N(x) = {positive gamma : x^{-1}(gamma) < 0}, matching the affine
 modules, so N(s_{i1}...s_{ik}) = {a_{i1}, s_{i1} a_{i2}, ...} for reduced
 words and Ntilde(x) = {reflections t : alpha_t in N(x)}.
@@ -46,6 +53,10 @@ class CoxeterMatrix:
                     raise ValueError("off-diagonal bonds must be 2, 3 or inf")
         self.rank = rank
         self.bonds = bonds
+        # rows[i][j] = 2(a_i, a_j), read by the column walks
+        self.rows = tuple(
+            tuple(self.gram(i, j) for j in range(rank)) for i in range(rank)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, CoxeterMatrix):
@@ -142,21 +153,24 @@ class CoxElement:
         )
 
     def word(self):
-        """Lexicographically least reduced word (1-based letters)."""
+        """Lexicographically least reduced word (1-based letters).
+
+        s_i is a left descent of w iff w^{-1}(a_i) < 0, and the inverse
+        columns of s_i w are those of w^{-1} s_i (`_step`): the walk strips
+        the least descent until none is left.
+        """
         if self._word is None:
-            gens = simple_reflections(self.cm)
-            w = self
+            rows = self.cm.rows
+            cols = list(self.inv_imgs)
             out = []
-            while not w.is_identity():
-                for i in range(self.cm.rank):
-                    if not is_positive_root(
-                        w.inv_apply(_simple_vec(self.cm, i))
-                    ):
-                        out.append(i + 1)
-                        w = gens[i] * w
+            while True:
+                for i, ci in enumerate(cols):
+                    if not is_positive_root(ci):
                         break
-                else:  # pragma: no cover
-                    raise AssertionError("no descent found")
+                else:
+                    break
+                out.append(i + 1)
+                cols = _step(rows, cols, i)
             self._word = tuple(out)
         return self._word
 
@@ -184,12 +198,32 @@ def simple_reflections(cm: CoxeterMatrix):
     return tuple(reflection_in(cm, _simple_vec(cm, i)) for i in range(cm.rank))
 
 
-def from_word(cm: CoxeterMatrix, letters) -> CoxElement:
-    gens = simple_reflections(cm)
-    w = identity(cm)
+def _step(rows, cols, i):
+    """The columns moved by s_i on the right: col_j - 2(a_j, a_i) col_i.
+
+    For the columns w(a_j) of w these are the columns of w s_i; for the
+    inverse columns w^{-1}(a_j) they are those of s_i w.
+    """
+    ci = cols[i]
+    return [tuple(x - b * y for x, y in zip(c, ci)) for c, b in zip(cols, rows[i])]
+
+
+def _walk(cm: CoxeterMatrix, letters):
+    """The columns of s_{a1} ... s_{ak} for letters a1 ... ak, in ints."""
+    cols = [_simple_vec(cm, i) for i in range(cm.rank)]
     for a in letters:
-        w = w * gens[a - 1]
-    return w
+        cols = _step(cm.rows, cols, a - 1)
+    return cols
+
+
+def from_word(cm: CoxeterMatrix, letters) -> CoxElement:
+    """Product of 1-based simple-reflection letters, with no group product:
+    its columns walk the letters, its inverse columns walk them reversed."""
+    letters = tuple(letters)
+    for a in letters:
+        if not 1 <= a <= cm.rank:
+            raise ValueError(f"letter out of range: {a}")
+    return CoxElement(cm, _walk(cm, letters), _walk(cm, reversed(letters)))
 
 
 def reflection_in(cm: CoxeterMatrix, gamma) -> CoxElement:
@@ -203,11 +237,10 @@ def inversion_roots(w: CoxElement):
     """N(w) as root vectors, via the reduced-word telescoping formula."""
     cm = w.cm
     out = []
-    prefix = identity(cm)
-    gens = simple_reflections(cm)
+    imgs = [_simple_vec(cm, i) for i in range(cm.rank)]
     for a in w.word():
-        out.append(prefix.apply(_simple_vec(cm, a - 1)))
-        prefix = prefix * gens[a - 1]
+        out.append(imgs[a - 1])
+        imgs = _step(cm.rows, imgs, a - 1)
     return out
 
 

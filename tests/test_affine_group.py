@@ -140,6 +140,17 @@ def test_construction_off_the_coroot_lattice_raises(vec):
         AffineWeylElement(d, d.identity(), vec)
 
 
+@pytest.mark.parametrize(
+    "label, vec", [("A3", (1, 0)), ("A2", (1, 0, 0)), ("B2", ())]
+)
+def test_construction_with_the_wrong_rank_raises(label, vec):
+    """One coordinate per simple coroot: A3's (1, 0) would read length 6
+    and act as t_{a1^vee}, yet compare unequal to translation(d, (1, 0, 0))."""
+    d = build_system(label)
+    with pytest.raises(ValueError, match="coordinates"):
+        AffineWeylElement(d, d.identity(), vec)
+
+
 def _in_roots(w):
     """w's translation over the simple roots, v_i = 2 c_i / (a_i, a_i), in
     Fractions: the stored form before translations moved to the simple

@@ -1,7 +1,6 @@
 """The demos run to completion.  Each runs in a fresh interpreter inside a
 temporary directory, because figures.py writes its .dot files to the working
-directory.  infinite_interval.py is left out: it takes several seconds, and
-CI runs it as a step of its own."""
+directory."""
 
 import subprocess
 import sys
@@ -14,7 +13,9 @@ from conftest import src_env
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("demo", ["alcove_order_walkthrough.py", "figures.py"])
+@pytest.mark.parametrize(
+    "demo", ["alcove_order_walkthrough.py", "figures.py", "infinite_interval.py"]
+)
 def test_demo_runs(demo, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(DEMOS / demo)],

@@ -240,5 +240,81 @@ def test_canonical_check_rejects_non_canonical_generators(cm):
         generic.canonical_check(sub, sub.generators[0])
 
 
+# ----- oracles: word, from_word and inversion_roots by group products -------
+
+
+def _word_oracle(w):
+    gens = generic.simple_reflections(w.cm)
+    out = []
+    while not w.is_identity():
+        i = next(i for i in range(w.cm.rank) if not generic.is_positive_root(
+            w.inv_apply(generic._simple_vec(w.cm, i))))
+        out.append(i + 1)
+        w = gens[i] * w
+    return tuple(out)
+
+
+def _from_word_oracle(cm, letters):
+    gens = generic.simple_reflections(cm)
+    w = generic.identity(cm)
+    for a in letters:
+        w = w * gens[a - 1]
+    return w
+
+
+def _inversion_roots_oracle(w):
+    gens = generic.simple_reflections(w.cm)
+    prefix, out = generic.identity(w.cm), []
+    for a in _word_oracle(w):
+        out.append(prefix.apply(generic._simple_vec(w.cm, a - 1)))
+        prefix = prefix * gens[a - 1]
+    return out
+
+
+@pytest.fixture
+def cox_products(monkeypatch):
+    """A list that grows by one entry per CoxElement product."""
+    calls = []
+    mul = generic.CoxElement.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(generic.CoxElement, "__mul__", counted)
+    return calls
+
+
+def test_walks_match_product_oracles(cm):
+    rng = random.Random(64)
+    words = [()] + [
+        tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 20)))
+        for _ in range(300)
+    ]
+    for letters in words:
+        w = generic.from_word(cm, letters)
+        ref = _from_word_oracle(cm, letters)
+        assert (w.imgs, w.inv_imgs, hash(w)) == (ref.imgs, ref.inv_imgs, hash(ref))
+        fresh = generic.CoxElement(cm, ref.imgs, ref.inv_imgs)
+        assert fresh.word() == _word_oracle(ref), letters
+        assert generic.inversion_roots(w) == _inversion_roots_oracle(ref)
+
+
+def test_walks_take_no_products(cm, cox_products):
+    rng = random.Random(65)
+    for _ in range(50):
+        letters = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 20)))
+        w = generic.from_word(cm, letters)
+        w.word(), w.length(), generic.inversion_roots(w), generic.n_tilde(w)
+    assert cox_products == []
+
+
+@pytest.mark.parametrize("letter", [0, -1, 4])
+def test_from_word_rejects_letters_out_of_range(cm, letter):
+    """Letter 0 would index s3 and -1 would index s2; 4 has no generator."""
+    with pytest.raises(ValueError, match="letter out of range"):
+        generic.from_word(cm, (1, letter))
+
+
 def test_simple_reflections_cached(cm):
     assert generic.simple_reflections(cm) is generic.simple_reflections(cm)

@@ -5,7 +5,8 @@ The commands are the README `interval`/`covers`/`levels` examples,
 non-trivial twist, two larger A3 and G2 intervals (16 edges each, weak
 and strong), the rank-2 tope figure as records and as DOT, and the
 rank-2 alcove order's `hasse` figure (DOT and JSONL, and DOT at
-`--bound 10`) and `poincare` series.
+`--bound 10`) and `poincare` series, and the `sect4` growth table of the
+(2,3,inf) group at its default budgets.
 The stdout of `demos/alcove_order_walkthrough.py`, which prints coset
 decompositions and their predicted lengths, is recorded too.  The
 `covers` and `interval` commands must also run without one affine group
@@ -65,6 +66,7 @@ COMMANDS = {
         "twist:2.3 psi:1 d1:{} d2:{2}", "--x", "3.2.1.2.1.3", "--y", "2.1.3",
         "--format", "dot"),
     "a2_hasse_bound10_dot": ("hasse", "--bound", "10"),
+    "sect4": ("sect4",),
 }
 
 #: recording name -> demo script whose stdout is recorded
