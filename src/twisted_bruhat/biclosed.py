@@ -96,6 +96,7 @@ class BiclosedSet:
         self.delta2 = frozenset(tuple(r) for r in delta2)
         self.P_roots = _P_roots(psi, self.delta1, self.delta2)
         self._chains = None
+        self._line_tops = None
         self._lB = {}
         self._lBp = {}
         self._ray_memo = None  # (w, profile): orders._element_profile
@@ -163,6 +164,36 @@ class BiclosedSet:
         tail, e = self.chains()[tuple(base)]
         return (tail != (k < e)) == positive
 
+    def lowest(self, mu, member: bool):
+        """The lowest level k >= k0 of mu + k delta whose membership in B is
+        `member`, or None: e if that is the tail, else k0 if the chain is
+        flipped."""
+        tail, e = self.chains()[mu]
+        if tail == member:
+            return e
+        k0 = 0 if self.datum.is_positive(mu) else 1
+        return k0 if e > k0 else None
+
+    def line_tops(self):
+        """Per finite root nu: the top level of the line nu + Z delta whose
+        membership in H_B differs from nu's tail, or None if none does.
+
+        That is e - 1 if nu's chain is flipped.  Else it lies below k0(nu),
+        where nu - j delta is in H_B iff -nu + j delta is not in B: it is
+        -j for the lowest such j whose membership in B is nu's tail.
+        """
+        if self._line_tops is None:
+            positive = self.datum.is_positive
+            tops = {}
+            for nu, (tail, e) in self.chains().items():
+                if e > (0 if positive(nu) else 1):
+                    tops[nu] = e - 1
+                else:
+                    j = self.lowest(tuple(-x for x in nu), tail)
+                    tops[nu] = None if j is None else -j
+            self._line_tops = tops
+        return self._line_tops
+
     def reflected_chains(self, r):
         """The chains of s_r . B for an affine root r = (gamma, m), read off
         those of B with no group element.
@@ -170,12 +201,8 @@ class BiclosedSet:
         The dot action is the linear action on hemispaces, H_{w.B} =
         w(H_B) (Dyer, J. Algebra 163, 1994), and s_r(mu + k delta) =
         nu + (k - p m) delta for nu = s_gamma(mu), p = <mu, gamma^vee>.  So
-        mu's tail is nu's, and its threshold lies p m above the top level
-        of the line nu + Z delta whose membership in H_B differs from that
-        tail: e_nu - 1 if nu's chain is flipped; else, below k0(nu), where
-        nu - j delta is in H_B iff -nu + j delta is not in B, -e_{-nu} if
-        -nu has the same tail, k0(nu) - 1 if -nu's chain is flipped, and
-        no level otherwise.
+        mu's tail is nu's, and its threshold lies p m above nu's top
+        (`line_tops`), if nu has one.
         """
         gamma, m = r
         datum = self.datum
@@ -186,25 +213,15 @@ class BiclosedSet:
         g = gamma[j]
         positive = datum.is_positive
         chains = self.chains()
+        tops = self.line_tops()
         out = {}
         for mu in chains:
             nu = image[mu]
-            tail, e = chains[nu]
-            k0 = 0 if positive(nu) else 1
-            if e > k0:
-                top = e - 1
-            else:
-                neg_tail, neg_e = chains[tuple(-x for x in nu)]
-                if neg_tail == tail:
-                    top = -neg_e
-                elif neg_e > 1 - k0:
-                    top = k0 - 1
-                else:
-                    top = None
+            top = tops[nu]
             lowest = 0 if positive(mu) else 1
             if top is not None:
                 lowest = max(lowest, top + 1 + (mu[j] - nu[j]) // g * m)
-            out[mu] = (tail, lowest)
+            out[mu] = (chains[nu][0], lowest)
         return out
 
     # ----- derived structure -------------------------------------------

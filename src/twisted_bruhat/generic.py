@@ -53,10 +53,10 @@ class CoxeterMatrix:
                     raise ValueError("off-diagonal bonds must be 2, 3 or inf")
         self.rank = rank
         self.bonds = bonds
-        # rows[i][j] = 2(a_i, a_j), read by the column walks
-        self.rows = tuple(
-            tuple(self.gram(i, j) for j in range(rank)) for i in range(rank)
-        )
+        # rows[i][j] = 2(a_i, a_j): 2 on the diagonal (bond 1), else
+        # 0 / -1 / -2 for bond 2 / 3 / inf
+        form = {1: 2, 2: 0, 3: -1, INF: -2}
+        self.rows = tuple(tuple(form[b] for b in row) for row in bonds)
 
     def __eq__(self, other):
         if not isinstance(other, CoxeterMatrix):
@@ -65,12 +65,6 @@ class CoxeterMatrix:
 
     def __hash__(self):
         return hash((self.rank, self.bonds))
-
-    def gram(self, i: int, j: int) -> int:
-        """2(a_i, a_j): 2 on the diagonal, else 0 / -1 / -2 for bond 2 / 3 / inf."""
-        if i == j:
-            return 2
-        return {2: 0, 3: -1, INF: -2}[self.bonds[i][j]]
 
 
 def coxeter_2_3_inf() -> CoxeterMatrix:
@@ -84,11 +78,7 @@ def _simple_vec(cm: CoxeterMatrix, i: int):
 
 def inner(cm: CoxeterMatrix, u, v) -> int:
     """The doubled form 2(u, v)."""
-    return sum(
-        u[i] * cm.gram(i, j) * v[j]
-        for i in range(cm.rank)
-        for j in range(cm.rank)
-    )
+    return sum(x * sum(b * y for b, y in zip(r, v)) for x, r in zip(u, cm.rows))
 
 
 def reflect_in_root(cm: CoxeterMatrix, gamma, v):
@@ -227,6 +217,13 @@ def from_word(cm: CoxeterMatrix, letters) -> CoxElement:
 
 
 def reflection_in(cm: CoxeterMatrix, gamma) -> CoxElement:
+    """s_gamma for a root gamma.  A vector that cannot be a root, as its
+    doubled norm is not 2 or its nonzero coordinates differ in sign, is
+    refused: s_gamma would not be a group element."""
+    if inner(cm, gamma, gamma) != 2 or (
+        any(x > 0 for x in gamma) and any(x < 0 for x in gamma)
+    ):
+        raise ValueError(f"not a root: {tuple(gamma)}")
     cols = tuple(
         reflect_in_root(cm, gamma, _simple_vec(cm, i)) for i in range(cm.rank)
     )

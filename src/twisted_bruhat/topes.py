@@ -1,20 +1,21 @@
 """Hemispaces (topes) of the affine root system's oriented matroid.
 
-A hemispace is H = B union -(Phi^hat \\ B) (sign '+') or its negation
-(sign '-') for B a biclosed set of positive affine roots; the order based
-at a hemispace H0 is F <= G iff (F delta H0) subset (G delta H0), which is
+A hemispace is H_B = B union -(Phi^hat+ \\ B) for B a biclosed set of
+positive affine roots; its negation -H_B is the hemispace of the
+complement Phi^hat+ \\ B (`BiclosedSet.complement`).  The order based at a
+hemispace H0 is F <= G iff (F delta H0) subset (G delta H0), which is
 finite-checkable inside a block (hemispaces at finite symmetric
-difference).  A hemispace is its biclosed set and a sign; it reads B's
-pair (tail, e) per delta-chain (`BiclosedSet.chains`: constant from level
-e up, flipped below), so symmetric differences are read off in closed
-form.  As B = w . P(psi, d1, d2)^hat, every hemispace, those of the
-paper's rank-2 figure included, has a P-triple and a twist.  On
-hemispaces the library builds the tope order, tope blocks with their
-interval lattices, a convexity check and the figure.  A block is walked
-by reflections s_r with no group product: the dot action is the linear
-action on hemispaces, H_{w.B} = w(H_B), so each neighbour reads its pairs
-off the current ones (`BiclosedSet.reflected_chains`), and only a new one
-builds its representative and twist, one left reflection step each.  Cone
+difference).  A hemispace is its biclosed set; it reads B's pair (tail, e)
+per delta-chain (`BiclosedSet.chains`: constant from level e up, flipped
+below), so symmetric differences are read off in closed form.  As
+B = w . P(psi, d1, d2)^hat, every hemispace, those of the paper's rank-2
+figure included, has a P-triple and a twist.  On hemispaces the library
+builds the tope order, tope blocks with their interval lattices, a
+convexity check and the figure.  A block is walked by reflections s_r
+with no group product: the dot action is the linear action on
+hemispaces, H_{w.B} = w(H_B), so each neighbour reads its pairs off the
+current ones (`BiclosedSet.reflected_chains`), and only a new one builds
+its representative and twist, one left reflection step each.  Cone
 feasibility questions are answered exactly by the integer simplex in
 linprog.  The convexity check's LP search is truncated at a level, so it
 certifies convexity only up to that level; a violation it finds is an
@@ -57,43 +58,34 @@ def all_roots_to_level(datum: CartanDatum, level: int):
 
 
 class Hemispace:
-    """H_B = B u -(Phi^hat \\ B) (sign '+') or its negation (sign '-') for
-    the BiclosedSet B = `biclosed`: a total membership oracle over the whole
-    affine root system, read off `BiclosedSet.in_hemispace`.
-
-    `chains` is B's pair (tail, e) per finite root mu (see
-    `BiclosedSet.chains`): the positive root mu + k delta is in B iff
-    `tail`, except at the levels k0 <= k < e.
+    """H_B = B u -(Phi^hat+ \\ B) for the BiclosedSet B = `biclosed`: a
+    total membership oracle over the whole affine root system, read off
+    `BiclosedSet.in_hemispace`.  As -H_B = H_{Phi^hat+ \\ B}, the negation
+    is the hemispace of B's complement, w . P(psi^-, -d2, -d1)^hat: the same
+    pairs (tail, e) with every tail flipped.
     """
 
-    def __init__(self, biclosed: BiclosedSet, sign="+", label=""):
-        if sign not in ("+", "-"):
-            raise ValueError("sign must be '+' or '-'")
+    def __init__(self, biclosed: BiclosedSet, label=""):
         self.biclosed = biclosed
         self.datum = biclosed.datum
-        self.chains = biclosed.chains()
-        self.sign = sign
         self.label = label
 
     def contains(self, r) -> bool:
-        return self.biclosed.in_hemispace(r) == (self.sign == "+")
+        return self.biclosed.in_hemispace(r)
 
     def negated(self) -> "Hemispace":
-        return Hemispace(
-            self.biclosed, "-" if self.sign == "+" else "+",
-            "-" + self.label if self.label else "",
-        )
+        return Hemispace(self.biclosed.complement(), "-" + self.label)
 
     def level_bound(self) -> int:
         """All membership variation happens at levels below this bound."""
-        return max(e for _, e in self.chains.values())
+        return max(e for _, e in self.biclosed.chains().values())
 
     def __repr__(self):
-        return f"Hemispace({self.label or self.sign})"
+        return f"Hemispace({self.label or self.biclosed!r})"
 
 
-def from_biclosed(B: BiclosedSet, sign="+", label="") -> Hemispace:
-    return Hemispace(B, sign, label)
+def from_biclosed(B: BiclosedSet, label="") -> Hemispace:
+    return Hemispace(B, label)
 
 
 def symdiff_positive(F: Hemispace, G: Hemispace) -> frozenset:
@@ -103,19 +95,18 @@ def symdiff_positive(F: Hemispace, G: Hemispace) -> frozenset:
     positive half determines the whole.  Read chain by chain: on positive
     roots F is constant from its threshold e_F up, and flipped below it.
     So F and G disagree on infinitely many levels (DifferentBlocks) when
-    their signed tails differ, and otherwise exactly on the levels from
+    their tails differ, and otherwise exactly on the levels from
     min(e_F, e_G) up to below max(e_F, e_G).
     """
-    return _symdiff(F.chains, G.chains, F.sign != G.sign)
+    return _symdiff(F.biclosed.chains(), G.biclosed.chains())
 
 
-def _symdiff(chains, G_chains, flip):
-    """`symdiff_positive` on the chains of F and G; `flip` if their signs
-    differ."""
+def _symdiff(chains, G_chains):
+    """`symdiff_positive` on the chains of F and G."""
     out = []
     for mu, (tail, e) in chains.items():
         G_tail, G_e = G_chains[mu]
-        if (tail != G_tail) != flip:
+        if tail != G_tail:
             raise DifferentBlocks(
                 "symmetric difference does not stabilize: different blocks"
             )
@@ -187,43 +178,25 @@ def check_convex_truncated(H: Hemispace, level_bound: int):
     }
 
 
-def _lowest(H: Hemispace, mu, member: bool):
-    """The lowest positive level k >= k0 of mu + k delta whose membership
-    in H is `member`, or None.  Levels from e up are in H iff the signed
-    tail is, and the levels k0 <= k < e below them are flipped."""
-    tail, e = H.chains[mu]
-    k0 = _k0(H.datum, mu)
-    if (tail != (H.sign == "-")) == member:
-        return e
-    return k0 if e > k0 else None
-
-
-def _top(H: Hemispace, mu):
-    """The top level of the line mu + Z delta in H, or None if its upper
-    tail lies in H or it misses H.  Below k0, mu - j delta is in H iff
-    -mu + j delta is not."""
-    tail, e = H.chains[mu]
-    if tail != (H.sign == "-"):
-        return None
-    if e > _k0(H.datum, mu):
-        return e - 1
-    j = _lowest(H, tuple(-x for x in mu), False)
-    return None if j is None else -j
-
-
 def _mixed_violation(H: Hemispace):
     """The +-delta witness, read off the pairs (tail, e): a = nu + s delta
     and b = -nu + t delta in H at their lowest positive levels, so
     s + t >= k0(nu) + k0(-nu) = 1, and c the top root of H on a line whose
-    upper tail leaves H; then c + a + b = c + (s + t) delta lies above c,
-    in -H.  None if no line or no pair nu, -nu qualifies."""
+    upper tail leaves H (`BiclosedSet.line_tops`); then c + a + b =
+    c + (s + t) delta lies above c, in -H.  None if no line or no pair
+    nu, -nu qualifies."""
+    B = H.biclosed
+    chains, tops = B.chains(), B.line_tops()
     roots = H.datum.roots
-    c = next(((mu, l) for mu in roots if (l := _top(H, mu)) is not None), None)
+    c = next((
+        (mu, tops[mu]) for mu in roots
+        if not chains[mu][0] and tops[mu] is not None
+    ), None)
     if c is None:
         return None
     for nu in roots:
         neg_nu = tuple(-x for x in nu)
-        s, t = _lowest(H, nu, True), _lowest(H, neg_nu, True)
+        s, t = B.lowest(nu, True), B.lowest(neg_nu, True)
         if s is not None and t is not None:
             return {
                 "target": (c[0], c[1] + s + t),
@@ -266,8 +239,7 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
     """
     datum = center.datum
     roots = _block_generators(center)
-    flip = center.sign != base.sign
-    base_chains = base.chains
+    base_chains = base.biclosed.chains()
     seen = {}
     e = identity(datum)
     key0 = symdiff_positive(center, base)  # raises DifferentBlocks if apart
@@ -280,10 +252,10 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
                 # s_r . (w . B) = (s_r w) . B: only a new key builds s_r w
                 # and the twist, one left_reflections step each
                 chains = F.biclosed.reflected_chains(r)
-                key = _symdiff(chains, base_chains, flip)
+                key = _symdiff(chains, base_chains)
                 if key not in seen:
                     (w2,) = left_reflections(w, r[0], (r[1],))
-                    F2 = Hemispace(reflect(r, F.biclosed, chains), center.sign)
+                    F2 = Hemispace(reflect(r, F.biclosed, chains))
                     seen[key] = (w2, F2)
                     nxt.append(seen[key])
         frontier = nxt
@@ -325,7 +297,11 @@ def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
     """Enumerate [H1, H2] in the tope poset based at `base` and verify
     every pair has a unique meet and join inside the interval.  The
     interval is read off the block of H1, which its P-triple and twist
-    generate (`tope_block`), so H1 may be any hemispace."""
+    generate (`tope_block`), so H1 may be any hemispace.
+
+    Known gap: the block radius counts generator steps, not tope-order
+    steps, so the interval can miss elements of [H1, H2], H2 included
+    (on A2, H1 = N(1) and H2 = 1.3.1 . N(1), one root apart)."""
     d1 = symdiff_positive(H1, base)
     d2 = symdiff_positive(H2, base)
     if not d1 <= d2:
@@ -377,7 +353,7 @@ def figure_hemispaces():
     ]
     out = {
         label: from_biclosed(
-            parse_biclosed(datum, f"twist:{w} {triple} d2:{{}}"), "+", label
+            parse_biclosed(datum, f"twist:{w} {triple} d2:{{}}"), label
         )
         for label, w, triple in specs
     }
@@ -397,28 +373,30 @@ def figure_topes():
     """
     datum = build_system("A2")
     hs = figure_hemispaces()
-    flips = {
-        label: sorted(
+    positive = [label for label in hs if label[0] != "-"]
+    descriptors, span = {}, {}
+    for label in positive:
+        chains = hs[label].biclosed.chains()
+        full = [datum.root_name(mu) for mu, (tail, _) in chains.items() if tail]
+        flips = sorted(
             (datum.root_name(mu), k)
-            for mu, (_, e) in h.chains.items()
+            for mu, (_, e) in chains.items()
             for k in range(_k0(datum, mu), e)
         )
-        for label, h in hs.items()
-    }
-    positive = [label for label in hs if label[0] != "-"]
-    span = {}
-    for label in positive:
-        span[label[0]] = max(span.get(label[0], 0), len(flips[label]))
+        descriptors[label] = sorted(full), [f"{n}+{k}d" for n, k in flips]
+        span[label[0]] = max(span.get(label[0], 0), len(flips))
     records = []
     nodes = []
-    for label, h in hs.items():
-        full = (datum.root_name(mu) for mu, (tail, _) in h.chains.items() if tail)
+    for label in hs:
+        # a negated label keeps its positive label's descriptor
+        sign, name = ("-", label[1:]) if label[0] == "-" else ("+", label)
+        full, flips = descriptors[name]
         records.append({
-            "label": label, "sign": h.sign, "full_chain_bases": sorted(full),
-            "flips": [f"{n}+{k}d" for n, k in flips[label]],
+            "label": label, "sign": sign, "full_chain_bases": full,
+            "flips": flips,
         })
-        n = len(flips[label])
-        nodes.append(PosetNode(label, span[label[1]] - n if h.sign == "-" else n, label))
+        n = len(flips)
+        nodes.append(PosetNode(label, span[name[0]] - n if sign == "-" else n, label))
     edges = []
     for a, b in combinations(positive, 2):
         try:

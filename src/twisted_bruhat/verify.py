@@ -158,9 +158,9 @@ def _alcove_positive():
     """The positivity test of the A2 roots, or None if `a2`'s B is not
     (Phi+)^hat, the twisting set that `_alcove_length` assumes."""
     B = a2.alcove_biclosed()
-    positive = B.datum.is_positive
-    alcove = {mu: (positive(mu), 0 if positive(mu) else 1) for mu in B.datum.roots}
-    return positive if B.chains() == alcove else None
+    if not B.equals(full_positive_biclosed(B.datum)):
+        return None
+    return B.datum.is_positive
 
 
 def check_class_deltas():

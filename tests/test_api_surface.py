@@ -2,10 +2,11 @@
 only the modules it uses, the benchmark tracer's targets exist, certificate
 and integrality checks are explicit code rather than `assert` (which
 `python -O` strips), arithmetic stays exact, only a fenced set of modules
-imports `fractions` and none imports `dataclasses`, finite root arithmetic
-and the finite Weyl group's operations stay integer, and every definition
-in src/ is used by the library, its demos or its benchmark, not only by
-tests."""
+imports `fractions` and none imports `dataclasses`, only a fenced set of
+modules reads a biclosed set's chains and none a hemispace sign, finite root
+arithmetic and the finite Weyl group's operations stay integer, and every
+definition in src/ is used by the library, its demos or its benchmark, not
+only by tests."""
 
 import ast
 import importlib
@@ -195,6 +196,25 @@ def test_fraction_imports_are_fenced():
     allowed = {"finite.py", "linprog.py"}
     importers = _importers("fractions")
     assert importers <= allowed, sorted(importers - allowed)
+
+
+def test_chain_format_is_fenced():
+    """No module reads a `.sign` attribute: a negated hemispace is the
+    hemispace of the complement, not a flag.  Only `biclosed`, `orders` and
+    `topes` call `.chains()`, so the pair format (tail, e) stays out of
+    `verify`, `a2`, `cli` and `affine_group`."""
+    signs, callers = [], set()
+    for filename in MODULES:
+        for node in ast.walk(_tree(SRC / filename)):
+            if isinstance(node, ast.Attribute) and node.attr == "sign":
+                signs.append((filename, node.lineno))
+            elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None
+            ) == "chains":
+                callers.add(filename)
+    assert signs == []
+    allowed = {"biclosed.py", "orders.py", "topes.py"}
+    assert callers <= allowed, sorted(callers - allowed)
 
 
 def test_no_dataclasses_in_src():

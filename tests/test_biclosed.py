@@ -106,8 +106,8 @@ def test_membership_matches_pointwise_definition(label):
 def test_in_hemispace_matches_pointwise_definition(label):
     """r is in H_B = B | -(Phi^hat+ \\ B) iff r is in B (r > 0) or -r is
     not (r < 0), on every affine root up to level +-6 and on three twisted
-    sets of every class; a Hemispace of sign '+' holds exactly H_B, one of
-    sign '-' exactly its complement."""
+    sets of every class; the Hemispace of B holds exactly H_B, and that of
+    B's complement exactly the complement of H_B."""
     datum = build_system(label)
     rng = random.Random(33)
     by_class = {}
@@ -120,7 +120,7 @@ def test_in_hemispace_matches_pointwise_definition(label):
             twist = random_element(datum, rng, twist_len)
             B = BiclosedSet(twist, *rng.choice(by_class[cls]))
             in_P_hat = lambda r: tuple(r[0]) in B.P_roots
-            plus, minus = Hemispace(B, "+"), Hemispace(B, "-")
+            plus, minus = Hemispace(B), Hemispace(B.complement())
             for r in all_roots_to_level(datum, 6):
                 inside = dot_action_pointwise(twist, in_P_hat, r)
                 for root, expected in ((r, inside), (negate(r), not inside)):

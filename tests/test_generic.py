@@ -1,8 +1,11 @@
 """The (2,3,inf) Coxeter backend and the infinite-interval witness."""
 
 import functools
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +222,63 @@ def test_canonical_check_matches_oracle(cm):
     for word in ((1, 2), (2, 3, 2, 3), (1, 2, 3, 2, 3, 2, 3, 2, 3)):
         z = generic.from_word(cm, word)
         assert generic.canonical_check(sub, z) is _canonical_check_oracle(sub, z) is False
+
+
+def _descends_to_a_simple_root(cm, v):
+    """The root oracle: a vector of one sign, made positive, is a root iff
+    reflecting it in a simple root that pairs positively with it, step by
+    step, keeps it positive and ends at a simple root.  For a root other
+    than a_i, s_i(v) is again a positive root, and each step lowers the
+    height."""
+    if all(x <= 0 for x in v):
+        v = tuple(-x for x in v)
+    simples = [generic._simple_vec(cm, i) for i in range(cm.rank)]
+    while v not in simples:
+        if any(x < 0 for x in v):
+            return False
+        a = next((a for a in simples if generic.inner(cm, v, a) > 0), None)
+        if a is None:
+            return False
+        v = generic.reflect_in_root(cm, a, v)
+    return True
+
+
+def _is_refused(cm, v):
+    try:
+        generic.reflection_in(cm, v)
+    except ValueError:
+        return True
+    return False
+
+
+def test_reflection_in_refuses_non_roots(cm):
+    """Every root of the depth-10 pool and its negative is taken, so is
+    every root the benchmark's canonical queries name, and on every vector
+    with coordinates in -7..7 the check agrees with the descent oracle."""
+    pool = generic._root_pool(cm, 10)
+    assert len(pool) == 145
+    pool_file = Path(__file__).resolve().parents[1] / "bench" / "pool.json"
+    strata = json.loads(pool_file.read_text())["coxeter-growth"]["strata"]
+    queried = [
+        tuple(entry["q"]["root"])
+        for stratum in strata for entry in stratum["queries"]
+        if entry["q"]["op"] == "canonical"
+    ]
+    assert len(queried) == 10
+    for root in pool + queried:
+        for v in (root, tuple(-x for x in root)):
+            assert not _is_refused(cm, v), v
+            assert generic.reflection_in(cm, v).apply(v) == tuple(-x for x in v)
+    for v in ((1, 1, 1), (2, 0, 0), (0, 0, 0), (1, -1, 0)):
+        assert _is_refused(cm, v), v
+    # no vector of mixed signs has doubled norm 2 here; in A1 x affine A1,
+    # (-1, 1, 1) does
+    inf = generic.INF
+    other = generic.CoxeterMatrix(3, ((1, 2, 2), (2, 1, inf), (2, inf, 1)))
+    assert generic.inner(other, (-1, 1, 1), (-1, 1, 1)) == 2
+    assert _is_refused(other, (-1, 1, 1))
+    for v in itertools.product(range(-7, 8), repeat=3):
+        assert _is_refused(cm, v) != _descends_to_a_simple_root(cm, v), v
 
 
 def test_canonical_check_length_budget(cm):

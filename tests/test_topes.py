@@ -158,8 +158,8 @@ def test_symdiff_matches_level_scan():
                 C = dot_action(random_element(datum, rng, 5), B)
             else:
                 C = pick(3)
-            F = topes.from_biclosed(B, rng.choice("+-"))
-            G = topes.from_biclosed(C, rng.choice("+-"))
+            F = topes.from_biclosed(rng.choice((B, B.complement())))
+            G = topes.from_biclosed(rng.choice((C, C.complement())))
             want = _symdiff_or_blocks(scan_symdiff, F, G)
             assert _symdiff_or_blocks(topes.symdiff_positive, F, G) == want
             outcomes["apart" if want == "DifferentBlocks" else "same"] += 1
@@ -167,10 +167,10 @@ def test_symdiff_matches_level_scan():
     # the figure's hemispaces, against each other and against other
     # biclosed ones (inversion sets share a block with H1)
     a2 = build_system("A2")
-    hs = list(topes.figure_hemispaces().values()) + [
-        topes.from_biclosed(from_inversion_set(random_element(a2, rng, 6)), s)
-        for s in "+-" * 6
-    ]
+    hs = list(topes.figure_hemispaces().values())
+    for s in "+-" * 6:
+        H = topes.from_biclosed(from_inversion_set(random_element(a2, rng, 6)))
+        hs.append(H if s == "+" else H.negated())
     for F in hs:
         for G in hs:
             assert _symdiff_or_blocks(
@@ -292,43 +292,44 @@ def _escape_along_delta(H, a, b):
 
 
 def test_lowest_and_top_match_level_scan():
-    """The O(1) reads of the pairs behind the Mixed witness agree with a
-    scan of each line mu + Z delta past every threshold."""
+    """The O(1) reads of the pairs behind the Mixed witness and the
+    reflected chains, `BiclosedSet.lowest` and `line_tops`, agree with a
+    scan of each line mu + Z delta of H_B past every threshold."""
     rng = random.Random(96)
     for type_label in ("A2", "A3", "B2", "G2"):
         for _ in range(15):
-            H = topes.from_biclosed(
-                random_biclosed(type_label, rng), rng.choice("+-")
-            )
+            B = random_biclosed(type_label, rng)
+            B = rng.choice((B, B.complement()))
+            H = topes.from_biclosed(B)
             bound = H.level_bound() + 2
             for mu in H.datum.roots:
                 line = range(-bound, bound + 1)
-                inside = [l for l in line if H.contains((mu, l))]
                 for member in (True, False):
                     want = next((
                         k for k in line
                         if k >= topes._k0(H.datum, mu)
                         and H.contains((mu, k)) == member
                     ), None)
-                    assert topes._lowest(H, mu, member) == want
-                upper_out = not H.contains((mu, bound))
-                want = max(inside) if inside and upper_out else None
-                assert topes._top(H, mu) == want
+                    assert B.lowest(mu, member) == want
+                tail = H.contains((mu, bound))
+                differ = [l for l in line if H.contains((mu, l)) != tail]
+                want = max(differ) if differ else None
+                assert B.line_tops()[mu] == want
 
 
 def test_mixed_witness_matches_search():
-    """On 200 seeded A3 Mixed hemispaces (100 sets, both signs) the closed
-    form finds a witness exactly where the level-24 search does, and every
-    witness of either passes the certificate check."""
+    """On 200 seeded A3 Mixed hemispaces (100 sets and their negations)
+    the closed form finds a witness exactly where the level-24 search does,
+    and every witness of either passes the certificate check."""
     rng = random.Random(95)
     found = 0
     for _ in range(100):
         B = random_biclosed("A3", rng, mixed=True, twist_len=2)
-        for sign in "+-":
-            H = topes.from_biclosed(B, sign)
+        for C in (B, B.complement()):
+            H = topes.from_biclosed(C)
             v = topes._mixed_violation(H)
             want = search_mixed_violation(H)
-            assert (v is None) == (want is None), (B, sign)
+            assert (v is None) == (want is None), C
             for cert in (v, want):
                 if cert is not None:
                     assert_violation_certificate(H, cert)
@@ -419,7 +420,7 @@ def _block_by_products(center, base, radius):
         nxt = []
         for w, F in frontier:
             for g in gens:
-                F2 = topes.from_biclosed(dot_action(g, F.biclosed), center.sign)
+                F2 = topes.from_biclosed(dot_action(g, F.biclosed))
                 key = topes.symdiff_positive(F2, base)
                 if key not in seen:
                     seen[key] = (g * w, F2)
@@ -478,12 +479,12 @@ def test_reflected_chains_match_dot_action(label):
 @pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
 def test_tope_block_matches_product_walk(label):
     """Same keys in the same order, the same representative words, and
-    representatives whose chains are those of the product w . B, for both
-    signs and every class (A3 Mixed included)."""
+    representatives whose chains are those of the product w . C, for every
+    class (A3 Mixed included) and for C = B and its complement."""
     radius = 2 if label == "A3" else 3
     for B in _biclosed_by_class(label, random.Random(95), 3):
-        for sign in "+-":
-            center = topes.from_biclosed(B, sign)
+        for C in (B, B.complement()):
+            center = topes.from_biclosed(C)
             want = _block_by_products(center, center, radius)
             got = topes.tope_block(center, center, radius).reps
             assert list(got) == list(want)
@@ -491,8 +492,22 @@ def test_tope_block_matches_product_walk(label):
                 w.word() for w, _ in want.values()
             ]
             for w, F in got.values():
-                assert F.sign == sign
-                assert F.chains == dot_action(w, B).chains()
+                assert F.biclosed.chains() == dot_action(w, C).chains()
+
+
+@pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
+def test_negated_holds_exactly_the_other_roots(label):
+    """H.negated(), the hemispace of B's complement, holds exactly the
+    affine roots up to level +-6 that H does not, on every class; negating
+    twice gives back H's chains."""
+    datum = build_system(label)
+    for B in _biclosed_by_class(label, random.Random(98), 2):
+        H = topes.from_biclosed(B, "H")
+        N = H.negated()
+        assert N.label == "-H"
+        for r in topes.all_roots_to_level(datum, 6):
+            assert N.contains(r) != H.contains(r), (B, r)
+        assert N.negated().biclosed.chains() == B.chains(), B
 
 
 def test_tope_block_and_lattice_take_no_products(products):
@@ -500,7 +515,7 @@ def test_tope_block_and_lattice_take_no_products(products):
     a3 = build_system("A3")
     centers = [
         topes.from_biclosed(from_inversion_set(identity(a3))),
-        topes.from_biclosed(random_biclosed("A3", random.Random(96)), "-"),
+        topes.from_biclosed(random_biclosed("A3", random.Random(96))).negated(),
         topes.from_biclosed(
             random_biclosed("A3", random.Random(97), mixed=True)
         ),
@@ -749,17 +764,20 @@ def descriptor_figure(datum):
 
 
 def test_figure_matches_descriptor_oracle(a2):
-    """All 110 figure hemispaces have the drawn descriptor's pairs, and so
-    does the BiclosedSet behind each; on inversion sets N(w) the descriptor
-    (no full chains, flips N(w)) agrees with `from_inversion_set`."""
+    """All 110 figure hemispaces have the drawn descriptor's pairs: a
+    negated label's are its positive label's with every tail flipped and
+    the same thresholds, as the complement's; on inversion sets N(w) the
+    descriptor (no full chains, flips N(w)) agrees with
+    `from_inversion_set`."""
     hs = topes.figure_hemispaces()
     want = descriptor_figure(a2)
     assert list(hs) == list(want) + ["-" + label for label in want]
     for label, h in hs.items():
         chains = want[label.lstrip("-")]
-        assert h.chains == chains, label
+        if label[0] == "-":
+            chains = {mu: (not tail, e) for mu, (tail, e) in chains.items()}
         assert h.biclosed.chains() == chains, label
-        assert (h.label, h.sign) == (label, "-" if label[0] == "-" else "+")
+        assert h.label == label
     rng = random.Random(94)
     for _ in range(20):
         w = random_element(a2, rng, 7)
