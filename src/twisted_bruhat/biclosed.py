@@ -79,6 +79,25 @@ def _P_roots(psi: PositiveSystem, d1: frozenset, d2: frozenset) -> frozenset:
     return (psi.roots - _span_roots(psi, d1)) | _span_roots(psi, d2)
 
 
+@lru_cache(maxsize=None)
+def _reflection_rows(type_label, gamma):
+    """Per finite root mu, in the order of `datum.roots`: (mu, s_gamma(mu),
+    <mu, gamma^vee>, k0(mu)), once per type and root.  A gamma that is not
+    a root raises ValueError and is not stored, so the cache holds at most
+    the finitely many (type, root) pairs: 38 over A2, A3, B2 and G2."""
+    datum = build_system(type_label)
+    table = datum.weyl_table()
+    if gamma not in table.coroots:
+        raise ValueError(f"not a root: {gamma}")
+    image = table.image[table.smul[gamma][table.e]]
+    # mu - s_gamma(mu) = p gamma, read on one nonzero coordinate
+    j = next(i for i, x in enumerate(gamma) if x)
+    return tuple(
+        (mu, nu, (mu[j] - nu[j]) // gamma[j], 1 - datum.is_positive(mu))
+        for mu, nu in image.items()
+    )
+
+
 class BiclosedSet:
     """w . P(psi, d1, d2)^hat with a decidable membership oracle."""
 
@@ -202,26 +221,19 @@ class BiclosedSet:
         w(H_B) (Dyer, J. Algebra 163, 1994), and s_r(mu + k delta) =
         nu + (k - p m) delta for nu = s_gamma(mu), p = <mu, gamma^vee>.  So
         mu's tail is nu's, and its threshold lies p m above nu's top
-        (`line_tops`), if nu has one.
+        (`line_tops`), if nu has one.  The rows (mu, nu, p, k0(mu)) come
+        from one table per type and root (`_reflection_rows`), in the order
+        of `chains`, so a tope walk keys each set by its tuple of pairs.
         """
         gamma, m = r
-        datum = self.datum
-        table = datum.weyl_table()
-        image = table.image[table.smul[tuple(gamma)][table.e]]
-        # mu - s_gamma(mu) = p gamma, read on one nonzero coordinate
-        j = next(i for i, x in enumerate(gamma) if x)
-        g = gamma[j]
-        positive = datum.is_positive
-        chains = self.chains()
-        tops = self.line_tops()
+        rows = _reflection_rows(self.datum.type_label, tuple(gamma))
+        chains, tops = self.chains(), self.line_tops()
         out = {}
-        for mu in chains:
-            nu = image[mu]
+        for mu, nu, p, k0 in rows:
             top = tops[nu]
-            lowest = 0 if positive(mu) else 1
-            if top is not None:
-                lowest = max(lowest, top + 1 + (mu[j] - nu[j]) // g * m)
-            out[mu] = (chains[nu][0], lowest)
+            out[mu] = (
+                chains[nu][0], k0 if top is None else max(k0, top + 1 + p * m)
+            )
         return out
 
     # ----- derived structure -------------------------------------------

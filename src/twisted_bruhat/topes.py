@@ -14,8 +14,10 @@ builds the tope order, tope blocks with their interval lattices, a
 convexity check and the figure.  A block is walked by reflections s_r
 with no group product: the dot action is the linear action on
 hemispaces, H_{w.B} = w(H_B), so each neighbour reads its pairs off the
-current ones (`BiclosedSet.reflected_chains`), and only a new one builds
-its representative and twist, one left reflection step each.  Cone
+current ones (`BiclosedSet.reflected_chains`).  The walk keys each tope
+by its pairs (tail, e), and only a new one builds its symmetric
+difference, its representative and its twist, one left reflection step
+each; the interval lattice check reads the walk's keys, not a poset.  Cone
 feasibility questions are answered exactly by the integer simplex in
 linprog.  The convexity check's LP search is truncated at a level, so it
 certifies convexity only up to that level; a violation it finds is an
@@ -141,6 +143,8 @@ def check_convex_truncated(H: Hemispace, level_bound: int):
     an absolute non-convexity certificate; 'no violation' certifies nothing
     beyond the truncation of the LP search.
     """
+    if level_bound < 0:
+        raise ValueError("level_bound must be >= 0")
     datum = H.datum
     universe = all_roots_to_level(datum, level_bound)
     h_roots = [r for r in universe if H.contains(r)]
@@ -229,36 +233,50 @@ def _block_generators(center: Hemispace):
     ]
 
 
+def _walk(center: Hemispace, base: Hemispace, radius: int):
+    """{key: (w, F)}, in order of discovery, over the radius-ball of the
+    block {wH : w in W'} around `center`: F = w . center, keyed by its
+    positive symmetric difference with `base`, which must lie in the same
+    block.  A step reflects F's pairs (`BiclosedSet.reflected_chains`); a
+    neighbour is recognised by its tuple of pairs (tail, e), a normal form
+    of its set, and only a new one builds its key, s_r w and its twist."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    roots = _block_generators(center)
+    base_chains = base.biclosed.chains()
+    chains = center.biclosed.chains()
+    e = identity(center.datum)
+    seen = {_symdiff(chains, base_chains): (e, center)}  # or DifferentBlocks
+    pairs_seen = {tuple(chains.values())}
+    frontier = [(e, center)]
+    for _ in range(radius):
+        nxt = []
+        for w, F in frontier:
+            for r in roots:
+                chains = F.biclosed.reflected_chains(r)
+                pairs = tuple(chains.values())
+                if pairs in pairs_seen:
+                    continue
+                pairs_seen.add(pairs)
+                # the tails are base's, or _symdiff raises, so the key
+                # determines the thresholds: a new tuple is a new key
+                (w2,) = left_reflections(w, r[0], (r[1],))
+                F2 = Hemispace(reflect(r, F.biclosed, chains))
+                seen[_symdiff(chains, base_chains)] = (w2, F2)
+                nxt.append((w2, F2))
+        frontier = nxt
+    return seen
+
+
 def tope_block(center: Hemispace, base: Hemispace, radius: int):
     """The radius-ball of the block {wH : w in W'} around `center`, graded
     and ordered based at `base` (which must lie in the same block).
 
     Returns a GradedPoset whose node keys are the positive symmetric
     differences with `base`; the poset carries a `reps` dict mapping keys
-    to (element, Hemispace) representatives.
+    to (element, Hemispace) representatives (`_walk`).
     """
-    datum = center.datum
-    roots = _block_generators(center)
-    base_chains = base.biclosed.chains()
-    seen = {}
-    e = identity(datum)
-    key0 = symdiff_positive(center, base)  # raises DifferentBlocks if apart
-    seen[key0] = (e, center)
-    frontier = [(e, center)]
-    for _ in range(radius):
-        nxt = []
-        for w, F in frontier:
-            for r in roots:
-                # s_r . (w . B) = (s_r w) . B: only a new key builds s_r w
-                # and the twist, one left_reflections step each
-                chains = F.biclosed.reflected_chains(r)
-                key = _symdiff(chains, base_chains)
-                if key not in seen:
-                    (w2,) = left_reflections(w, r[0], (r[1],))
-                    F2 = Hemispace(reflect(r, F.biclosed, chains))
-                    seen[key] = (w2, F2)
-                    nxt.append(seen[key])
-        frontier = nxt
+    seen = _walk(center, base, radius)
     nodes = []
     for key, (w, F) in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         label = ".".join(map(str, w.word())) or "e"
@@ -296,8 +314,8 @@ def _lattice_problems(keys):
 def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
     """Enumerate [H1, H2] in the tope poset based at `base` and verify
     every pair has a unique meet and join inside the interval.  The
-    interval is read off the block of H1, which its P-triple and twist
-    generate (`tope_block`), so H1 may be any hemispace.
+    interval is read off the keys of the walk of H1's block, which its
+    P-triple and twist generate (`_walk`), so H1 may be any hemispace.
 
     Known gap: the block radius counts generator steps, not tope-order
     steps, so the interval can miss elements of [H1, H2], H2 included
@@ -307,8 +325,7 @@ def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
     if not d1 <= d2:
         raise NotComparable("H1 is not <= H2 based at the given base")
     radius = len(d2) - len(d1) + 1
-    block = tope_block(H1, base, radius)
-    keys = [key for key in block.reps if d1 <= key <= d2]
+    keys = [key for key in _walk(H1, base, radius) if d1 <= key <= d2]
     problems = _lattice_problems(keys)
     return {
         "interval_size": len(keys),

@@ -4,9 +4,9 @@ and integrality checks are explicit code rather than `assert` (which
 `python -O` strips), arithmetic stays exact, only a fenced set of modules
 imports `fractions` and none imports `dataclasses`, only a fenced set of
 modules reads a biclosed set's chains and none a hemispace sign, finite root
-arithmetic and the finite Weyl group's operations stay integer, and every
+arithmetic and the finite Weyl group's operations stay integer, every
 definition in src/ is used by the library, its demos or its benchmark, not
-only by tests."""
+only by tests, and every Python file parses as Python 3.10."""
 
 import ast
 import importlib
@@ -349,3 +349,17 @@ def test_every_definition_is_used():
     }
     assert sorted(dead - TEST_ONLY.keys()) == [], "used only by tests"
     assert sorted(TEST_ONLY.keys() - dead) == [], "stale allow-list entry"
+
+
+@pytest.mark.parametrize("top", ("src", "tests", "bench", "demos"))
+def test_parses_as_python_3_10(top):
+    """pyproject.toml requires Python >= 3.10, so no file may use newer
+    syntax, such as `except*`: each parses with the 3.10 grammar."""
+    paths = sorted((ROOT / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(
+            path.read_text(encoding="utf-8"),
+            filename=str(path),
+            feature_version=(3, 10),
+        )

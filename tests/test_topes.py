@@ -16,7 +16,7 @@ from twisted_bruhat import (
     inversion_set,
     weak_leq,
 )
-from twisted_bruhat import topes
+from twisted_bruhat import biclosed, topes
 from twisted_bruhat.affine_group import (
     is_positive_affine,
     negate,
@@ -476,23 +476,107 @@ def test_reflected_chains_match_dot_action(label):
                 assert B.reflected_chains(r) == want, (B, r)
 
 
+def test_reflected_chains_refuse_non_roots(a2):
+    """A gamma outside the roots raises the ValueError of `reflection`, and
+    the failure is not cached: the per-root tables stay one per type and
+    root."""
+    B = from_inversion_set(identity(a2))
+    rows = biclosed._reflection_rows
+    for gamma in ((2, 0), (1, -1), (0, 0)):
+        with pytest.raises(ValueError, match="not a root") as got:
+            B.reflected_chains((gamma, 0))
+        with pytest.raises(ValueError) as want:
+            reflection(a2, (gamma, 0))
+        assert str(got.value) == str(want.value)
+    for label in ("A2", "A3", "B2", "G2"):
+        for gamma in build_system(label).roots:
+            rows(label, gamma)
+    assert rows.cache_info().currsize == 38
+    with pytest.raises(ValueError):
+        B.reflected_chains(((2, 0), 0))
+    assert rows.cache_info().currsize == 38
+
+
+def test_negative_bounds_are_refused(a2):
+    H = topes.from_biclosed(from_inversion_set(identity(a2)))
+    with pytest.raises(ValueError, match="radius"):
+        topes.tope_block(H, H, -2)
+    with pytest.raises(ValueError, match="level_bound"):
+        topes.check_convex_truncated(H, -1)
+
+
 @pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
 def test_tope_block_matches_product_walk(label):
     """Same keys in the same order, the same representative words, and
     representatives whose chains are those of the product w . C, for every
-    class (A3 Mixed included) and for C = B and its complement."""
+    class (A3 Mixed included), for C = B and its complement, and based at C
+    and at a block member two steps from C.  Based at -C, another block,
+    the walk raises DifferentBlocks."""
     radius = 2 if label == "A3" else 3
+    far_bases = 0
     for B in _biclosed_by_class(label, random.Random(95), 3):
         for C in (B, B.complement()):
             center = topes.from_biclosed(C)
-            want = _block_by_products(center, center, radius)
-            got = topes.tope_block(center, center, radius).reps
-            assert list(got) == list(want)
-            assert [w.word() for w, _ in got.values()] == [
-                w.word() for w, _ in want.values()
-            ]
-            for w, F in got.values():
-                assert F.biclosed.chains() == dot_action(w, C).chains()
+            near = _block_by_products(center, center, 1)
+            # the last member found two steps out, if the block reaches
+            ball = _block_by_products(center, center, 2)
+            key, (_, far) = list(ball.items())[-1]
+            far_bases += key not in near
+            for base in (center, far):
+                want = _block_by_products(center, base, radius)
+                got = topes.tope_block(center, base, radius).reps
+                assert list(got) == list(want)
+                assert [w.word() for w, _ in got.values()] == [
+                    w.word() for w, _ in want.values()
+                ]
+                for w, F in got.values():
+                    assert F.biclosed.chains() == dot_action(w, C).chains()
+            with pytest.raises(topes.DifferentBlocks):
+                topes.tope_block(center, center.negated(), radius)
+    assert far_bases > 0
+
+
+def _interval_lattice_by_block(H1, H2, base):
+    """The former `interval_lattice_check`: the keys of the block poset
+    `tope_block(H1, base, gap + 1)` between those of H1 and H2."""
+    d1 = topes.symdiff_positive(H1, base)
+    d2 = topes.symdiff_positive(H2, base)
+    if not d1 <= d2:
+        raise topes.NotComparable("H1 is not <= H2 based at the given base")
+    block = topes.tope_block(H1, base, len(d2) - len(d1) + 1)
+    keys = [key for key in block.reps if d1 <= key <= d2]
+    problems = topes._lattice_problems(keys)
+    return {
+        "interval_size": len(keys),
+        "is_lattice": not problems,
+        "problems": problems,
+    }
+
+
+@pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
+def test_interval_lattice_check_matches_block_poset(label):
+    """The check reads the walk's keys and gives the report of the block
+    poset it once built, on 30 random pairs of a random block's members,
+    based at the block's center or at H1; some pairs are NotComparable."""
+    rng = random.Random(99)
+    Bs = _biclosed_by_class(label, rng, 2)
+    outcomes = set()
+    for _ in range(30):
+        center = topes.from_biclosed(rng.choice(Bs))
+        reps = topes.tope_block(center, center, 2).reps
+        members = [F for _, F in reps.values()]
+        H1, H2 = rng.choice(members), rng.choice(members)
+        base = rng.choice((center, H1))
+        try:
+            want = _interval_lattice_by_block(H1, H2, base)
+        except topes.NotComparable:
+            with pytest.raises(topes.NotComparable):
+                topes.interval_lattice_check(H1, H2, base)
+            outcomes.add("NotComparable")
+            continue
+        assert topes.interval_lattice_check(H1, H2, base) == want
+        outcomes.add(want["interval_size"] > 1)
+    assert outcomes == {"NotComparable", True, False}
 
 
 @pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
