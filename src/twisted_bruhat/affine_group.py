@@ -165,10 +165,10 @@ class AffineWeylElement:
         with w^{-1}(r) negative.
         """
         if self._chains is None:
-            positive = self.datum.is_positive
+            k0 = self.datum.weyl_table().k0
             chains = {}
             for mu, hi in self.chain_tops().items():
-                lo = 0 if positive(mu) else 1
+                lo = k0[mu]
                 if hi >= lo:
                     chains[mu] = (lo, hi)
             self._chains = chains

@@ -34,9 +34,7 @@ from .affine_group import (
 from .finite import (
     CartanDatum,
     PositiveSystem,
-    WeylElement,
     _span_roots,
-    build_system,
     standard_positive_system,
 )
 
@@ -47,17 +45,6 @@ CLASSES = (
     "InfiniteWordCoinversion",
     "Mixed",
 )
-
-
-@lru_cache(maxsize=None)
-def _longest_element(type_label) -> WeylElement:
-    datum = build_system(type_label)
-    for w in datum.weyl_elements:
-        if all(
-            not datum.is_positive(w.apply(r)) for r in datum.positive_roots
-        ):
-            return w
-    raise AssertionError("no longest element")
 
 
 @lru_cache(maxsize=None)
@@ -77,25 +64,6 @@ def _P_roots(psi: PositiveSystem, d1: frozenset, d2: frozenset) -> frozenset:
                     f" {datum.root_name(b)}) != 0"
                 )
     return (psi.roots - _span_roots(psi, d1)) | _span_roots(psi, d2)
-
-
-@lru_cache(maxsize=None)
-def _reflection_rows(type_label, gamma):
-    """Per finite root mu, in the order of `datum.roots`: (mu, s_gamma(mu),
-    <mu, gamma^vee>, k0(mu)), once per type and root.  A gamma that is not
-    a root raises ValueError and is not stored, so the cache holds at most
-    the finitely many (type, root) pairs: 38 over A2, A3, B2 and G2."""
-    datum = build_system(type_label)
-    table = datum.weyl_table()
-    if gamma not in table.coroots:
-        raise ValueError(f"not a root: {gamma}")
-    image = table.image[table.smul[gamma][table.e]]
-    # mu - s_gamma(mu) = p gamma, read on one nonzero coordinate
-    j = next(i for i, x in enumerate(gamma) if x)
-    return tuple(
-        (mu, nu, (mu[j] - nu[j]) // gamma[j], 1 - datum.is_positive(mu))
-        for mu, nu in image.items()
-    )
 
 
 class BiclosedSet:
@@ -134,15 +102,14 @@ class BiclosedSet:
         of B on the chain.
         """
         if self._chains is None:
-            datum = self.datum
-            table = datum.weyl_table()
+            table = self.datum.weyl_table()
             pre = table.image[table.inv[table.index[self.twist.fin]]]
             P = self.P_roots
             chains = {}
             for mu, t in self.twist.chain_tops().items():
                 nu = pre[mu]
                 tail = nu in P
-                k0 = 0 if datum.is_positive(mu) else 1
+                k0 = table.k0[mu]
                 flipped = t >= k0 and tail == (tuple(-x for x in nu) in P)
                 chains[mu] = (tail, t + 1 if flipped else k0)
             self._chains = chains
@@ -190,7 +157,7 @@ class BiclosedSet:
         tail, e = self.chains()[mu]
         if tail == member:
             return e
-        k0 = 0 if self.datum.is_positive(mu) else 1
+        k0 = self.datum.weyl_table().k0[mu]
         return k0 if e > k0 else None
 
     def line_tops(self):
@@ -202,10 +169,10 @@ class BiclosedSet:
         -j for the lowest such j whose membership in B is nu's tail.
         """
         if self._line_tops is None:
-            positive = self.datum.is_positive
+            k0 = self.datum.weyl_table().k0
             tops = {}
             for nu, (tail, e) in self.chains().items():
-                if e > (0 if positive(nu) else 1):
+                if e > k0[nu]:
                     tops[nu] = e - 1
                 else:
                     j = self.lowest(tuple(-x for x in nu), tail)
@@ -221,16 +188,20 @@ class BiclosedSet:
         w(H_B) (Dyer, J. Algebra 163, 1994), and s_r(mu + k delta) =
         nu + (k - p m) delta for nu = s_gamma(mu), p = <mu, gamma^vee>.  So
         mu's tail is nu's, and its threshold lies p m above nu's top
-        (`line_tops`), if nu has one.  The rows (mu, nu, p, k0(mu)) come
-        from one table per type and root (`_reflection_rows`), in the order
-        of `chains`, so a tope walk keys each set by its tuple of pairs.
+        (`line_tops`), if nu has one.  The pairs (nu, p) are gamma's row of
+        the Weyl table (`WeylTable.srow`), in the order of `chains`, so a
+        tope walk keys each set by its tuple of pairs.
         """
         gamma, m = r
-        rows = _reflection_rows(self.datum.type_label, tuple(gamma))
+        table = self.datum.weyl_table()
+        row = table.srow.get(tuple(gamma))
+        if row is None:
+            raise ValueError(f"not a root: {tuple(gamma)}")
+        k0s = table.k0
         chains, tops = self.chains(), self.line_tops()
         out = {}
-        for mu, nu, p, k0 in rows:
-            top = tops[nu]
+        for mu, (nu, p) in row.items():
+            top, k0 = tops[nu], k0s[mu]
             out[mu] = (
                 chains[nu][0], k0 if top is None else max(k0, top + 1 + p * m)
             )
@@ -252,7 +223,8 @@ class BiclosedSet:
 
     def complement(self) -> "BiclosedSet":
         """The biclosed complement: w . P(psi^-, -d2, -d1)^hat."""
-        w0 = _longest_element(self.datum.type_label)
+        table = self.datum.weyl_table()
+        w0 = table.elements[table.w0]
         psi_neg = PositiveSystem(self.datum, self.psi.chamber * w0)
         neg = lambda s: [tuple(-x for x in r) for r in s]
         return BiclosedSet(self.twist, psi_neg, neg(self.delta2), neg(self.delta1))

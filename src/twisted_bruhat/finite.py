@@ -16,7 +16,9 @@ as integer tables, built on first use from the integer root images:
 products, inverses and lengths are lookups in it, and so are positive
 systems, reduced words (finite and affine), the root images of affine
 elements and left multiplication by each reflection s_mu, with mu^vee over
-the simple coroots in ints.
+the simple coroots in ints.  The other modules read the finite root facts
+off it too, the lowest level k0 of each delta-chain, each reflection's row
+srow and the longest element w0, and never call `pairing` or `reflect`.
 """
 
 from __future__ import annotations
@@ -284,8 +286,11 @@ class WeylTable:
     is 1 if u^{-1}(a_i) is positive, else 0, and ``pos[n][rank]`` the same for
     u^{-1}(-theta).  ``cartan[i][k]`` is <a_k, a_i^vee>, and
     ``cartan[rank][k]`` is <a_k, theta^vee>; ``e`` is the index of the
-    identity.  Everything but the Cartan integers and the coroots is built
-    from the integer root images.
+    identity and ``w0`` that of the longest element.  ``k0[mu]`` is the
+    lowest positive level of the chain mu + k delta (0 if mu > 0, else 1),
+    and ``srow[gamma][mu]`` is (s_gamma(mu), <mu, gamma^vee>) for roots
+    gamma and mu, in the order of ``datum.roots``.  Everything but the
+    Cartan integers and the coroots is built from the integer root images.
 
     Affine translations are stored over the simple coroots too, so both
     act on them in ints: u(v) = sum_i c_i coroots[u(a_i)] for
@@ -326,6 +331,16 @@ class WeylTable:
             mu: self.mul[index[datum.reflection(mu)]] for mu in datum.roots
         }
         self.lmul = tuple(self.smul[b] for b in mirrors)
+        self.w0 = next(n for n, p in enumerate(self.pos) if not any(p[:rank]))
+        self.k0 = {mu: 1 - datum.is_positive(mu) for mu in datum.roots}
+        self.srow = {}
+        for gamma in datum.roots:
+            # mu - s_gamma(mu) = p gamma, read on one nonzero coordinate
+            j = next(i for i, x in enumerate(gamma) if x)
+            self.srow[gamma] = {
+                mu: (nu, (mu[j] - nu[j]) // gamma[j])
+                for mu, nu in image[self.smul[gamma][self.e]].items()
+            }
         self.coroots = {
             mu: tuple(
                 m * datum.gram[i][i] // datum.norm_sq(mu)

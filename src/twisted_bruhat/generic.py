@@ -331,6 +331,8 @@ def canonical_check(sub: ReflectionSubgroup, t: CoxElement) -> bool:
 def universal_check(sub: ReflectionSubgroup, budget: int = 12) -> bool:
     """No relation among the generators up to the budget, and pairwise
     2(a, b) = -2 (so every pairwise product has infinite order)."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     roots = sub.generator_roots()
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):

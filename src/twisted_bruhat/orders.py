@@ -35,7 +35,6 @@ spells a chain from u to v.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .affine_group import (
@@ -49,7 +48,6 @@ from .affine_group import (
     simple_reflections,
 )
 from .biclosed import BiclosedSet, dot_action
-from .finite import build_system
 from .linprog import CertificationFailed  # re-exported: orders.CertificationFailed
 from .poset import GradedPoset, PosetEdge, PosetNode
 
@@ -97,20 +95,6 @@ def twisted_length_right(w: AffineWeylElement, B: BiclosedSet) -> int:
 # ----- certified cover search ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ray_pairings(type_label):
-    """Per positive root gamma and root rho: (<rho, gamma^vee>, s_gamma(rho) > 0)."""
-    datum = build_system(type_label)
-    table = {}
-    for gamma in datum.positive_roots:
-        row = table[gamma] = {}
-        for rho in datum.roots:
-            p = datum.pairing(rho, gamma)
-            img = tuple(r - p * g for r, g in zip(rho, gamma))
-            row[rho] = (p, datum.is_positive(img))
-    return table
-
-
 def _element_profile(w, B):
     """l_B(w) and, per root mu, (mu, u(mu), -(mu, v), lo_mu) for w = u t_v.
 
@@ -120,14 +104,13 @@ def _element_profile(w, B):
     memo = B._ray_memo
     if memo is not None and memo[0] == w:
         return memo[1]
-    datum = B.datum
-    table = datum.weyl_table()
+    table = B.datum.weyl_table()
+    k0 = table.k0
     p = w._pairings()
     terms = []
     # (mu, v) = (u mu, u v) = sum_k (u mu)_k p_k
     for mu, umu in table.image[table.index[w.fin]].items():
-        lo = 0 if datum.is_positive(mu) else 1
-        terms.append((mu, umu, -sum(a * x for a, x in zip(umu, p)), lo))
+        terms.append((mu, umu, -sum(a * x for a, x in zip(umu, p)), k0[mu]))
     profile = (twisted_length_left(w, B), tuple(terms))
     B._ray_memo = (w, profile)
     return profile
@@ -139,15 +122,17 @@ def _ray_profile(w, B, gamma):
 
     Over each root mu the chain of N((s_{gamma+k delta} w)^-1) runs from lo
     to hi = a + b k, with a = -(mu, v) - [s_gamma(u mu) > 0] and
-    b = <u mu, gamma^vee>.  Chains with b = 0 do not move with k and are
-    folded into base.
+    b = <u mu, gamma^vee>, read off gamma's row of the Weyl table: for
+    nu = s_gamma(u mu), [nu > 0] = 1 - k0(nu).  Chains with b = 0 do not
+    move with k and are folded into base.
     """
     lB, terms = _element_profile(w, B)
-    row = _ray_pairings(B.datum.type_label)[gamma]
+    table = B.datum.weyl_table()
+    row, k0 = table.srow[gamma], table.k0
     moving, fixed = [], []
     for mu, umu, c, lo in terms:
-        b, positive = row[umu]
-        (moving if b else fixed).append((mu, lo, c - positive, b))
+        nu, b = row[umu]
+        (moving if b else fixed).append((mu, lo, c - 1 + k0[nu], b))
     base = lB - _ray_delta(B, (0, tuple(fixed)), 0)
     return base, tuple(moving)
 
@@ -519,6 +504,8 @@ def antichain_at_level(B, k: int, size_target: int, radius: int):
     holds size_target of them.  Raises TargetNotReached, carrying all of
     them, if the full radius falls short.
     """
+    if size_target < 0:
+        raise ValueError("size_target must be >= 0")
     sample = level_set_sample(B, k, radius)
     if len(sample) < size_target:
         raise TargetNotReached(sample)

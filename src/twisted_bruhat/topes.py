@@ -42,14 +42,11 @@ class DifferentBlocks(Exception):
     pass
 
 
-def _k0(datum, base):
-    return 0 if datum.is_positive(base) else 1
-
-
 def positive_roots_to_level(datum: CartanDatum, level: int):
+    k0 = datum.weyl_table().k0
     out = []
     for base in datum.roots:
-        for k in range(_k0(datum, base), level + 1):
+        for k in range(k0[base], level + 1):
             out.append((base, k))
     return out
 
@@ -281,12 +278,11 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
     for key, (w, F) in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         label = ".".join(map(str, w.word())) or "e"
         nodes.append(PosetNode(key, len(key), label))
-    edges = []
-    keys = list(seen)
-    for a in keys:
-        for b in keys:
-            if len(b) == len(a) + 1 and a < b:
-                edges.append(PosetEdge(a, b, "", "weak"))
+    # a cover drops one root of the upper key
+    edges = [
+        PosetEdge(b - {r}, b, "", "weak")
+        for b in seen for r in b if b - {r} in seen
+    ]
     poset = GradedPoset(nodes, edges)
     poset.reps = seen
     return poset
@@ -389,6 +385,7 @@ def figure_topes():
     a negated hemispace counts down from the most flips in its tier.
     """
     datum = build_system("A2")
+    k0 = datum.weyl_table().k0
     hs = figure_hemispaces()
     positive = [label for label in hs if label[0] != "-"]
     descriptors, span = {}, {}
@@ -398,7 +395,7 @@ def figure_topes():
         flips = sorted(
             (datum.root_name(mu), k)
             for mu, (_, e) in chains.items()
-            for k in range(_k0(datum, mu), e)
+            for k in range(k0[mu], e)
         )
         descriptors[label] = sorted(full), [f"{n}+{k}d" for n, k in flips]
         span[label[0]] = max(span.get(label[0], 0), len(flips))

@@ -266,7 +266,7 @@ def check_inversion_formulas():
     parameter iff both have the same lo and the same affine top, or both are
     empty on the whole domain; an unlisted base needs an empty group chain.
     """
-    positive = a2.datum().is_positive
+    k0 = a2.datum().weyl_table().k0
     mismatches = []
     chains = 0
     for name, family in a2.CLOSED_FORMS.items():
@@ -284,7 +284,7 @@ def check_inversion_formulas():
             table[base] = (lo, hi)
         for mu, top in group.items():
             chains += 1
-            lo = 0 if positive(mu) else 1
+            lo = k0[mu]
             listed = table.get(mu)
             if listed == (lo, top) or (
                 _empty_on_domain(lo, top, family.k_sign)

@@ -3,8 +3,10 @@ only the modules it uses, the benchmark tracer's targets exist, certificate
 and integrality checks are explicit code rather than `assert` (which
 `python -O` strips), arithmetic stays exact, only a fenced set of modules
 imports `fractions` and none imports `dataclasses`, only a fenced set of
-modules reads a biclosed set's chains and none a hemispace sign, finite root
-arithmetic and the finite Weyl group's operations stay integer, every
+modules reads a biclosed set's chains and none a hemispace sign, only
+`finite` derives k0, root pairings and reflections (the rest read them off
+`WeylTable`), finite root arithmetic and the finite Weyl group's operations
+stay integer, every
 definition in src/ is used by the library, its demos or its benchmark, not
 only by tests, and every Python file parses as Python 3.10."""
 
@@ -215,6 +217,30 @@ def test_chain_format_is_fenced():
     assert signs == []
     allowed = {"biclosed.py", "orders.py", "topes.py"}
     assert callers <= allowed, sorted(callers - allowed)
+
+
+def test_finite_root_facts_are_fenced():
+    """Only `finite` derives the finite root facts that the other modules
+    read off `WeylTable`: no other module spells the lowest level k0 as
+    `0 if <sign test>(mu) else 1`, nor calls `.pairing(...)` or
+    `.reflect(...)` (the function `biclosed.reflect` is imported by name)."""
+    found = []
+    for filename in MODULES:
+        if filename == "finite.py":
+            continue
+        for node in ast.walk(_tree(SRC / filename)):
+            if (
+                isinstance(node, ast.IfExp)
+                and isinstance(node.test, ast.Call)
+                and getattr(node.body, "value", None) == 0
+                and getattr(node.orelse, "value", None) == 1
+            ):
+                found.append((filename, node.lineno, "k0"))
+            elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None
+            ) in ("pairing", "reflect"):
+                found.append((filename, node.lineno, node.func.attr))
+    assert found == []
 
 
 def test_no_dataclasses_in_src():

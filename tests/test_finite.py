@@ -231,7 +231,9 @@ def test_table_products_match_fraction_oracle(label):
 def test_table_reflections_and_coroots(label):
     """smul[mu] is left multiplication by s_mu, lmul its rows at the simple
     roots and theta, and coroots[mu] expands mu^vee over the simple coroots
-    a_i^vee = 2 a_i / (a_i, a_i)."""
+    a_i^vee = 2 a_i / (a_i, a_i).  k0[mu] is the lowest positive level over
+    mu, srow[gamma][mu] is (s_gamma(mu), <mu, gamma^vee>) on every pair of
+    roots, in the order of the roots, and w0 is the longest element."""
     d = build_system(label)
     t = d.weyl_table()
     for mu in d.roots:
@@ -245,6 +247,62 @@ def test_table_reflections_and_coroots(label):
     assert t.lmul == tuple(
         t.smul[b] for b in d.simple_roots + (d.highest_root,)
     )
+    assert t.k0 == {mu: 0 if d.is_positive(mu) else 1 for mu in d.roots}
+    assert list(t.srow) == list(d.roots)
+    for gamma, row in t.srow.items():
+        assert list(row) == list(d.roots)
+        for mu, got in row.items():
+            assert got == (d.reflect(gamma, mu), d.pairing(mu, gamma))
+    w0 = t.elements[t.w0]
+    assert w0.length() == len(d.positive_roots)
+    assert w0.length() == max(w.length() for w in d.weyl_elements)
+
+
+# ----- the former per-module root caches, kept as oracles of WeylTable ----
+
+
+def _ray_pairings(d):
+    """The former `orders._ray_pairings`: per positive root gamma and root
+    rho, (<rho, gamma^vee>, s_gamma(rho) > 0)."""
+    table = {}
+    for gamma in d.positive_roots:
+        row = table[gamma] = {}
+        for rho in d.roots:
+            p = d.pairing(rho, gamma)
+            img = tuple(r - p * g for r, g in zip(rho, gamma))
+            row[rho] = (p, d.is_positive(img))
+    return table
+
+
+def _reflection_rows(d, gamma):
+    """The former `biclosed._reflection_rows`: per root mu, in the order of
+    the roots, (mu, s_gamma(mu), <mu, gamma^vee>, k0(mu))."""
+    table = d.weyl_table()
+    image = table.image[table.smul[gamma][table.e]]
+    j = next(i for i, x in enumerate(gamma) if x)
+    return tuple(
+        (mu, nu, (mu[j] - nu[j]) // gamma[j], 1 - d.is_positive(mu))
+        for mu, nu in image.items()
+    )
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_table_rows_match_former_caches(label):
+    """The cover search reads (b, [s_gamma(u mu) > 0]) and the tope walk
+    reads (mu, nu, p, k0(mu)) off srow and k0, as the two deleted caches
+    held them, on every root gamma."""
+    d = build_system(label)
+    t = d.weyl_table()
+    pairings = _ray_pairings(d)
+    for gamma in d.roots:
+        row = t.srow[gamma]
+        assert _reflection_rows(d, gamma) == tuple(
+            (mu, nu, p, t.k0[mu]) for mu, (nu, p) in row.items()
+        )
+        if gamma in pairings:
+            assert pairings[gamma] == {
+                rho: (p, 1 - t.k0[nu]) for rho, (nu, p) in row.items()
+            }
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED))

@@ -81,6 +81,10 @@ def test_integer_arithmetic(cm):
 def test_r_generators_canonical_and_universal(cm):
     sub = generic.w_prime(cm)
     assert generic.universal_check(sub, budget=12)
+    assert generic.universal_check(sub, budget=0)
+    # a negative budget is an error, not a vacuous pass
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        generic.universal_check(sub, budget=-1)
     for t in sub.generators:
         assert generic.canonical_check(sub, t)
     r1, r2, r3 = sub.generators

@@ -565,6 +565,16 @@ def test_negative_radius_is_refused():
             fn(*args)
 
 
+def test_negative_size_target_is_refused():
+    """A negative size is an error, not a slice from the end: the radius-6
+    level set at 0 has 7 elements, and size -1 used to return 6 of them."""
+    B = full_positive_biclosed(build_system("A2"))
+    assert len(antichain_at_level(B, 0, 7, 6)) == 7
+    assert antichain_at_level(B, 0, 0, 6) == []
+    with pytest.raises(ValueError, match="size_target must be >= 0"):
+        antichain_at_level(B, 0, -1, 6)
+
+
 def test_level_sets_grow():
     d = build_system("A2")
     B = full_positive_biclosed(d)

@@ -7,6 +7,7 @@ import pytest
 
 from twisted_bruhat import (
     BiclosedSet,
+    PosetEdge,
     build_system,
     dot_action,
     from_inversion_set,
@@ -16,7 +17,7 @@ from twisted_bruhat import (
     inversion_set,
     weak_leq,
 )
-from twisted_bruhat import biclosed, topes
+from twisted_bruhat import topes
 from twisted_bruhat.affine_group import (
     is_positive_affine,
     negate,
@@ -259,13 +260,14 @@ def search_mixed_violation(H):
     H sum to a delta-multiple; adding it repeatedly to a root of H on an
     upper-bounded chain escapes into -H."""
     datum = H.datum
+    k0 = datum.weyl_table().k0
     for nu in datum.roots:
         neg_nu = tuple(-x for x in nu)
-        for s in range(topes._k0(datum, nu), _SEARCH_LEVEL):
+        for s in range(k0[nu], _SEARCH_LEVEL):
             a = (nu, s)
             if not H.contains(a):
                 continue
-            for t in range(topes._k0(datum, neg_nu), _SEARCH_LEVEL):
+            for t in range(k0[neg_nu], _SEARCH_LEVEL):
                 b = (neg_nu, t)
                 if not H.contains(b) or s + t < 1:
                     continue
@@ -307,7 +309,7 @@ def test_lowest_and_top_match_level_scan():
                 for member in (True, False):
                     want = next((
                         k for k in line
-                        if k >= topes._k0(H.datum, mu)
+                        if k >= H.datum.weyl_table().k0[mu]
                         and H.contains((mu, k)) == member
                     ), None)
                     assert B.lowest(mu, member) == want
@@ -478,23 +480,22 @@ def test_reflected_chains_match_dot_action(label):
 
 def test_reflected_chains_refuse_non_roots(a2):
     """A gamma outside the roots raises the ValueError of `reflection`, and
-    the failure is not cached: the per-root tables stay one per type and
-    root."""
+    the failure adds no row: the Weyl tables hold one row per type and
+    root, 38 over the four types."""
     B = from_inversion_set(identity(a2))
-    rows = biclosed._reflection_rows
     for gamma in ((2, 0), (1, -1), (0, 0)):
         with pytest.raises(ValueError, match="not a root") as got:
             B.reflected_chains((gamma, 0))
         with pytest.raises(ValueError) as want:
             reflection(a2, (gamma, 0))
         assert str(got.value) == str(want.value)
-    for label in ("A2", "A3", "B2", "G2"):
-        for gamma in build_system(label).roots:
-            rows(label, gamma)
-    assert rows.cache_info().currsize == 38
+    labels = ("A2", "A3", "B2", "G2")
+    rows = lambda: sum(len(build_system(l).weyl_table().srow) for l in labels)
+    assert rows() == 38
     with pytest.raises(ValueError):
         B.reflected_chains(((2, 0), 0))
-    assert rows.cache_info().currsize == 38
+    assert rows() == 38
+    assert (2, 0) not in a2.weyl_table().srow
 
 
 def test_negative_bounds_are_refused(a2):
@@ -505,15 +506,27 @@ def test_negative_bounds_are_refused(a2):
         topes.check_convex_truncated(H, -1)
 
 
+def _edges_by_all_pairs(keys):
+    """The former edge loop of `tope_block`: every pair of keys a < b one
+    grade apart, the oracle of its per-key lookup."""
+    return {
+        PosetEdge(a, b, "", "weak")
+        for a in keys
+        for b in keys
+        if len(b) == len(a) + 1 and a < b
+    }
+
+
 @pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
 def test_tope_block_matches_product_walk(label):
     """Same keys in the same order, the same representative words, and
     representatives whose chains are those of the product w . C, for every
     class (A3 Mixed included), for C = B and its complement, and based at C
-    and at a block member two steps from C.  Based at -C, another block,
-    the walk raises DifferentBlocks."""
+    and at a block member two steps from C; the edges are those of the
+    all-pairs loop, each once.  Based at -C, another block, the walk raises
+    DifferentBlocks."""
     radius = 2 if label == "A3" else 3
-    far_bases = 0
+    far_bases = n_edges = 0
     for B in _biclosed_by_class(label, random.Random(95), 3):
         for C in (B, B.complement()):
             center = topes.from_biclosed(C)
@@ -524,8 +537,13 @@ def test_tope_block_matches_product_walk(label):
             far_bases += key not in near
             for base in (center, far):
                 want = _block_by_products(center, base, radius)
-                got = topes.tope_block(center, base, radius).reps
+                block = topes.tope_block(center, base, radius)
+                got = block.reps
                 assert list(got) == list(want)
+                edges = _edges_by_all_pairs(got)
+                assert set(block.edges) == edges
+                assert len(block.edges) == len(edges)
+                n_edges += len(edges)
                 assert [w.word() for w, _ in got.values()] == [
                     w.word() for w, _ in want.values()
                 ]
@@ -533,7 +551,7 @@ def test_tope_block_matches_product_walk(label):
                     assert F.biclosed.chains() == dot_action(w, C).chains()
             with pytest.raises(topes.DifferentBlocks):
                 topes.tope_block(center, center.negated(), radius)
-    assert far_bases > 0
+    assert far_bases > 0 and n_edges > 0
 
 
 def _interval_lattice_by_block(H1, H2, base):
@@ -818,7 +836,7 @@ def from_descriptor(datum, full_bases, flips):
         levels[tuple(base)].add(k)
     chains = {}
     for mu, ks in levels.items():
-        e = topes._k0(datum, mu) + len(ks)
+        e = datum.weyl_table().k0[mu] + len(ks)
         if ks and max(ks) != e - 1:
             raise ValueError(
                 f"flips on {datum.root_name(mu)} are not the lowest levels "
