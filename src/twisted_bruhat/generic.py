@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linprog import CertificationFailed
+from .linprog import CertificationFailed, _dot
 
 INF = "inf"
 
@@ -185,7 +185,7 @@ def identity(cm: CoxeterMatrix) -> CoxElement:
 
 @lru_cache(maxsize=8)
 def simple_reflections(cm: CoxeterMatrix):
-    return tuple(reflection_in(cm, _simple_vec(cm, i)) for i in range(cm.rank))
+    return tuple(_reflection(cm, _simple_vec(cm, i)) for i in range(cm.rank))
 
 
 def _step(rows, cols, i):
@@ -217,16 +217,23 @@ def from_word(cm: CoxeterMatrix, letters) -> CoxElement:
 
 
 def reflection_in(cm: CoxeterMatrix, gamma) -> CoxElement:
-    """s_gamma for a root gamma.  A vector that cannot be a root, as its
-    doubled norm is not 2 or its nonzero coordinates differ in sign, is
-    refused: s_gamma would not be a group element."""
-    if inner(cm, gamma, gamma) != 2 or (
-        any(x > 0 for x in gamma) and any(x < 0 for x in gamma)
-    ):
+    """s_gamma for a root gamma; any other vector is refused.  Made positive,
+    a root v other than a_i with 2(v, a_i) > 0 goes to the lower positive
+    root s_i(v), so v is a root iff this descent ends at a simple root."""
+    v = [-x for x in gamma] if all(x <= 0 for x in gamma) else list(gamma)
+    while len(v) == cm.rank and min(v) >= 0 and sum(v) > 1:
+        c, i = max((_dot(row, v), i) for i, row in enumerate(cm.rows))
+        if c <= 0:
+            break
+        v[i] -= c
+    if len(v) != cm.rank or min(v) < 0 or sum(v) != 1:
         raise ValueError(f"not a root: {tuple(gamma)}")
-    cols = tuple(
-        reflect_in_root(cm, gamma, _simple_vec(cm, i)) for i in range(cm.rank)
-    )
+    return _reflection(cm, gamma)
+
+
+def _reflection(cm: CoxeterMatrix, gamma) -> CoxElement:
+    """s_gamma for a gamma that is a root by construction, unchecked."""
+    cols = [reflect_in_root(cm, gamma, _simple_vec(cm, i)) for i in range(cm.rank)]
     return CoxElement(cm, cols, cols)
 
 
@@ -250,7 +257,7 @@ def n_tilde(w: CoxElement):
     """Ntilde(w): the reflections whose roots lie in N(w), for l(w) <= 64."""
     if w.length() > _N_TILDE_BUDGET:
         raise BudgetExceeded(f"l(w) = {w.length()} > budget {_N_TILDE_BUDGET}")
-    return frozenset(reflection_in(w.cm, _positive(g)) for g in inversion_roots(w))
+    return frozenset(_reflection(w.cm, _positive(g)) for g in inversion_roots(w))
 
 
 # ----- the section-4 instance ----------------------------------------------
@@ -411,7 +418,7 @@ def n_tilde_A_in_subgroup(w: CoxElement, sub: ReflectionSubgroup, depth: int):
     out = []
     for root in sorted(sub.positive_roots_to_depth(depth)):
         if in_A(w, root):
-            out.append(reflection_in(sub.cm, root))
+            out.append(_reflection(sub.cm, root))
     return out
 
 
@@ -458,7 +465,7 @@ def interval_growth(cm: CoxeterMatrix, budgets=(6, 8, 9, 10)):
     down_seen = {hi}
     records = []
     for L in budgets:
-        pool = [reflection_in(cm, g) for g in _root_pool(cm, L)]
+        pool = [_reflection(cm, g) for g in _root_pool(cm, L)]
         up_seen |= _saturate(up_seen, pool, length, lA, +1, hi_l, L)
         down_seen |= _saturate(down_seen, pool, length, lA, -1, lo_l, L)
         members = up_seen & down_seen

@@ -41,7 +41,11 @@ def cone_membership(generators, target) -> ConeCertificate:
         if len(g) != len(rows[-1]):
             raise ValueError(f"generator {g} and the target differ in length")
     # one positive L clears every denominator (L = 1 for int inputs)
-    L = lcm(*(x.denominator for row in rows for x in row))
+    try:
+        L = lcm(*(x.denominator for row in rows for x in row))
+    except AttributeError:
+        bad = next(x for row in rows for x in row if not hasattr(x, "denominator"))
+        raise TypeError(f"entry {bad!r} is not an int or a Fraction") from None
     *gens, b = [tuple(x.numerator * (L // x.denominator) for x in r) for r in rows]
     m = len(b)
     n = len(gens)

@@ -22,18 +22,21 @@ feasibility questions are answered exactly by the integer simplex in
 linprog.  The convexity check's LP search is truncated at a level, so it
 certifies convexity only up to that level; a violation it finds is an
 absolute non-convexity certificate, and so is the witness of a Mixed
-hemispace, a closed form read off its pairs.
+hemispace, a closed form read off its pairs and checked by explicit code.
+Its LPs share the roots of H as generators, so it solves an LP only for a
+target that no Farkas functional of an earlier LP separates.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
 from .affine_group import affine_simple_roots, identity, left_reflections
 from .affine_group import negate
 from .biclosed import BiclosedSet, parse_biclosed, reflect
 from .finite import CartanDatum, _span_roots, build_system
-from .linprog import CertificationFailed, cone_membership
+from .linprog import CertificationFailed, _dot, cone_membership
 from .orders import NotComparable  # re-exported: topes.NotComparable
 from .poset import GradedPoset, PosetEdge, PosetNode
 
@@ -136,47 +139,65 @@ def cone_member(datum: CartanDatum, target, generators):
 def check_convex_truncated(H: Hemispace, level_bound: int):
     """Search by exact LP for a root of -H in the cone of the roots of H,
     all of level at most `level_bound`; for a Mixed H with none there, take
-    the closed-form +-delta witness (`_mixed_violation`).  A violation is
-    an absolute non-convexity certificate; 'no violation' certifies nothing
-    beyond the truncation of the LP search.
+    the closed-form +-delta witness (`_mixed_violation`, checked by
+    `_check_witness`).  A violation is an absolute non-convexity
+    certificate; 'no violation' certifies nothing beyond the truncation.
+
+    Every LP has the roots g of H as generators, and `cone_membership`
+    checks y . g <= 0 for the Farkas functional y it returns.  So y, kept
+    scaled to integers, decides every later target t with y . t > 0 with
+    no LP; a target in the cone is separated by no y and reaches its LP.
+    Checked targets are those a certificate decided, from an LP or reused.
     """
     if level_bound < 0:
         raise ValueError("level_bound must be >= 0")
     datum = H.datum
-    universe = all_roots_to_level(datum, level_bound)
-    h_roots = [r for r in universe if H.contains(r)]
-    checked = 0
-    violation = None
-    for target in universe:
-        if H.contains(target):
+    h_roots, targets = [], []
+    for r in all_roots_to_level(datum, level_bound):
+        (h_roots if H.contains(r) else targets).append(r)
+    functionals, checked, violation = [], 0, None
+    for checked, target in enumerate(targets, 1):
+        t = _vec(datum, target)
+        if any(_dot(y, t) > 0 for y in functionals):
             continue
-        checked += 1
         cert = cone_member(datum, target, h_roots)
-        if cert.feasible:
-            support = [
-                (g, c)
-                for g, c in zip(h_roots, cert.coefficients)
-                if c != 0
-            ]
-            # a basic solution has at most one generator per dimension
-            if len(support) > len(target[0]) + 1:
-                raise CertificationFailed(
-                    f"cone support of {len(support)} generators exceeds "
-                    "the dimension"
-                )
-            violation = {
-                "target": target,
-                "generators": [g for g, _ in support],
-                "coefficients": [c for _, c in support],
-            }
-            break
+        if not cert.feasible:
+            y = cert.functional
+            L = lcm(*(c.denominator for c in y))
+            functionals.append([c.numerator * (L // c.denominator) for c in y])
+            continue
+        support = [(g, c) for g, c in zip(h_roots, cert.coefficients) if c != 0]
+        # a basic solution has at most one generator per dimension
+        if len(support) > len(target[0]) + 1:
+            raise CertificationFailed(
+                f"cone support of {len(support)} generators exceeds the dimension"
+            )
+        violation = {
+            "target": target,
+            "generators": [g for g, _ in support],
+            "coefficients": [c for _, c in support],
+        }
+        break
     if violation is None and H.biclosed.classify() == "Mixed":
         violation = _mixed_violation(H)
+        if violation is not None:
+            _check_witness(H, violation)
     return {
         "violation": violation,
         "level_bound": level_bound,
         "targets_checked": checked,
     }
+
+
+def _check_witness(H: Hemispace, v):
+    """Raise CertificationFailed unless the generators of the witness `v` are
+    in H, its target is not, and sum c . g with every c > 0 is the target."""
+    gens, coeffs = v["generators"], v["coefficients"]
+    combo = [_dot(coeffs, col) for col in zip(*(_vec(H.datum, g) for g in gens))]
+    if (len(gens) != len(coeffs) or tuple(combo) != _vec(H.datum, v["target"])
+            or not all(map(H.contains, gens)) or H.contains(v["target"])
+            or min(coeffs) <= 0):
+        raise CertificationFailed(f"non-convexity witness does not verify: {v}")
 
 
 def _mixed_violation(H: Hemispace):

@@ -258,7 +258,8 @@ def _is_refused(cm, v):
 def test_reflection_in_refuses_non_roots(cm):
     """Every root of the depth-10 pool and its negative is taken, so is
     every root the benchmark's canonical queries name, and on every vector
-    with coordinates in -7..7 the check agrees with the descent oracle."""
+    with coordinates in -7..7 the check agrees with the descent oracle, on
+    (2,3,inf) and on A1 x affine A1."""
     pool = generic._root_pool(cm, 10)
     assert len(pool) == 145
     pool_file = Path(__file__).resolve().parents[1] / "bench" / "pool.json"
@@ -275,14 +276,31 @@ def test_reflection_in_refuses_non_roots(cm):
             assert generic.reflection_in(cm, v).apply(v) == tuple(-x for x in v)
     for v in ((1, 1, 1), (2, 0, 0), (0, 0, 0), (1, -1, 0)):
         assert _is_refused(cm, v), v
+    # a vector of the wrong length built a malformed element
+    for v in ((1, 0), (0, 1, 0, 0), ()):
+        assert _is_refused(cm, v), v
     # no vector of mixed signs has doubled norm 2 here; in A1 x affine A1,
     # (-1, 1, 1) does
     inf = generic.INF
     other = generic.CoxeterMatrix(3, ((1, 2, 2), (2, 1, inf), (2, inf, 1)))
     assert generic.inner(other, (-1, 1, 1), (-1, 1, 1)) == 2
     assert _is_refused(other, (-1, 1, 1))
-    for v in itertools.product(range(-7, 8), repeat=3):
-        assert _is_refused(cm, v) != _descends_to_a_simple_root(cm, v), v
+    # there, (1, 1, 1) has doubled norm 2 and one sign, but is no root
+    assert generic.inner(other, (1, 1, 1), (1, 1, 1)) == 2
+    assert _is_refused(other, (1, 1, 1))
+    # non-roots that the former norm-and-sign test took, per matrix
+    norm_and_sign_only = {}
+    for matrix in (cm, other):
+        n = 0
+        for v in itertools.product(range(-7, 8), repeat=3):
+            descends = _descends_to_a_simple_root(matrix, v)
+            assert _is_refused(matrix, v) != descends, (matrix.bonds, v)
+            if descends:
+                assert generic.reflection_in(matrix, v).apply(v) == tuple(-x for x in v)
+            elif generic.inner(matrix, v, v) == 2 and (min(v) >= 0 or max(v) <= 0):
+                n += 1
+        norm_and_sign_only[matrix] = n
+    assert norm_and_sign_only == {cm: 0, other: 14}
 
 
 def test_canonical_check_length_budget(cm):

@@ -129,6 +129,15 @@ def test_generator_length_must_match_target():
         cone_membership([(0, 1), (1,)], (1, 0))
 
 
+def test_non_rational_entries_are_refused():
+    """A float or a string has no denominator: it is refused by name, not
+    left to escape as an AttributeError."""
+    with pytest.raises(TypeError, match=r"entry 1\.0 "):
+        cone_membership([(1.0, 0)], (1, 0))
+    with pytest.raises(TypeError, match=r"entry 'x' "):
+        cone_membership([(1, 0)], (0, "x"))
+
+
 def test_unit_cone_contains_positive_orthant():
     gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     cert = cone_membership(gens, (2, 3, 5))

@@ -1,7 +1,9 @@
 """Hemispaces, tope blocks, convexity certificates, and the tope figure."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from twisted_bruhat.finite import _span_roots, enumerate_P_triples
 from twisted_bruhat.linprog import (
     CertificationFailed,
     ConeCertificate,
+    _dot,
     cone_membership,
 )
 from conftest import random_biclosed, random_element
@@ -248,6 +251,148 @@ def test_convexity_violation_for_mixed():
         v = report["violation"]
         assert v is not None
         assert_violation_certificate(H, v)
+
+
+def test_convexity_checks_the_mixed_witness(monkeypatch):
+    """The closed-form witness of a Mixed hemispace is checked before it is
+    reported: each wrong witness below fails exactly one of its checks."""
+    H = topes.from_biclosed(
+        random_biclosed("A3", random.Random(85), mixed=True, twist_len=1)
+    )
+    assert topes.check_convex_truncated(H, level_bound=0)["violation"] == (
+        topes._mixed_violation(H)
+    )
+    good = topes._mixed_violation(H)
+    c, a, b = good["generators"]
+    out = next(r for r in topes.all_roots_to_level(H.datum, 2) if not H.contains(r))
+    wrong = [
+        dict(good, coefficients=[1, 1, 2]),  # the sum misses the target
+        dict(good, coefficients=[1, 1, 1, 0], generators=[c, a, b, c]),
+        {"target": c, "generators": [c], "coefficients": [1]},  # target in H
+        {"target": out, "generators": [out], "coefficients": [1]},  # g not in H
+    ]
+    for witness in wrong:
+        monkeypatch.setattr(topes, "_mixed_violation", lambda H: witness)
+        with pytest.raises(CertificationFailed, match="does not verify"):
+            topes.check_convex_truncated(H, level_bound=0)
+
+
+def _convexity_by_lp_per_target(H, level_bound):
+    """The former search of `check_convex_truncated`, kept as its oracle:
+    one LP per root of -H up to the level bound, no functional reused."""
+    datum = H.datum
+    universe = topes.all_roots_to_level(datum, level_bound)
+    h_roots = [r for r in universe if H.contains(r)]
+    gens = [topes._vec(datum, g) for g in h_roots]
+    checked = 0
+    violation = None
+    for target in universe:
+        if H.contains(target):
+            continue
+        checked += 1
+        cert = cone_membership(gens, topes._vec(datum, target))
+        if cert.feasible:
+            support = [
+                (g, c) for g, c in zip(h_roots, cert.coefficients) if c != 0
+            ]
+            violation = {
+                "target": target,
+                "generators": [g for g, _ in support],
+                "coefficients": [c for _, c in support],
+            }
+            break
+    if violation is None and H.biclosed.classify() == "Mixed":
+        violation = topes._mixed_violation(H)
+    return {
+        "violation": violation,
+        "level_bound": level_bound,
+        "targets_checked": checked,
+    }
+
+
+def _convexity_cases():
+    """(H, level): every P-triple of A2, B2 and G2 at levels 1-3, a seeded
+    A3 sample with Mixed triples at levels 1-2, and twisted random biclosed
+    sets of every type with their negations at levels 1-2."""
+    cases = []
+    for label in ("A2", "B2", "G2"):
+        datum = build_system(label)
+        for triple in enumerate_P_triples(datum):
+            H = topes.from_biclosed(BiclosedSet(identity(datum), *triple))
+            cases += [(H, level) for level in (1, 2, 3)]
+    for B in _biclosed_by_class("A3", random.Random(28), 3):
+        cases += [(topes.from_biclosed(B), level) for level in (1, 2)]
+    rng = random.Random(29)
+    for label in ("A2", "B2", "G2", "A3"):
+        for _ in range(4):
+            H = topes.from_biclosed(random_biclosed(label, rng, twist_len=3))
+            cases += [(F, level) for F in (H, H.negated()) for level in (1, 2)]
+    return cases
+
+
+def test_convexity_matches_lp_per_target():
+    """Reusing Farkas functionals leaves every report as it was: the same
+    violation with the same certificate, targets_checked and level bound."""
+    cases = _convexity_cases()
+    assert len(cases) == 640
+    violations = 0
+    for H, level in cases:
+        report = topes.check_convex_truncated(H, level)
+        assert report == _convexity_by_lp_per_target(H, level), (H, level)
+        violations += report["violation"] is not None
+    assert 0 < violations < len(cases)
+
+
+def _bench_hemispaces():
+    """The hemispaces of the benchmark's topes-cones workload, built as its
+    set-up builds them."""
+    pool_file = Path(__file__).resolve().parents[1] / "bench" / "pool.json"
+    fixed = json.loads(pool_file.read_text())["topes-cones"]["fixed"]
+    out = {}
+    for name, spec in fixed["hemispaces"].items():
+        datum = build_system(spec["type"])
+        if "inversion_set_of" in spec:
+            word = tuple(int(a) for a in spec["inversion_set_of"].split("."))
+            B = from_inversion_set(from_word(datum, word))
+        else:
+            B = parse_biclosed(datum, spec["biclosed"])
+        out[name] = topes.from_biclosed(B)
+    return out
+
+
+def test_convexity_reuses_farkas_functionals(monkeypatch):
+    """On every benchmark hemispace at levels 1, 2, 3 and 6, at most four
+    LPs decide the whole truncated -H (one per target took 9-78): the Farkas
+    functionals of the first LPs separate the rest.  Each functional is
+    <= 0 on every generator, the same roots of H for every LP, and > 0 on
+    the target whose LP returned it; scaling to integers keeps its signs."""
+    solved = []
+    cone_member = topes.cone_member
+
+    def counted(datum, target, generators):
+        cert = cone_member(datum, target, generators)
+        solved.append((target, generators, cert))
+        return cert
+
+    monkeypatch.setattr(topes, "cone_member", counted)
+    hemispaces = _bench_hemispaces()
+    assert len(hemispaces) == 14
+    for name, H in hemispaces.items():
+        datum = H.datum
+        for level in (1, 2, 3, 6):
+            solved.clear()
+            report = topes.check_convex_truncated(H, level)
+            assert report["violation"] is None
+            assert 1 <= len(solved) <= 4, (name, level, len(solved))
+            assert report["targets_checked"] == len(
+                topes.all_roots_to_level(datum, level)
+            ) // 2
+            h_roots = solved[0][1]
+            for target, generators, cert in solved:
+                assert generators == h_roots
+                y = cert.functional
+                assert _dot(y, topes._vec(datum, target)) > 0
+                assert all(_dot(y, topes._vec(datum, g)) <= 0 for g in generators)
 
 
 # The former +-delta search for the witness of a Mixed hemispace, kept as
