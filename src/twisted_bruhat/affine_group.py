@@ -134,13 +134,12 @@ class AffineWeylElement:
         N(self) over mu is the chain from the lowest positive level (0 if
         mu > 0, else 1) up to t_mu, empty when t_mu is below it.
         """
-        datum = self.datum
         p = self._pairings()
-        table = datum.weyl_table()
+        table = self.datum.weyl_table()
         pre = table.image[table.inv[table.index[self.fin]]]
-        positive = datum.is_positive
+        k0 = table.k0  # [nu > 0] = 1 - k0[nu]
         return {
-            mu: sum(m * x for m, x in zip(mu, p)) - positive(nu)
+            mu: sum(m * x for m, x in zip(mu, p)) - 1 + k0[nu]
             for mu, nu in pre.items()
         }
 
@@ -203,10 +202,12 @@ class AffineWeylElement:
         return self._word
 
     def __eq__(self, other):
+        # the hash leaves the type out: A2's and B2's identities share it
         return (
             isinstance(other, AffineWeylElement)
             and self.fin.imgs == other.fin.imgs
             and self.trans == other.trans
+            and self.datum.type_label == other.datum.type_label
         )
 
     def __hash__(self):

@@ -86,7 +86,7 @@ class BiclosedSet:
         self._line_tops = None
         self._lB = {}
         self._lBp = {}
-        self._ray_memo = None  # (w, profile): orders._element_profile
+        self._ray_memo = None  # (w, l_B(w), per-root terms): orders._ray_pieces
 
     # ----- representation-level data ----------------------------------
 

@@ -3,22 +3,20 @@
 Twisted lengths:  l_B(w) = l(w) - 2|N(w^-1) ∩ B|   (left, grades <=_B)
                   l'_B(w) = l(w) - 2|N(w) ∩ B|      (right, grades <='_B)
 
-Cover enumeration scans each reflection ray k -> s_{gamma + k delta} w
-over a window of levels k.  For w = u t_v the inverse of s_{gamma+k delta} w
-is (u^-1 s_gamma) t_{V_k} with V_k affine in k, so over each finite root mu
-its inversion chain runs from lo_mu to an integer top that is affine in k.
-The delta l_B(s_{gamma+k delta} w) - l_B(w) is therefore plain integer
-arithmetic on this ray profile plus B's chain counts; only the covers
-themselves are built as elements, each an integer step along its ray
-(`left_reflections`), with no group product.
+Cover enumeration scans each reflection ray k -> s_{gamma+k delta} w.
+For w = u t_v, over each finite root mu the chain of N((s_{gamma+k delta}
+w)^-1) runs from lo_mu to a top affine in k, so the delta
+l_B(s_{gamma+k delta} w) - l_B(w) is a sum of two hinges max(0, b k + d)
+per chain, read off B's (tail, e) pairs; one sort of their thresholds
+splits it into affine pieces.  Only the covers are built as elements, each
+an integer step along its ray (`left_reflections`), with no group product.
 
-The window doubles until the drift stabilizes at both ends: the per-step
-change of the delta has been constant (and nonzero) for h consecutive
-steps (h = Coxeter number) with the end value pointing away from the +-1
-band.  The delta is piecewise affine in k with finitely many kinks, so an
-exact check of its values around every kink beyond the window, and of its
-slope past the last one, then proves that no further covers exist on the
-ray.
+The window of levels doubles until the drift (the per-step change of the
+delta) is constant and nonzero over h steps at both ends (h = Coxeter
+number), with the end value pointing away from the +-1 band.  The values
+at both ends of each piece beyond the window, and the sign of the outer
+slope, then prove that the ray has no further covers.  An end whose outer
+piece is flat never certifies, and fails at once.
 
 Intervals and comparisons meet in the middle: lower covers from y for
 ceil(gap/2) grades and upper covers from x for floor(gap/2).  Every
@@ -35,6 +33,7 @@ spells a chain from u to v.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .affine_group import (
@@ -50,8 +49,6 @@ from .affine_group import (
 from .biclosed import BiclosedSet, dot_action
 from .linprog import CertificationFailed  # re-exported: orders.CertificationFailed
 from .poset import GradedPoset, PosetEdge, PosetNode
-
-_HARD_CAP = 10**4
 
 
 class NotComparable(Exception):
@@ -73,10 +70,20 @@ class CoverCertificate(NamedTuple):
 # ----- twisted lengths -----------------------------------------------------
 
 
+def _same_type(B, *elements):
+    for w in elements:
+        if w.datum.type_label != B.datum.type_label:
+            raise ValueError(
+                f"element of type {w.datum.type_label} against a biclosed "
+                f"set of type {B.datum.type_label}"
+            )
+
+
 def twisted_length_left(w: AffineWeylElement, B: BiclosedSet) -> int:
     """l_B(w) = l(w) - 2|N(w^-1) ∩ B|."""
     cached = B._lB.get(w)
     if cached is None:
+        _same_type(B, w)
         winv = w.inverse()  # l(w^-1) = l(w)
         cached = winv.length() - 2 * B.count_inversions_in(winv)
         B._lB[w] = cached
@@ -87,6 +94,7 @@ def twisted_length_right(w: AffineWeylElement, B: BiclosedSet) -> int:
     """l'_B(w) = l(w) - 2|N(w) ∩ B|; equals l_B(w^-1)."""
     cached = B._lBp.get(w)
     if cached is None:
+        _same_type(B, w)
         cached = w.length() - 2 * B.count_inversions_in(w)
         B._lBp[w] = cached
     return cached
@@ -95,160 +103,151 @@ def twisted_length_right(w: AffineWeylElement, B: BiclosedSet) -> int:
 # ----- certified cover search ----------------------------------------------
 
 
-def _element_profile(w, B):
-    """l_B(w) and, per root mu, (mu, u(mu), -(mu, v), lo_mu) for w = u t_v.
+def _ray_pieces(w, B, gamma):
+    """The affine pieces (_pieces) of l_B(s_{gamma+k delta} w) - l_B(w).
 
-    covers asks for this once per ray, so B keeps the last one in a single
-    slot; it depends on w only.
-    """
-    memo = B._ray_memo
-    if memo is not None and memo[0] == w:
-        return memo[1]
-    table = B.datum.weyl_table()
-    k0 = table.k0
-    p = w._pairings()
-    terms = []
-    # (mu, v) = (u mu, u v) = sum_k (u mu)_k p_k
-    for mu, umu in table.image[table.index[w.fin]].items():
-        terms.append((mu, umu, -sum(a * x for a, x in zip(umu, p)), k0[mu]))
-    profile = (twisted_length_left(w, B), tuple(terms))
-    B._ray_memo = (w, profile)
-    return profile
-
-
-def _ray_profile(w, B, gamma):
-    """(base, lines) with Delta(k) = l_B(s_{gamma+k delta} w) - l_B(w) equal
-    to _ray_delta(B, (base, lines), k).
-
-    Over each root mu the chain of N((s_{gamma+k delta} w)^-1) runs from lo
-    to hi = a + b k, with a = -(mu, v) - [s_gamma(u mu) > 0] and
-    b = <u mu, gamma^vee>, read off gamma's row of the Weyl table: for
-    nu = s_gamma(u mu), [nu > 0] = 1 - k0(nu).  Chains with b = 0 do not
-    move with k and are folded into base.
-    """
-    lB, terms = _element_profile(w, B)
+    For w = u t_v, over each root mu the chain of N((s_{gamma+k delta} w)^-1)
+    runs from lo = k0(mu) to a + b k, with a = -(mu, v) - [nu > 0] and
+    b = <u mu, gamma^vee> for nu = s_gamma(u mu), off gamma's Weyl table
+    row.  covers scans every ray of one w, so B keeps l_B(w) and the
+    (mu, u mu, -(mu, v), k0(mu)) of the last w in one slot."""
     table = B.datum.weyl_table()
     row, k0 = table.srow[gamma], table.k0
-    moving, fixed = [], []
+    if B._ray_memo is None or B._ray_memo[0] != w:
+        p = w._pairings()  # (mu, v) = (u mu, u v) = sum_k (u mu)_k p_k
+        terms = [
+            (mu, umu, -sum(a * x for a, x in zip(umu, p)), k0[mu])
+            for mu, umu in table.image[table.index[w.fin]].items()
+        ]
+        B._ray_memo = (w, twisted_length_left(w, B), terms)
+    _, lB, terms = B._ray_memo
+    lines = []
     for mu, umu, c, lo in terms:
         nu, b = row[umu]
-        (moving if b else fixed).append((mu, lo, c - 1 + k0[nu], b))
-    base = lB - _ray_delta(B, (0, tuple(fixed)), 0)
-    return base, tuple(moving)
+        lines.append((mu, lo, c - 1 + k0[nu], b))
+    return _pieces(B.chains(), lB, lines)
 
 
-def _ray_delta(B, profile, k):
-    """Delta(k) from the profile: sum over chains of |chain| - 2|chain ∩ B|."""
-    base, lines = profile
-    chains = B.chains()
-    total = -base
+def _pieces(chains, base, lines):
+    """(starts, affine): Delta(k) = A k + C for (A, C) = affine[i] on
+    starts[i-1] <= k < starts[i], the outer pieces unbounded, where Delta(k)
+    is -base plus, over lines (mu, lo, a, b), |chain| - 2|chain ∩ B| for the
+    levels lo..hi = a + b k over mu.  With (tail, e) = chains[mu] and
+    s = 1 if tail else -1, that is the hinges s·max(0, hi - lo + 1) and
+    -2s·max(0, hi - max(lo, e) + 1).  A hinge max(0, b k + d) with b > 0
+    is b k + d from k = ceil(-d / b) on and 0 before it; max(0, x) =
+    x + max(0, -x) turns b < 0 into b > 0.
+    """
+    A, C = 0, -base
+    events = []
     for mu, lo, a, b in lines:
-        hi = a + b * k
-        if hi >= lo:
-            # B.count_in_chain(mu, lo, hi), read off (tail, e) in place
-            tail, e = chains[mu]
-            if tail:
-                inside = 0 if hi < e else hi - e + 1 if lo < e else hi - lo + 1
-            else:
-                inside = 0 if lo >= e else e - lo if hi >= e else hi - lo + 1
-            total += hi - lo + 1 - 2 * inside
-    return total
+        tail, e = chains[mu]
+        s = 1 if tail else -1
+        d, f = a - lo + 1, a + 1 - (e if e > lo else lo)
+        if not b:
+            C += s * max(0, d) - 2 * s * max(0, f)
+            continue
+        if b < 0:
+            A -= s * b
+            C += s * (d - 2 * f)
+            b, d, f = -b, -d, -f
+        events += ((-(d // b), s * b, s * d), (-(f // b), -2 * s * b, -2 * s * f))
+    events.sort()
+    starts, affine = [], [(A, C)]
+    for t, dA, dC in events:
+        A += dA
+        C += dC
+        if starts and starts[-1] == t:
+            affine[-1] = (A, C)
+        else:
+            starts.append(t)
+            affine.append((A, C))
+    return starts, affine
+
+
+def _values(pieces, lo, hi):
+    """[Delta(k) for lo <= k <= hi], one range per piece."""
+    starts, affine = pieces
+    i = bisect_right(starts, lo)
+    values = []
+    for end, (A, C) in zip(starts[i:] + [hi + 1], affine[i:]):
+        end = min(end, hi + 1)
+        values += range(A * lo + C, A * end + C, A) if A else [C] * (end - lo)
+        lo = end
+    return values
 
 
 def _end_certified(values, h, positive_end):
-    """Drift constant (nonzero) over h steps, pointing away from the band."""
-    if len(values) < h + 1:
+    """Drift constant (nonzero) over h steps, pointing away from the band:
+    the drift, else None."""
+    if len(values) <= h:
         return None
-    if positive_end:
-        tail = values[-(h + 1):]
-    else:
-        tail = values[: h + 1][::-1]
-    diffs = {tail[i + 1] - tail[i] for i in range(h)}
-    if len(diffs) != 1:
-        return None
-    drift = diffs.pop()
-    if drift == 0:
-        return None
-    edge = tail[-1]
-    if drift > 0 and edge >= 1:
-        return drift
-    if drift < 0 and edge <= -1:
-        return drift
-    return None
+    tail = values[-(h + 1):] if positive_end else values[h::-1]
+    diffs = {y - x for x, y in zip(tail, tail[1:])}
+    drift = diffs.pop() if len(diffs) == 1 else 0
+    return drift if drift * tail[-1] > 0 else None
 
 
-def _check_tail(B, profile, n, drift, positive_end):
-    """Prove that Delta keeps the drift's sign, with |Delta| >= 3, past the
-    window end +n (positive_end) or -n; raise CertificationFailed otherwise.
-
-    Each chain term of Delta is piecewise affine in its top hi, with kinks
-    at lo - 1 and at e - 1, the last level below B's threshold e on that
-    chain (B.chains()); hi is affine in k.  So Delta is affine between the integers next to its kinks:
-    checking the values at those integers beyond the end and at the first
-    step past it, and that the slope past the last kink does not turn back,
-    covers every k beyond the end.
-    """
-    out = 1 if positive_end else -1
+def _prove_tail(pieces, n, drift, out):
+    """Prove that Delta keeps the drift's sign, with |Delta| >= 3, at every
+    level out * j with j > n; raise CertificationFailed otherwise.  Each
+    piece is affine, so the values at its two ends bound it, and past the
+    outer start the slope must not turn back."""
+    starts, affine = pieces
     sign = 1 if drift > 0 else -1
-    chains = B.chains()
-    steps = {n + 1}
-    for mu, lo, a, b in profile[1]:
-        for t in (lo - 1, chains[mu][1] - 1):
-            # kink at k = (t - a) / b: the integers on both sides of it
-            for k in ((t - a) // b, -((a - t) // b)):
-                if out * k > n:
-                    steps.add(out * k)
-    last = max(steps)
-    values = {j: _ray_delta(B, profile, out * j) for j in steps | {last + 1}}
-    for j in sorted(values):
-        if sign * values[j] < 3:
+    ends = {n + 1} | {j for t in starts for j in (out * (t - 1), out * t) if j > n}
+    for j in sorted(ends):
+        A, C = affine[bisect_right(starts, out * j)]
+        if sign * (A * out * j + C) < 3:
             raise CertificationFailed(
                 f"drift {drift} past k = {out * n} breaks down: "
-                f"Delta({out * j}) = {values[j]}"
+                f"Delta({out * j}) = {A * out * j + C}"
             )
-    if sign * (values[last + 1] - values[last]) < 0:
+    if sign * out * affine[-1 if out > 0 else 0][0] < 0:
         raise CertificationFailed(
             f"drift {drift} past k = {out * n} breaks down: Delta turns "
-            f"back after k = {out * last}"
+            f"back after k = {out * max(ends)}"
         )
 
 
-def scan_ray(w, B, gamma):
-    """Certified window of twisted-length deltas along one reflection ray.
-
-    Returns (window_lo, window_hi, {k: delta}, CoverCertificate).  Each
-    delta comes from the integer ray profile, without building the element
-    s_{gamma+k delta} w.  The window doubles until the drift stabilizes at
-    both ends (_end_certified); _check_tail then proves that no k outside
-    it has delta = +-1, so every cover on the ray lies in the window.
-    """
-    datum = B.datum
-    h = datum.coxeter_number
-    profile = _ray_profile(w, B, gamma)
-    n = 2 + w.inverse().max_inversion_level() + B.level_star()
-    deltas = {}
+def _certify(pieces, n, h):
+    """(n, [Delta(k) for |k| <= n], (negative-end drift, positive-end
+    drift)) for the first window n, 2n, 4n, ... whose two ends certify
+    (_end_certified) and whose tails hold (_prove_tail).  Once an end's
+    h + 1 values lie in its outer piece, it certifies within finitely many
+    doublings if that piece's slope is nonzero, and never if it is zero."""
+    starts, affine = pieces
     while True:
-        for k in range(-n, n + 1):
-            if k not in deltas:
-                deltas[k] = _ray_delta(B, profile, k)
-        values = [deltas[k] for k in range(-n, n + 1)]
-        drift_pos = _end_certified(values, h, positive_end=True)
-        drift_neg = _end_certified(values, h, positive_end=False)
-        if drift_pos is not None and drift_neg is not None:
-            _check_tail(B, profile, n, drift_pos, positive_end=True)
-            _check_tail(B, profile, n, drift_neg, positive_end=False)
-            cert = CoverCertificate(
-                base_root=gamma,
-                window=(-n, n),
-                drift=(drift_neg, drift_pos),
-            )
-            return -n, n, deltas, cert
-        if n >= _HARD_CAP:
-            raise CertificationFailed(
-                f"ray {datum.root_name(gamma)} of w={w!r} did not stabilize "
-                f"within |k| <= {_HARD_CAP}"
-            )
-        n = min(2 * n, _HARD_CAP)
+        values = _values(pieces, -n, n)
+        drift = (_end_certified(values, h, False), _end_certified(values, h, True))
+        if None not in drift:
+            _prove_tail(pieces, n, drift[1], 1)
+            _prove_tail(pieces, n, drift[0], -1)
+            return n, values, drift
+        for out, (A, C), outer in (
+            (1, affine[-1], not starts or n - h >= starts[-1]),
+            (-1, affine[0], not starts or h - n < starts[0]),
+        ):
+            if outer and A == 0:
+                raise CertificationFailed(
+                    f"zero drift past k = {out * n}: Delta = {C} at every "
+                    f"level beyond, so no window certifies"
+                )
+        n *= 2
+
+
+def scan_ray(w, B, gamma):
+    """Certified window of twisted-length deltas along one reflection ray:
+    (window_lo, window_hi, {k: delta}, CoverCertificate).  The deltas are
+    read off the ray's affine pieces, with no element s_{gamma+k delta} w
+    built, and the pieces prove that no k outside the window has
+    delta = +-1 (_certify), so every cover on the ray lies in it.
+    """
+    n = 2 + w.inverse().max_inversion_level() + B.level_star()
+    h = B.datum.coxeter_number
+    n, values, drift = _certify(_ray_pieces(w, B, gamma), n, h)
+    cert = CoverCertificate(base_root=gamma, window=(-n, n), drift=drift)
+    return -n, n, dict(zip(range(-n, n + 1), values)), cert
 
 
 def covers(w, B):
@@ -388,6 +387,7 @@ def interval(x, y, B) -> GradedPoset:
 
 def downset_corank(x, B, n: int):
     """{y <=_B x : l_B(x) - l_B(y) = n}, by n-fold cover descent."""
+    _same_type(B, x)
     if n < 0:
         raise ValueError("n must be >= 0")
     return set(_cover_layers(x, B, n, lower_covers)[0][n])
@@ -396,11 +396,9 @@ def downset_corank(x, B, n: int):
 def strong_leq(x, y, B) -> bool:
     """x <=_B y: the lower covers from y and the upper covers from x meet
     in the middle grade (_meet)."""
-    if x == y:
-        return True
     gap = twisted_length_left(y, B) - twisted_length_left(x, B)
     if gap <= 0:
-        return False
+        return x == y
     return bool(_meet(x, y, B, gap)[0])
 
 
@@ -414,6 +412,7 @@ def weak_leq(u, v, B) -> bool:
     root between the tops of the two chains, which share their lowest
     level.  The left order compares inverses: weak_leq(u^-1, v^-1, B).
     """
+    _same_type(B, u, v)
     a, b = u.inversion_chains(), v.inversion_chains()
     for mu in a.keys() | b.keys():
         lo = (a.get(mu) or b[mu])[0]

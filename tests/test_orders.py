@@ -34,9 +34,7 @@ from twisted_bruhat.orders import (
     CertificationFailed,
     NotComparable,
     TargetNotReached,
-    _check_tail,
     _end_certified,
-    _ray_delta,
     antichain_at_level,
     dot_iso_check,
     length_ball,
@@ -143,6 +141,207 @@ def test_covers_seed_correct_twisted_lengths():
                 assert length == twisted_length_left(z, oracle)
 
 
+# ----- cover rays: the affine pieces against the former per-level code -----
+
+
+def _ray_profile(w, B, gamma):
+    """(base, lines) of the ray, in the former per-level form: the chains
+    that do not move with k are folded into base, and Delta(k) is
+    _ray_delta(B, (base, lines), k)."""
+    table = B.datum.weyl_table()
+    row, k0 = table.srow[gamma], table.k0
+    p = w._pairings()
+    moving, fixed = [], []
+    for mu, umu in table.image[table.index[w.fin]].items():
+        nu, b = row[umu]
+        a = -sum(x * y for x, y in zip(umu, p)) - 1 + k0[nu]
+        (moving if b else fixed).append((mu, k0[mu], a, b))
+    base = twisted_length_left(w, B) - _ray_delta(B, (0, tuple(fixed)), 0)
+    return base, tuple(moving)
+
+
+def _ray_delta(B, profile, k):
+    """Delta(k) from the profile, one level at a time: the sum over chains
+    of |chain| - 2|chain ∩ B|, the count read off (tail, e) in place."""
+    base, lines = profile
+    chains = B.chains()
+    total = -base
+    for mu, lo, a, b in lines:
+        hi = a + b * k
+        if hi >= lo:
+            tail, e = chains[mu]
+            if tail:
+                inside = 0 if hi < e else hi - e + 1 if lo < e else hi - lo + 1
+            else:
+                inside = 0 if lo >= e else e - lo if hi >= e else hi - lo + 1
+            total += hi - lo + 1 - 2 * inside
+    return total
+
+
+def _end_certified_by_cases(values, h, positive_end):
+    """The former drift test of one window end, case by case."""
+    if len(values) < h + 1:
+        return None
+    if positive_end:
+        tail = values[-(h + 1):]
+    else:
+        tail = values[: h + 1][::-1]
+    diffs = {tail[i + 1] - tail[i] for i in range(h)}
+    if len(diffs) != 1:
+        return None
+    drift = diffs.pop()
+    if drift == 0:
+        return None
+    edge = tail[-1]
+    if drift > 0 and edge >= 1:
+        return drift
+    if drift < 0 and edge <= -1:
+        return drift
+    return None
+
+
+def _check_tail(B, profile, n, drift, positive_end):
+    """The former tail proof: Delta at the integers next to every kink
+    beyond the window end, and at the first step past it, keeps the drift's
+    sign with |Delta| >= 3, and the slope past the last kink does not turn
+    back; CertificationFailed otherwise."""
+    out = 1 if positive_end else -1
+    sign = 1 if drift > 0 else -1
+    chains = B.chains()
+    steps = {n + 1}
+    for mu, lo, a, b in profile[1]:
+        for t in (lo - 1, chains[mu][1] - 1):
+            for k in ((t - a) // b, -((a - t) // b)):
+                if out * k > n:
+                    steps.add(out * k)
+    last = max(steps)
+    values = {j: _ray_delta(B, profile, out * j) for j in steps | {last + 1}}
+    for j in sorted(values):
+        if sign * values[j] < 3:
+            raise CertificationFailed(
+                f"drift {drift} past k = {out * n} breaks down: "
+                f"Delta({out * j}) = {values[j]}"
+            )
+    if sign * (values[last + 1] - values[last]) < 0:
+        raise CertificationFailed(
+            f"drift {drift} past k = {out * n} breaks down: Delta turns "
+            f"back after k = {out * last}"
+        )
+
+
+def _scan_by_levels(B, profile, n, h, cap=10**4):
+    """The former scan_ray loop: every level of the doubling window, up to
+    a hard cap on its half-width, then the per-kink tail proof."""
+    deltas = {}
+    while True:
+        for k in range(-n, n + 1):
+            if k not in deltas:
+                deltas[k] = _ray_delta(B, profile, k)
+        values = [deltas[k] for k in range(-n, n + 1)]
+        drift = (
+            _end_certified_by_cases(values, h, positive_end=False),
+            _end_certified_by_cases(values, h, positive_end=True),
+        )
+        if None not in drift:
+            _check_tail(B, profile, n, drift[1], positive_end=True)
+            _check_tail(B, profile, n, drift[0], positive_end=False)
+            return n, values, drift
+        if n >= cap:
+            raise CertificationFailed(f"did not stabilize within |k| <= {cap}")
+        n = min(2 * n, cap)
+
+
+def _raises(fn, *args):
+    try:
+        fn(*args)
+    except CertificationFailed:
+        return True
+    return False
+
+
+def _rays_of_each_class(rng, per_class=8):
+    """(w, B, gamma) over every positive root, for up to per_class P-triples
+    of each biclosed class of each type (A3's Mixed included), each with a
+    random twist and a random element of up to 8 letters."""
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        by_class = {}
+        for triple in enumerate_P_triples(d):
+            B = BiclosedSet(identity(d), *triple)
+            by_class.setdefault(B.classify(), []).append(triple)
+        for triples in by_class.values():
+            for triple in rng.sample(triples, min(per_class, len(triples))):
+                B = BiclosedSet(random_element(d, rng, 8), *triple)
+                w = random_element(d, rng, 8)
+                for gamma in d.positive_roots:
+                    yield w, B, gamma
+
+
+def test_ray_pieces_match_per_level_oracle():
+    """On rays of every class of all four types: the pieces give the former
+    per-level delta at every k up to past the outermost start, scan_ray
+    returns the former window, deltas and drifts, and the piece tail proof
+    fails exactly where the per-kink one does."""
+    rng = random.Random(52)
+    classes = set()
+    for w, B, gamma in _rays_of_each_class(rng):
+        classes.add(B.classify())
+        h = B.datum.coxeter_number
+        profile = _ray_profile(w, B, gamma)
+        pieces = orders._ray_pieces(w, B, gamma)
+        reach = 3 + max(map(abs, pieces[0]))
+        assert orders._values(pieces, -reach, reach) == [
+            _ray_delta(B, profile, k) for k in range(-reach, reach + 1)
+        ]
+        n0 = 2 + w.inverse().max_inversion_level() + B.level_star()
+        n, values, drift = _scan_by_levels(B, profile, n0, h)
+        lo, hi, deltas, cert = scan_ray(w, B, gamma)
+        assert (lo, hi, cert.window, cert.drift) == (-n, n, (-n, n), drift)
+        assert deltas == dict(zip(range(-n, n + 1), values))
+        for m in (1, n0, reach // 2, reach):
+            for d in (-2, 2):
+                for out in (1, -1):
+                    assert _raises(orders._prove_tail, pieces, m, d, out) == (
+                        _raises(_check_tail, B, profile, m, d, out > 0)
+                    )
+    assert classes == {
+        "Finite", "Cofinite", "InfiniteWordInversion",
+        "InfiniteWordCoinversion", "Mixed",
+    }
+
+
+def test_end_certified_matches_former_cases():
+    rng = random.Random(53)
+    for _ in range(3000):
+        h = rng.randint(2, 6)
+        values = [rng.choice((-3, -1, 0, 1, 3))]
+        step = rng.choice((-2, 0, 2))
+        for _ in range(rng.randint(0, 9)):
+            values.append(values[-1] + (step if rng.random() < 0.9 else 1))
+        for positive_end in (True, False):
+            assert _end_certified(values, h, positive_end) == (
+                _end_certified_by_cases(values, h, positive_end)
+            )
+
+
+def test_hinges_match_count_in_chain():
+    """One chain of levels lo..k, k the ray level: its piece is
+    |chain| - 2|chain ∩ B|, with the count from count_in_chain, for every
+    (tail, e, lo) of a box and every k in it."""
+    d = build_system("A2")
+    B = full_positive_biclosed(d)
+    mu = d.roots[0]
+    for tail in (True, False):
+        for e in range(-3, 6):
+            B._chains = {mu: (tail, e)}
+            for lo in range(-3, 6):
+                pieces = orders._pieces(B._chains, 0, [(mu, lo, 0, 1)])
+                assert orders._values(pieces, -6, 9) == [
+                    max(0, hi - lo + 1) - 2 * B.count_in_chain(mu, lo, hi)
+                    for hi in range(-6, 10)
+                ]
+
+
 def test_tail_check_rejects_far_breakpoint():
     """A hand-built profile with Delta(k) = 2|k| + 1 up to k = 20, where a
     third chain starts and turns Delta down to 1 at k = 40.  The window
@@ -165,6 +364,20 @@ def test_tail_check_rejects_far_breakpoint():
     good = (-1, rising)
     _check_tail(B, good, 10, 2, positive_end=True)
     _check_tail(B, good, 10, 2, positive_end=False)
+    # the pieces: the same values, and the same verdicts
+    bad_pieces = orders._pieces(B.chains(), *bad)
+    assert orders._values(bad_pieces, -10, 10) == window
+    assert [orders._values(bad_pieces, k, k)[0] for k in (-3, 0, 20, 21, 40)] == [
+        7, 1, 41, 39, 1,
+    ]
+    orders._prove_tail(bad_pieces, 10, 2, -1)
+    with pytest.raises(CertificationFailed, match="turns back after k = 20"):
+        orders._prove_tail(bad_pieces, 10, 2, 1)
+    with pytest.raises(CertificationFailed):
+        orders._certify(bad_pieces, 10, d.coxeter_number)
+    good_pieces = orders._pieces(B.chains(), *good)
+    orders._prove_tail(good_pieces, 10, 2, 1)
+    orders._prove_tail(good_pieces, 10, 2, -1)
 
 
 def test_tail_check_finds_breakdown_at_biclosed_threshold():
@@ -184,7 +397,86 @@ def test_tail_check_finds_breakdown_at_biclosed_threshold():
     with pytest.raises(CertificationFailed, match=r"Delta\(16\) = 2"):
         _check_tail(B, profile, 14, 1, positive_end=True)
     # unflipped (e = k0 everywhere), the same profile keeps rising
-    _check_tail(from_inversion_set(identity(d)), profile, 14, 1, positive_end=True)
+    unflipped = from_inversion_set(identity(d))
+    _check_tail(unflipped, profile, 14, 1, positive_end=True)
+    # the pieces: the same values, the same first breakdown
+    pieces = orders._pieces(B.chains(), *profile)
+    assert orders._values(pieces, 14, 18) == [2, 3, 2, 3, 6]
+    assert orders._values(pieces, -14, 14) == window
+    with pytest.raises(CertificationFailed, match=r"Delta\(16\) = 2"):
+        orders._prove_tail(pieces, 14, 1, 1)
+    orders._prove_tail(orders._pieces(unflipped.chains(), *profile), 14, 1, 1)
+
+
+def test_zero_outer_slope_fails_at_once():
+    """Delta = 2|k| + 1 for k < 0 and 1 for every k >= 0: infinitely many
+    covers.  The positive end is flat from the first window on, so the
+    search stops there, naming the zero drift, where the former loop
+    doubled the window up to its cap."""
+    d = build_system("A2")
+    B = full_positive_biclosed(d)
+    profile = (-1, (((0, -1), 1, 0, -2),))
+    pieces = orders._pieces(B.chains(), *profile)
+    assert orders._values(pieces, -3, 3) == [7, 5, 3, 1, 1, 1, 1]
+    with pytest.raises(CertificationFailed, match=r"zero drift past k = 10: Delta = 1"):
+        orders._certify(pieces, 10, d.coxeter_number)
+    with pytest.raises(CertificationFailed, match="did not stabilize"):
+        _scan_by_levels(B, profile, 10, d.coxeter_number)
+
+
+def test_breakpoints_beyond_former_cap_certify():
+    """Delta = 2|k| + 1 up to k = 5, flat at 11 up to k = 12000, then
+    rising by 2 per step.  The window ends from |k| <= 10 on lie on the
+    flat stretch, and the former loop gave up at its cap |k| <= 10**4; the
+    pieces show that the positive end certifies past 12000, and it does at
+    the eleventh doubling."""
+    d = build_system("A2")
+    B = full_positive_biclosed(d)
+    rising = (((-1, 0), 1, 0, 2), ((0, -1), 1, 0, -2))
+    flatten = ((1, 1), 0, -11, 2)
+    rise_again = ((-1, -1), 1, -24000, 2)
+    profile = (-1, rising + (flatten, rise_again))
+    assert [_ray_delta(B, profile, k) for k in (0, 5, 12000, 12001)] == [
+        1, 11, 11, 13,
+    ]
+    with pytest.raises(CertificationFailed, match="did not stabilize"):
+        _scan_by_levels(B, profile, 10, d.coxeter_number)
+    pieces = orders._pieces(B.chains(), *profile)
+    n, values, drift = orders._certify(pieces, 10, d.coxeter_number)
+    assert (n, drift) == (10 * 2**11, (2, 2))
+    assert values[n + 12001] == 13 and values[-1] == 2 * (n - 12000) + 11
+    assert values[:3] == [2 * n + 1, 2 * n - 1, 2 * n - 3]
+
+
+def test_elements_of_other_types_are_refused():
+    """An element is equal only to elements of its own type, and each
+    order entry point refuses one of another type than B, naming both."""
+    labels = ("A2", "A3", "B2", "G2")
+    for first in labels:
+        for second in labels:
+            if first == second:
+                continue
+            d, other = build_system(first), build_system(second)
+            assert from_word(d, ()) != from_word(other, ())
+            assert len({from_word(d, ()), from_word(other, ())}) == 2
+            B = full_positive_biclosed(d)
+            x, z = from_word(d, (1,)), from_word(other, (1,))
+            calls = (
+                lambda: twisted_length_left(z, B),
+                lambda: twisted_length_right(z, B),
+                lambda: covers(z, B),
+                lambda: interval(x, z, B),
+                lambda: interval(z, x, B),
+                lambda: strong_leq(z, z, B),
+                lambda: strong_leq(x, z, B),
+                lambda: downset_corank(z, B, 0),
+                lambda: weak_leq(z, z, B),
+                lambda: weak_leq(x, z, B),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match=f"{second}.*{first}"):
+                    call()
+            assert {w.datum for w in [*B._lB, *B._lBp]} <= {d}
 
 
 def test_interval_grading_and_membership():
