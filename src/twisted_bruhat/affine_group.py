@@ -44,11 +44,9 @@ from .finite import CartanDatum, WeylElement, build_system
 
 
 def is_positive_affine(datum: CartanDatum, r) -> bool:
-    """(base positive, level >= 0) or (base negative, level >= 1)."""
+    """level >= k0: (base positive, level >= 0) or (base negative, >= 1)."""
     base, level = r
-    if datum.is_positive(base):
-        return level >= 0
-    return level >= 1
+    return level >= datum.weyl_table().k0[tuple(base)]
 
 
 def negate(r):
@@ -91,12 +89,11 @@ class AffineWeylElement:
     # ----- group structure --------------------------------------------
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
-        # (u1 t_v1)(u2 t_v2) = u1 u2 t_{u2^{-1}(v1) + v2}
+        # (u1 t_v1)(u2 t_v2) = u1 u2 t_{u2^{-1}(v1) + v2}; u1 u2 checks types
+        fin = self.fin * other.fin
         v = _image(other.fin.inverse(), self.trans)
         return AffineWeylElement(
-            self.datum,
-            self.fin * other.fin,
-            [x + y for x, y in zip(v, other.trans)],
+            self.datum, fin, [x + y for x, y in zip(v, other.trans)]
         )
 
     def inverse(self) -> "AffineWeylElement":

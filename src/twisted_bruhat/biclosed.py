@@ -77,6 +77,9 @@ class BiclosedSet:
         delta2=(),
     ):
         self.datum = psi.datum
+        if twist.datum.type_label != self.datum.type_label:
+            raise ValueError(f"twist of type {twist.datum.type_label} for a"
+                             f" set of type {self.datum.type_label}")
         self.twist = twist
         self.psi = psi
         self.delta1 = frozenset(tuple(r) for r in delta1)
@@ -86,7 +89,7 @@ class BiclosedSet:
         self._line_tops = None
         self._lB = {}
         self._lBp = {}
-        self._ray_memo = None  # (w, l_B(w), per-root terms): orders._ray_pieces
+        self._ray_memo = None  # (w, l_B(w), n, terms): orders._ray_pieces
 
     # ----- representation-level data ----------------------------------
 

@@ -11,14 +11,15 @@ There is no floating point anywhere.
 
 Also houses the finite Weyl group (fully enumerated -- at rank <= 3 it has
 at most 24 elements), positive systems, and the P-triples (psi, d1, d2)
-of orthogonal simple subsets d1, d2 of psi.  `WeylTable` holds the group
-as integer tables, built on first use from the integer root images:
-products, inverses and lengths are lookups in it, and so are positive
-systems, reduced words (finite and affine), the root images of affine
-elements and left multiplication by each reflection s_mu, with mu^vee over
-the simple coroots in ints.  The other modules read the finite root facts
-off it too, the lowest level k0 of each delta-chain, each reflection's row
-srow and the longest element w0, and never call `pairing` or `reflect`.
+of orthogonal simple subsets d1, d2 of psi.  `WeylTable` enumerates the
+group on first use and holds it as integer tables built from the root
+images: products, inverses and lengths are lookups in it, and so are
+positive systems, reduced words (finite and affine), the root images of
+affine elements and left multiplication by each reflection s_mu, with
+mu^vee over the simple coroots in ints.  The other modules read the
+finite root facts off it too, the lowest level k0 of each delta-chain
+(1 iff mu < 0), each reflection's row srow and the longest element w0,
+and never call `pairing`, `reflect` or `is_positive`.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class CartanDatum:
             sorted(r for r in self.roots if self.is_positive(r))
         )
         self.highest_root = self._find_highest_root()
-        self._weyl = None
         self._table = None
 
     # ----- basic linear algebra over the simple basis ------------------
@@ -133,27 +133,6 @@ class CartanDatum:
 
     # ----- Weyl group --------------------------------------------------
 
-    @property
-    def weyl_elements(self):
-        """All elements of the finite Weyl group, enumerated once by
-        composing simple-root images (the tables are built from these)."""
-        if self._weyl is None:
-            e = self.identity()
-            seen = {e}
-            frontier = [e]
-            gens = self.simple_reflections()
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for s in gens:
-                        ws = WeylElement(self, [w.apply(r) for r in s.imgs])
-                        if ws not in seen:
-                            seen.add(ws)
-                            nxt.append(ws)
-                frontier = nxt
-            self._weyl = tuple(sorted(seen, key=lambda w: w.imgs))
-        return self._weyl
-
     def weyl_table(self) -> "WeylTable":
         """The integer tables of the Weyl group, built on first use."""
         if self._table is None:
@@ -164,13 +143,7 @@ class CartanDatum:
         return WeylElement(self, self.simple_roots)
 
     def simple_reflection(self, i: int) -> "WeylElement":
-        s = self.simple_roots[i]
-        return WeylElement(
-            self, tuple(self.reflect(s, a) for a in self.simple_roots)
-        )
-
-    def simple_reflections(self):
-        return tuple(self.simple_reflection(i) for i in range(self.rank))
+        return self.reflection(self.simple_roots[i])
 
     def reflection(self, r) -> "WeylElement":
         """The reflection s_r for a finite root r."""
@@ -239,6 +212,9 @@ class WeylElement:
         return tuple(out)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
+        if self.datum.type_label != other.datum.type_label:
+            raise ValueError(f"cannot multiply types {self.datum.type_label}"
+                             f" and {other.datum.type_label}")
         t = self.datum.weyl_table()
         return t.elements[t.mul[t.index[self]][t.index[other]]]
 
@@ -258,7 +234,9 @@ class WeylElement:
         return sum(not positive(image[r]) for r in self.datum.positive_roots)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.imgs == other.imgs
+        # the hash leaves the type out, so no set or dict order moves
+        return (isinstance(other, WeylElement) and self.imgs == other.imgs
+                and self.datum.type_label == other.datum.type_label)
 
     def __hash__(self):
         return self._hash
@@ -277,7 +255,8 @@ class WeylTable:
     """The finite Weyl group as integer tables, after Casselman, *Machine
     calculations in Weyl groups* (Invent. Math. 1994).
 
-    Element n is ``elements[n]``; write u for it.  ``image[n]`` maps each
+    ``elements`` is the group, found by composing simple-root images and
+    sorted by them; write u for ``elements[n]``.  ``image[n]`` maps each
     root mu to u(mu), ``mul[n][m]`` is the index of u elements[m], and
     ``inv[n]`` that of u^{-1}; ``smul[mu][n]`` is that of s_mu u for a root
     mu, ``lmul[i]`` is ``smul[a_i]`` for i < rank and ``lmul[rank]`` is
@@ -307,7 +286,16 @@ class WeylTable:
             tuple(datum.pairing(a, b) for a in datum.simple_roots)
             for b in mirrors
         )
-        elements = self.elements = datum.weyl_elements
+        # w s sends a_i to w(s(a_i)): close {e} under the simple reflections
+        gens = [datum.reflection(a) for a in datum.simple_roots]
+        found = frontier = {datum.identity()}
+        while frontier:
+            frontier = {
+                WeylElement(datum, [w.apply(r) for r in s.imgs])
+                for w in frontier for s in gens
+            } - found
+            found = found | frontier
+        elements = self.elements = tuple(sorted(found, key=lambda w: w.imgs))
         index = self.index = {w: n for n, w in enumerate(elements)}
         image = self.image = tuple(
             {r: u.apply(r) for r in datum.roots} for u in elements
@@ -439,7 +427,7 @@ def enumerate_P_triples(datum: CartanDatum):
     """All valid (psi, d1, d2) with d1 orthogonal to d2, as a tuple built
     once per datum (at most 408 triples, for A3)."""
     triples = []
-    for w in datum.weyl_elements:
+    for w in datum.weyl_table().elements:
         psi = PositiveSystem(datum, w)  # w(Phi+) determines w
         simples = psi.simple_system
         n = len(simples)

@@ -4,12 +4,13 @@ Twisted lengths:  l_B(w) = l(w) - 2|N(w^-1) ∩ B|   (left, grades <=_B)
                   l'_B(w) = l(w) - 2|N(w) ∩ B|      (right, grades <='_B)
 
 Cover enumeration scans each reflection ray k -> s_{gamma+k delta} w.
-For w = u t_v, over each finite root mu the chain of N((s_{gamma+k delta}
-w)^-1) runs from lo_mu to a top affine in k, so the delta
-l_B(s_{gamma+k delta} w) - l_B(w) is a sum of two hinges max(0, b k + d)
-per chain, read off B's (tail, e) pairs; one sort of their thresholds
-splits it into affine pieces.  Only the covers are built as elements, each
-an integer step along its ray (`left_reflections`), with no group product.
+Over each finite root mu the chain of N((s_{gamma+k delta} w)^-1) runs
+from k0(mu) to a top affine in k, read off the chain tops of w^-1
+(`AffineWeylElement.chain_tops`), so the delta l_B(s_{gamma+k delta} w) -
+l_B(w) is a sum of two hinges max(0, b k + d) per chain, read off B's
+(tail, e) pairs; one sort of their thresholds splits it into affine
+pieces.  Only the covers are built as elements, each an integer step
+along its ray (`left_reflections`), with no group product.
 
 The window of levels doubles until the drift (the per-step change of the
 delta) is constant and nonzero over h steps at both ends (h = Coxeter
@@ -107,24 +108,25 @@ def _ray_pieces(w, B, gamma):
     """The affine pieces (_pieces) of l_B(s_{gamma+k delta} w) - l_B(w).
 
     For w = u t_v, over each root mu the chain of N((s_{gamma+k delta} w)^-1)
-    runs from lo = k0(mu) to a + b k, with a = -(mu, v) - [nu > 0] and
-    b = <u mu, gamma^vee> for nu = s_gamma(u mu), off gamma's Weyl table
-    row.  covers scans every ray of one w, so B keeps l_B(w) and the
-    (mu, u mu, -(mu, v), k0(mu)) of the last w in one slot."""
+    runs from k0(mu) to t_mu(w^-1) - k0(u mu) + k0(nu) + b k (`chain_tops`),
+    for nu = s_gamma(u mu) and b = <u mu, gamma^vee> off gamma's Weyl table
+    row.  covers scans every ray of one w, so B keeps l_B(w), scan_ray's
+    start half-width and the terms of the last w in one slot."""
     table = B.datum.weyl_table()
     row, k0 = table.srow[gamma], table.k0
     if B._ray_memo is None or B._ray_memo[0] != w:
-        p = w._pairings()  # (mu, v) = (u mu, u v) = sum_k (u mu)_k p_k
+        tops = w.inverse().chain_tops()
         terms = [
-            (mu, umu, -sum(a * x for a, x in zip(umu, p)), k0[mu])
+            (mu, umu, tops[mu] - k0[umu], k0[mu])
             for mu, umu in table.image[table.index[w.fin]].items()
         ]
-        B._ray_memo = (w, twisted_length_left(w, B), terms)
-    _, lB, terms = B._ray_memo
+        n = 2 + w.inverse().max_inversion_level() + B.level_star()
+        B._ray_memo = (w, twisted_length_left(w, B), n, terms)
+    _, lB, _, terms = B._ray_memo
     lines = []
     for mu, umu, c, lo in terms:
         nu, b = row[umu]
-        lines.append((mu, lo, c - 1 + k0[nu], b))
+        lines.append((mu, lo, c + k0[nu], b))
     return _pieces(B.chains(), lB, lines)
 
 
@@ -243,9 +245,9 @@ def scan_ray(w, B, gamma):
     built, and the pieces prove that no k outside the window has
     delta = +-1 (_certify), so every cover on the ray lies in it.
     """
-    n = 2 + w.inverse().max_inversion_level() + B.level_star()
-    h = B.datum.coxeter_number
-    n, values, drift = _certify(_ray_pieces(w, B, gamma), n, h)
+    pieces = _ray_pieces(w, B, gamma)
+    n = B._ray_memo[2]  # the start half-width, kept by _ray_pieces
+    n, values, drift = _certify(pieces, n, B.datum.coxeter_number)
     cert = CoverCertificate(base_root=gamma, window=(-n, n), drift=drift)
     return -n, n, dict(zip(range(-n, n + 1), values)), cert
 

@@ -243,10 +243,10 @@ def _block_generators(center: Hemispace):
     if span == frozenset(datum.roots):
         # W' is the whole affine group; use its simple reflections.
         return affine_simple_roots(datum)
-    w = B.twist
+    w, k0 = B.twist, datum.weyl_table().k0
     return [
         w.apply(r)
-        for mu in sorted(span) if datum.is_positive(mu)
+        for mu in sorted(span) if not k0[mu]
         for r in ((mu, 0), (tuple(-x for x in mu), 1))
     ]
 

@@ -135,7 +135,7 @@ def _affine_tops(build, k_sign):
     return forms
 
 
-def _alcove_length(build, positive):
+def _alcove_length(build, k0):
     """l_B(w) for B = (Phi+)^hat as an affine form (c_p, c_q, c_k, c_0) in
     the parameters (p, q, k) of w = build(p, q, k), or None.
 
@@ -150,17 +150,17 @@ def _alcove_length(build, positive):
         pair = tuple(a + b for a, b in zip(top, tops[tuple(-x for x in mu)]))
         if pair != (0, 0, 0, -1):
             return None
-    negative = [top for mu, top in tops.items() if not positive(mu)]
+    negative = [top for mu, top in tops.items() if k0[mu]]
     return tuple(map(sum, zip(*negative)))
 
 
-def _alcove_positive():
-    """The positivity test of the A2 roots, or None if `a2`'s B is not
+def _alcove_k0():
+    """k0 of the A2 roots (1 iff negative), or None if `a2`'s B is not
     (Phi+)^hat, the twisting set that `_alcove_length` assumes."""
     B = a2.alcove_biclosed()
     if not B.equals(full_positive_biclosed(B.datum)):
         return None
-    return B.datum.is_positive
+    return B.datum.weyl_table().k0
 
 
 def check_class_deltas():
@@ -169,18 +169,18 @@ def check_class_deltas():
     w = u t_{m1 a^vee + m2 b^vee} both lengths are exact affine forms in
     (m1, m2, k) (`_alcove_length`), and the delta is (0, 0, slope, const).
     """
-    positive = _alcove_positive()
-    if positive is None:
+    k0 = _alcove_k0()
+    if k0 is None:
         return "class-delta formulas", False, "B is not (Phi+)^hat"
     datum = a2.datum()
     mismatches = []
     for tag, u in a2._class_table().items():
         z = lambda m1, m2, k: u * a2.translation(m1, m2)
-        before = _alcove_length(z, positive)
+        before = _alcove_length(z, k0)
         for gamma, (slope, const) in a2._CLASS_DELTAS[tag].items():
             after = _alcove_length(
                 lambda m1, m2, k: reflection(datum, (gamma, k)) * z(m1, m2, k),
-                positive,
+                k0,
             )
             delta = None
             if None not in (before, after):
@@ -227,8 +227,8 @@ def check_dihedral_cosets():
         if len(found) != 2 or ends.keys() != {1, -1} or ends[-1] != ends[1] - 2:
             shown = ", ".join(f"s={s:+d} at {a}" for s, a in sorted(found))
             return name, False, f"class {key} has rays [{shown}]"
-    positive = _alcove_positive()
-    if positive is None:
+    k0 = _alcove_k0()
+    if k0 is None:
         return name, False, "B is not (Phi+)^hat"
     mismatches = []
     for form, (slope, const) in a2._FORM_LENGTHS.items():
@@ -239,7 +239,7 @@ def check_dihedral_cosets():
             length = _alcove_length(
                 lambda j, _, k: top * t(-j * l1, -j * l2) * parts[head]
                 * t(k * mu[0], k * mu[1]),
-                positive,
+                k0,
             )
             if length != (0, 0, slope, const[r % 2]):
                 mismatches.append((form, ("even", "odd")[r % 2]))

@@ -4,11 +4,12 @@ and integrality checks are explicit code rather than `assert` (which
 `python -O` strips), arithmetic stays exact, only a fenced set of modules
 imports `fractions` and none imports `dataclasses`, only a fenced set of
 modules reads a biclosed set's chains and none a hemispace sign, only
-`finite` derives k0, root pairings and reflections (the rest read them off
-`WeylTable`), finite root arithmetic and the finite Weyl group's operations
-stay integer, every
-definition in src/ is used by the library, its demos or its benchmark, not
-only by tests, and every Python file parses as Python 3.10."""
+`finite` derives k0, root pairings and reflections or tests a root's sign
+(the rest read them off `WeylTable`), only `affine_group` reads an
+element's pairings, finite root arithmetic and the finite Weyl group's
+operations stay integer, every definition in src/ is used by the library,
+its demos or its benchmark, not only by tests, and every Python file
+parses as Python 3.10."""
 
 import ast
 import importlib
@@ -241,6 +242,29 @@ def test_finite_root_facts_are_fenced():
             ) in ("pairing", "reflect"):
                 found.append((filename, node.lineno, node.func.attr))
     assert found == []
+
+
+def _reads_outside(attr, owner):
+    """(module, line) of every read of `.attr` in src/ outside `owner`."""
+    return [
+        (filename, node.lineno)
+        for filename in MODULES
+        if filename != owner
+        for node in ast.walk(_tree(SRC / filename))
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+
+
+def test_pairings_are_fenced():
+    """Only `affine_group` calls an element's private `_pairings()`: the
+    other modules read chain tops (`AffineWeylElement.chain_tops`)."""
+    assert _reads_outside("_pairings", "affine_group.py") == []
+
+
+def test_root_sign_is_fenced():
+    """Only `finite` reads `.is_positive`: the other modules test a root's
+    sign as its lowest level `WeylTable.k0` (0 iff the root is positive)."""
+    assert _reads_outside("is_positive", "finite.py") == []
 
 
 def test_no_dataclasses_in_src():

@@ -100,9 +100,44 @@ def test_root_system_counts(label):
     n_roots, n_pos, n_weyl, n_bic, n_triples, highest = EXPECTED[label]
     assert len(d.roots) == n_roots
     assert len(d.positive_roots) == n_pos
-    assert len(d.weyl_elements) == n_weyl
+    assert len(d.weyl_table().elements) == n_weyl
     assert len(list(enumerate_biclosed_finite(d))) == n_bic
     assert len(list(enumerate_P_triples(d))) == n_triples
+
+
+def _weyl_elements(d):
+    """The former `CartanDatum.weyl_elements`, as the oracle of the table's
+    own enumeration: compose simple-root images breadth first from the
+    identity, then sort by those images."""
+    e = d.identity()
+    seen = {e}
+    frontier = [e]
+    gens = [
+        WeylElement(d, [d.reflect(a, b) for b in d.simple_roots])
+        for a in d.simple_roots
+    ]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                ws = WeylElement(d, [w.apply(r) for r in s.imgs])
+                if ws not in seen:
+                    seen.add(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    return tuple(sorted(seen, key=lambda w: w.imgs))
+
+
+@pytest.mark.parametrize("label", sorted(EXPECTED))
+def test_table_enumerates_the_group_in_oracle_order(label):
+    """WeylTable.elements, and so every index into the table, is the former
+    enumeration in its order; enumerate_P_triples walks the chambers in it
+    (each chamber has at least the triple (psi, {}, {}))."""
+    d = build_system(label)
+    oracle = _weyl_elements(d)
+    assert d.weyl_table().elements == oracle
+    chambers = [psi.chamber for psi, _, _ in enumerate_P_triples(d)]
+    assert tuple(dict.fromkeys(chambers)) == oracle
 
 
 def _fraction_inner(d, u, v):
@@ -137,14 +172,14 @@ def test_coxeter_numbers():
 def test_reflections_permute_roots(label):
     d = build_system(label)
     root_set = set(d.roots)
-    for s in d.simple_reflections():
+    for s in map(d.simple_reflection, range(d.rank)):
         assert {tuple(s.apply(r)) for r in d.roots} == root_set
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_inner_product_invariance(label):
     d = build_system(label)
-    for w in d.weyl_elements:
+    for w in d.weyl_table().elements:
         for r in d.positive_roots:
             assert d.inner(w.apply(r), w.apply(r)) == d.inner(r, r)
 
@@ -152,7 +187,7 @@ def test_inner_product_invariance(label):
 @pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_word_roundtrip_and_length(label):
     d = build_system(label)
-    for w in d.weyl_elements:
+    for w in d.weyl_table().elements:
         word = w.word()
         rebuilt = d.identity()
         for i in word:
@@ -180,7 +215,7 @@ def _word_by_descents(w):
 @pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_table_inverse_and_word(label):
     d = build_system(label)
-    for w in d.weyl_elements:
+    for w in d.weyl_table().elements:
         assert (w * w.inverse()).is_identity()
         assert (w.inverse() * w).is_identity()
         assert w.word() == _word_by_descents(w)
@@ -218,7 +253,7 @@ def _typed(vec):
 @pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_table_products_match_fraction_oracle(label):
     d = build_system(label)
-    elements = d.weyl_elements
+    elements = d.weyl_table().elements
     for u in elements:
         assert u.length() == _fraction_length(u)
         for v in elements:
@@ -255,7 +290,7 @@ def test_table_reflections_and_coroots(label):
             assert got == (d.reflect(gamma, mu), d.pairing(mu, gamma))
     w0 = t.elements[t.w0]
     assert w0.length() == len(d.positive_roots)
-    assert w0.length() == max(w.length() for w in d.weyl_elements)
+    assert w0.length() == max(w.length() for w in d.weyl_table().elements)
 
 
 # ----- the former per-module root caches, kept as oracles of WeylTable ----
@@ -325,7 +360,7 @@ def test_apply_matches_fraction_oracle(label):
             tuple(rng.choice((k, Fraction(k, rng.randint(1, 3))))
                   for k in (rng.randint(-9, 9) for _ in range(d.rank)))
         )
-    for w in d.weyl_elements:
+    for w in d.weyl_table().elements:
         for v in vectors:
             if all(type(x) is int for x in v):
                 assert _typed(w.apply(v)) == _typed(_fraction_apply(w, v))
@@ -352,7 +387,7 @@ def test_affine_products_on_random_words(label):
 def test_longest_element_length():
     for label, n_pos in (("A2", 3), ("A3", 6), ("B2", 4), ("G2", 6)):
         d = build_system(label)
-        assert max(w.length() for w in d.weyl_elements) == n_pos
+        assert max(w.length() for w in d.weyl_table().elements) == n_pos
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED))
@@ -404,7 +439,7 @@ def test_positive_system_simple_system():
 @pytest.mark.parametrize("label", sorted(EXPECTED))
 def test_positive_systems_match_fraction_oracle(label):
     d = build_system(label)
-    for w in d.weyl_elements:
+    for w in d.weyl_table().elements:
         psi = PositiveSystem(d, w)
         assert psi.roots == {_fraction_apply(w, r) for r in d.positive_roots}
         assert psi.simple_system == tuple(

@@ -449,8 +449,12 @@ def test_breakpoints_beyond_former_cap_certify():
 
 
 def test_elements_of_other_types_are_refused():
-    """An element is equal only to elements of its own type, and each
-    order entry point refuses one of another type than B, naming both."""
+    """An element, finite or affine, is equal only to elements of its own
+    type (a finite one keeps the hash of its root images, so no set order
+    moves).  Products of two types, a biclosed set whose twist is of
+    another type (so dot_action and dot_iso_check across types), and each
+    order entry point given an element of another type than B raise
+    ValueError, naming both types."""
     labels = ("A2", "A3", "B2", "G2")
     for first in labels:
         for second in labels:
@@ -459,9 +463,18 @@ def test_elements_of_other_types_are_refused():
             d, other = build_system(first), build_system(second)
             assert from_word(d, ()) != from_word(other, ())
             assert len({from_word(d, ()), from_word(other, ())}) == 2
+            assert d.identity() != other.identity()
+            assert hash(d.identity()) == hash(d.identity().imgs)
             B = full_positive_biclosed(d)
-            x, z = from_word(d, (1,)), from_word(other, (1,))
+            x, z = from_word(d, (1, 2)), from_word(other, (1,))
+            with pytest.raises(ValueError, match=f"{first}.*{second}"):
+                x * z
             calls = (
+                lambda: z * x,
+                lambda: z.fin * x.fin,
+                lambda: BiclosedSet(z, B.psi),
+                lambda: orders.dot_action(z, B),
+                lambda: dot_iso_check(z, B, [(x, x)]),
                 lambda: twisted_length_left(z, B),
                 lambda: twisted_length_right(z, B),
                 lambda: covers(z, B),
