@@ -44,9 +44,13 @@ from .finite import CartanDatum, WeylElement, build_system
 
 
 def is_positive_affine(datum: CartanDatum, r) -> bool:
-    """level >= k0: (base positive, level >= 0) or (base negative, >= 1)."""
+    """level >= k0: (base positive, level >= 0) or (base negative, >= 1).
+    A base outside the finite roots raises ValueError."""
     base, level = r
-    return level >= datum.weyl_table().k0[tuple(base)]
+    try:
+        return level >= datum.weyl_table().k0[tuple(base)]
+    except KeyError:
+        raise ValueError(f"not a root: {tuple(base)}") from None
 
 
 def negate(r):

@@ -13,7 +13,7 @@ equality as a comparison of normal forms.  A set has many
 representations (w . P^hat = (w x) . P^hat for every x fixing P^hat), and
 none is singled out; the dot action composes twists.  It is also the
 linear action on hemispaces, so the chains of a reflected set s_r . B are
-read off those of B (`BiclosedSet.reflected_chains`).
+read off those of B (`reflected_pairs`).
 """
 
 from __future__ import annotations
@@ -155,60 +155,16 @@ class BiclosedSet:
 
     def lowest(self, mu, member: bool):
         """The lowest level k >= k0 of mu + k delta whose membership in B is
-        `member`, or None: e if that is the tail, else k0 if the chain is
-        flipped."""
-        tail, e = self.chains()[mu]
-        if tail == member:
-            return e
-        k0 = self.datum.weyl_table().k0[mu]
-        return k0 if e > k0 else None
+        `member`, or None (`_lowest`)."""
+        return _lowest(self.datum.weyl_table().k0, self.chains(), mu, member)
 
     def line_tops(self):
         """Per finite root nu: the top level of the line nu + Z delta whose
-        membership in H_B differs from nu's tail, or None if none does.
-
-        That is e - 1 if nu's chain is flipped.  Else it lies below k0(nu),
-        where nu - j delta is in H_B iff -nu + j delta is not in B: it is
-        -j for the lowest such j whose membership in B is nu's tail.
-        """
+        membership in H_B differs from nu's tail, or None (`pair_line_tops`)."""
         if self._line_tops is None:
             k0 = self.datum.weyl_table().k0
-            tops = {}
-            for nu, (tail, e) in self.chains().items():
-                if e > k0[nu]:
-                    tops[nu] = e - 1
-                else:
-                    j = self.lowest(tuple(-x for x in nu), tail)
-                    tops[nu] = None if j is None else -j
-            self._line_tops = tops
+            self._line_tops = pair_line_tops(k0, self.chains())
         return self._line_tops
-
-    def reflected_chains(self, r):
-        """The chains of s_r . B for an affine root r = (gamma, m), read off
-        those of B with no group element.
-
-        The dot action is the linear action on hemispaces, H_{w.B} =
-        w(H_B) (Dyer, J. Algebra 163, 1994), and s_r(mu + k delta) =
-        nu + (k - p m) delta for nu = s_gamma(mu), p = <mu, gamma^vee>.  So
-        mu's tail is nu's, and its threshold lies p m above nu's top
-        (`line_tops`), if nu has one.  The pairs (nu, p) are gamma's row of
-        the Weyl table (`WeylTable.srow`), in the order of `chains`, so a
-        tope walk keys each set by its tuple of pairs.
-        """
-        gamma, m = r
-        table = self.datum.weyl_table()
-        row = table.srow.get(tuple(gamma))
-        if row is None:
-            raise ValueError(f"not a root: {tuple(gamma)}")
-        k0s = table.k0
-        chains, tops = self.chains(), self.line_tops()
-        out = {}
-        for mu, (nu, p) in row.items():
-            top, k0 = tops[nu], k0s[mu]
-            out[mu] = (
-                chains[nu][0], k0 if top is None else max(k0, top + 1 + p * m)
-            )
-        return out
 
     # ----- derived structure -------------------------------------------
 
@@ -246,6 +202,62 @@ class BiclosedSet:
         return format_biclosed(self)
 
 
+def _lowest(k0, chains, mu, member: bool):
+    """The lowest level k >= k0 of mu + k delta whose membership is
+    `member`, on the pairs `chains`: e if that is the tail, else k0 if the
+    chain is flipped, else None."""
+    tail, e = chains[mu]
+    if tail == member:
+        return e
+    return k0[mu] if e > k0[mu] else None
+
+
+def pair_line_tops(k0, chains):
+    """Per finite root nu: the top level of the line nu + Z delta whose
+    membership in the hemispace of the pairs `chains` differs from nu's
+    tail, or None if none does.
+
+    That is e - 1 if nu's chain is flipped.  Else it lies below k0(nu),
+    where nu - j delta is in the hemispace iff -nu + j delta is not in the
+    set: it is -j for the lowest such j whose membership is nu's tail.
+    """
+    tops = {}
+    for nu, (tail, e) in chains.items():
+        if e > k0[nu]:
+            tops[nu] = e - 1
+        else:
+            j = _lowest(k0, chains, tuple(-x for x in nu), tail)
+            tops[nu] = None if j is None else -j
+    return tops
+
+
+def reflected_pairs(table, chains, tops, r):
+    """The pairs of s_r . B for an affine root r = (gamma, m), read off
+    B's pairs `chains` and their `pair_line_tops` `tops`, with no group
+    element; `table` is the type's `WeylTable`.
+
+    The dot action is the linear action on hemispaces, H_{w.B} = w(H_B)
+    (Dyer, J. Algebra 163, 1994), and s_r(mu + k delta) =
+    nu + (k - p m) delta for nu = s_gamma(mu), p = <mu, gamma^vee>.  So
+    mu's tail is nu's, and its threshold lies p m above nu's top, if nu
+    has one.  The pairs (nu, p) are gamma's row of the Weyl table
+    (`WeylTable.srow`), in the order of `BiclosedSet.chains`, so a tope
+    walk keys each set by its tuple of pairs.
+    """
+    gamma, m = r
+    row = table.srow.get(tuple(gamma))
+    if row is None:
+        raise ValueError(f"not a root: {tuple(gamma)}")
+    k0s = table.k0
+    out = {}
+    for mu, (nu, p) in row.items():
+        top, k0 = tops[nu], k0s[mu]
+        out[mu] = (
+            chains[nu][0], k0 if top is None else max(k0, top + 1 + p * m)
+        )
+    return out
+
+
 def dot_action(u: AffineWeylElement, B: BiclosedSet) -> BiclosedSet:
     """u . (w . P^hat) = (uw) . P^hat (the representation composes twists)."""
     return BiclosedSet(u * B.twist, B.psi, B.delta1, B.delta2)
@@ -254,7 +266,7 @@ def dot_action(u: AffineWeylElement, B: BiclosedSet) -> BiclosedSet:
 def reflect(r, B: BiclosedSet, chains) -> BiclosedSet:
     """s_r . B for an affine root r = (gamma, m): the twist takes one
     `left_reflections` step, and the set starts with its chains, as
-    `B.reflected_chains(r)` read them."""
+    `reflected_pairs` read them."""
     gamma, m = r
     (twist,) = left_reflections(B.twist, gamma, (m,))
     out = BiclosedSet(twist, B.psi, B.delta1, B.delta2)

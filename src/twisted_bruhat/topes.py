@@ -14,10 +14,12 @@ builds the tope order, tope blocks with their interval lattices, a
 convexity check and the figure.  A block is walked by reflections s_r
 with no group product: the dot action is the linear action on
 hemispaces, H_{w.B} = w(H_B), so each neighbour reads its pairs off the
-current ones (`BiclosedSet.reflected_chains`).  The walk keys each tope
-by its pairs (tail, e), and only a new one builds its symmetric
-difference, its representative and its twist, one left reflection step
-each; the interval lattice check reads the walk's keys, not a poset.  Cone
+current ones (`biclosed.reflected_pairs`).  The walk holds only each
+tope's pairs (tail, e), by which it recognises a tope it has seen, and
+a link to the tope it came from.  `tope_block` builds from those links,
+for each new tope, its symmetric difference, its representative and its
+twist, one left reflection step each.  The interval lattice check walks
+pairs alone: it keys each walked tope, and builds no representative.  Cone
 feasibility questions are answered exactly by the integer simplex in
 linprog.  The convexity check's LP search is truncated at a level, so it
 certifies convexity only up to that level; a violation it finds is an
@@ -34,7 +36,8 @@ from math import lcm
 
 from .affine_group import affine_simple_roots, identity, left_reflections
 from .affine_group import negate
-from .biclosed import BiclosedSet, parse_biclosed, reflect
+from .biclosed import BiclosedSet, pair_line_tops, parse_biclosed, reflect
+from .biclosed import reflected_pairs
 from .finite import CartanDatum, _span_roots, build_system
 from .linprog import CertificationFailed, _dot, cone_membership
 from .orders import NotComparable  # re-exported: topes.NotComparable
@@ -252,38 +255,36 @@ def _block_generators(center: Hemispace):
 
 
 def _walk(center: Hemispace, base: Hemispace, radius: int):
-    """{key: (w, F)}, in order of discovery, over the radius-ball of the
-    block {wH : w in W'} around `center`: F = w . center, keyed by its
-    positive symmetric difference with `base`, which must lie in the same
-    block.  A step reflects F's pairs (`BiclosedSet.reflected_chains`); a
-    neighbour is recognised by its tuple of pairs (tail, e), a normal form
-    of its set, and only a new one builds its key, s_r w and its twist."""
+    """[(chains, parent, r)] in order of discovery, over the radius-ball of
+    the block {wH : w in W'} around `center`, which must lie in the same
+    block as `base` (DifferentBlocks).  The tope of `chains` is s_r applied
+    to the tope at index `parent`, whose pairs it reflects
+    (`reflected_pairs`); the center comes first, with parent and r None.
+    A neighbour is recognised by its tuple of pairs (tail, e), a normal
+    form of its set, so each tope appears once; the walk builds no group
+    element and no set."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     roots = _block_generators(center)
-    base_chains = base.biclosed.chains()
+    table = center.datum.weyl_table()
     chains = center.biclosed.chains()
-    e = identity(center.datum)
-    seen = {_symdiff(chains, base_chains): (e, center)}  # or DifferentBlocks
-    pairs_seen = {tuple(chains.values())}
-    frontier = [(e, center)]
+    _symdiff(chains, base.biclosed.chains())  # or DifferentBlocks
+    walk = [(chains, None, None)]
+    seen = {tuple(chains.values())}
+    start = 0
     for _ in range(radius):
-        nxt = []
-        for w, F in frontier:
+        end = len(walk)
+        for parent in range(start, end):
+            chains = walk[parent][0]
+            tops = pair_line_tops(table.k0, chains)
             for r in roots:
-                chains = F.biclosed.reflected_chains(r)
-                pairs = tuple(chains.values())
-                if pairs in pairs_seen:
-                    continue
-                pairs_seen.add(pairs)
-                # the tails are base's, or _symdiff raises, so the key
-                # determines the thresholds: a new tuple is a new key
-                (w2,) = left_reflections(w, r[0], (r[1],))
-                F2 = Hemispace(reflect(r, F.biclosed, chains))
-                seen[_symdiff(chains, base_chains)] = (w2, F2)
-                nxt.append((w2, F2))
-        frontier = nxt
-    return seen
+                out = reflected_pairs(table, chains, tops, r)
+                pairs = tuple(out.values())
+                if pairs not in seen:
+                    seen.add(pairs)
+                    walk.append((out, parent, r))
+        start = end
+    return walk
 
 
 def tope_block(center: Hemispace, base: Hemispace, radius: int):
@@ -292,9 +293,23 @@ def tope_block(center: Hemispace, base: Hemispace, radius: int):
 
     Returns a GradedPoset whose node keys are the positive symmetric
     differences with `base`; the poset carries a `reps` dict mapping keys
-    to (element, Hemispace) representatives (`_walk`).
+    to (element, Hemispace) representatives, F = w . center, in the walk's
+    order (`_walk`).  Each representative takes one left reflection step
+    from its parent's, and its set starts with the walk's pairs.
     """
-    seen = _walk(center, base, radius)
+    base_chains = base.biclosed.chains()
+    reps, seen = [], {}
+    for chains, parent, r in _walk(center, base, radius):
+        if parent is None:
+            w, F = identity(center.datum), center
+        else:
+            w, F = reps[parent]
+            (w,) = left_reflections(w, r[0], (r[1],))
+            F = Hemispace(reflect(r, F.biclosed, chains))
+        reps.append((w, F))
+        # the tails are base's, so the key determines the thresholds: a new
+        # tuple of pairs is a new key
+        seen[_symdiff(chains, base_chains)] = (w, F)
     nodes = []
     for key, (w, F) in sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         label = ".".join(map(str, w.word())) or "e"
@@ -331,8 +346,9 @@ def _lattice_problems(keys):
 def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
     """Enumerate [H1, H2] in the tope poset based at `base` and verify
     every pair has a unique meet and join inside the interval.  The
-    interval is read off the keys of the walk of H1's block, which its
-    P-triple and twist generate (`_walk`), so H1 may be any hemispace.
+    interval is read off the walk of H1's block, which its P-triple and
+    twist generate (`_walk`), so H1 may be any hemispace.  Each walked tope
+    builds its key from its pairs alone, and none builds a representative.
 
     Known gap: the block radius counts generator steps, not tope-order
     steps, so the interval can miss elements of [H1, H2], H2 included
@@ -342,7 +358,10 @@ def interval_lattice_check(H1: Hemispace, H2: Hemispace, base: Hemispace):
     if not d1 <= d2:
         raise NotComparable("H1 is not <= H2 based at the given base")
     radius = len(d2) - len(d1) + 1
-    keys = [key for key in _walk(H1, base, radius) if d1 <= key <= d2]
+    base_chains = base.biclosed.chains()
+    walk = _walk(H1, base, radius)
+    keys = [_symdiff(chains, base_chains) for chains, _, _ in walk]
+    keys = [key for key in keys if d1 <= key <= d2]
     problems = _lattice_problems(keys)
     return {
         "interval_size": len(keys),

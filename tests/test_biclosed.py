@@ -25,7 +25,7 @@ from twisted_bruhat.affine_group import (
 from twisted_bruhat.biclosed import BiclosedSet, _P_roots
 from twisted_bruhat.finite import enumerate_P_triples, standard_positive_system
 from twisted_bruhat.orders import length_ball
-from twisted_bruhat.topes import Hemispace
+from twisted_bruhat.topes import Hemispace, from_biclosed
 from conftest import random_biclosed, random_element
 
 TYPES = ("A2", "A3", "B2", "G2")
@@ -127,6 +127,21 @@ def test_in_hemispace_matches_pointwise_definition(label):
                     assert B.in_hemispace(root) == expected, (cls, root)
                     assert plus.contains(root) == expected, (cls, root)
                     assert minus.contains(root) != expected, (cls, root)
+
+
+@pytest.mark.parametrize("r", (((2, 0), 0), ((0, 0), 1), ((2, 0), -3)))
+def test_membership_refuses_non_roots(r):
+    """A base outside the finite roots is refused with a ValueError naming
+    it, not a KeyError, by every membership entry point, at a positive and
+    at a negative level."""
+    B = full_positive_biclosed(build_system("A2"))
+    for contains in (
+        B.contains, B.in_hemispace, from_biclosed(B).contains,
+        lambda r: is_positive_affine(B.datum, r),
+    ):
+        with pytest.raises(ValueError) as got:
+            contains(r)
+        assert str(got.value) == f"not a root: {r[0]}"
 
 
 @pytest.mark.parametrize("label", TYPES)

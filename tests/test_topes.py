@@ -21,12 +21,15 @@ from twisted_bruhat import (
 )
 from twisted_bruhat import topes
 from twisted_bruhat.affine_group import (
+    AffineWeylElement,
     is_positive_affine,
+    left_reflections,
     negate,
     reflection,
     simple_reflections,
 )
-from twisted_bruhat.biclosed import parse_biclosed
+from twisted_bruhat.biclosed import parse_biclosed, reflect
+from twisted_bruhat.biclosed import reflected_pairs
 from twisted_bruhat.finite import _span_roots, enumerate_P_triples
 from twisted_bruhat.linprog import (
     CertificationFailed,
@@ -607,10 +610,16 @@ def _biclosed_by_class(label, rng, per_class):
     return out
 
 
+def _reflected(B, r):
+    """`reflected_pairs` of B's pairs and line tops."""
+    table = B.datum.weyl_table()
+    return reflected_pairs(table, B.chains(), B.line_tops(), r)
+
+
 @pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
 def test_reflected_chains_match_dot_action(label):
-    """The chains of s_r . B read off B's equal those of the product
-    s_r . B, for every root gamma and level m in [-3, 3]."""
+    """The pairs of s_r . B read off B's (`reflected_pairs`) equal those of
+    the product s_r . B, for every root gamma and level m in [-3, 3]."""
     datum = build_system(label)
     Bs = _biclosed_by_class(label, random.Random(94), 2)
     classes = {B.classify() for B in Bs}
@@ -620,7 +629,7 @@ def test_reflected_chains_match_dot_action(label):
             for m in range(-3, 4):
                 r = (gamma, m)
                 want = dot_action(reflection(datum, r), B).chains()
-                assert B.reflected_chains(r) == want, (B, r)
+                assert _reflected(B, r) == want, (B, r)
 
 
 def test_reflected_chains_refuse_non_roots(a2):
@@ -630,7 +639,7 @@ def test_reflected_chains_refuse_non_roots(a2):
     B = from_inversion_set(identity(a2))
     for gamma in ((2, 0), (1, -1), (0, 0)):
         with pytest.raises(ValueError, match="not a root") as got:
-            B.reflected_chains((gamma, 0))
+            _reflected(B, (gamma, 0))
         with pytest.raises(ValueError) as want:
             reflection(a2, (gamma, 0))
         assert str(got.value) == str(want.value)
@@ -638,7 +647,7 @@ def test_reflected_chains_refuse_non_roots(a2):
     rows = lambda: sum(len(build_system(l).weyl_table().srow) for l in labels)
     assert rows() == 38
     with pytest.raises(ValueError):
-        B.reflected_chains(((2, 0), 0))
+        _reflected(B, ((2, 0), 0))
     assert rows() == 38
     assert (2, 0) not in a2.weyl_table().srow
 
@@ -699,15 +708,20 @@ def test_tope_block_matches_product_walk(label):
     assert far_bases > 0 and n_edges > 0
 
 
-def _interval_lattice_by_block(H1, H2, base):
+def _interval_lattice_by_block(H1, H2, base, walk=None):
     """The former `interval_lattice_check`: the keys of the block poset
-    `tope_block(H1, base, gap + 1)` between those of H1 and H2."""
+    `tope_block(H1, base, gap + 1)` between those of H1 and H2, or of
+    `walk(H1, base, gap + 1)`, a dict keyed in order of discovery."""
     d1 = topes.symdiff_positive(H1, base)
     d2 = topes.symdiff_positive(H2, base)
     if not d1 <= d2:
         raise topes.NotComparable("H1 is not <= H2 based at the given base")
-    block = topes.tope_block(H1, base, len(d2) - len(d1) + 1)
-    keys = [key for key in block.reps if d1 <= key <= d2]
+    radius = len(d2) - len(d1) + 1
+    if walk is None:
+        seen = topes.tope_block(H1, base, radius).reps
+    else:
+        seen = walk(H1, base, radius)
+    keys = [key for key in seen if d1 <= key <= d2]
     problems = topes._lattice_problems(keys)
     return {
         "interval_size": len(keys),
@@ -740,6 +754,124 @@ def test_interval_lattice_check_matches_block_poset(label):
         assert topes.interval_lattice_check(H1, H2, base) == want
         outcomes.add(want["interval_size"] > 1)
     assert outcomes == {"NotComparable", True, False}
+
+
+def _walk_by_representatives(center, base, radius):
+    """The former `topes._walk`: {key: (w, F)} in order of discovery, where
+    each new tope builds its key, its representative s_r w and its twist
+    as it is found, kept as the oracle of the walk over pairs alone."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    roots = topes._block_generators(center)
+    base_chains = base.biclosed.chains()
+    chains = center.biclosed.chains()
+    e = identity(center.datum)
+    seen = {topes._symdiff(chains, base_chains): (e, center)}
+    pairs_seen = {tuple(chains.values())}
+    frontier = [(e, center)]
+    for _ in range(radius):
+        nxt = []
+        for w, F in frontier:
+            for r in roots:
+                chains = _reflected(F.biclosed, r)
+                pairs = tuple(chains.values())
+                if pairs in pairs_seen:
+                    continue
+                pairs_seen.add(pairs)
+                (w2,) = left_reflections(w, r[0], (r[1],))
+                F2 = topes.Hemispace(reflect(r, F.biclosed, chains))
+                seen[topes._symdiff(chains, base_chains)] = (w2, F2)
+                nxt.append((w2, F2))
+        frontier = nxt
+    return seen
+
+
+def _report_or_raised(check, *args):
+    try:
+        return check(*args)
+    except (topes.NotComparable, topes.DifferentBlocks) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
+def test_walk_over_pairs_matches_representative_walk(label):
+    """The walk over pairs alone gives the former walk's answers, on centers
+    of every class with random twists (A3 Mixed included) and on their
+    complements, based at the center and at two other block members:
+    `tope_block` the same keys in the same order, with equal elements and
+    chains; `interval_lattice_check` the same report, problems in the same
+    order, on incomparable members and on members at most two roots apart
+    (radius <= 3); both raise DifferentBlocks for a base in another
+    block."""
+    rng = random.Random(100)
+    outcomes = set()
+    for B in _biclosed_by_class(label, rng, 3):
+        for C in (B, B.complement()):
+            center = topes.from_biclosed(C)
+            ball = _walk_by_representatives(center, center, 2)
+            members = [F for _, F in ball.values()]
+            bases = [center] + rng.sample(members[1:], min(2, len(members) - 1))
+            for base in bases:
+                radius = rng.randint(0, 3)
+                want = _walk_by_representatives(center, base, radius)
+                got = topes.tope_block(center, base, radius).reps
+                assert list(got) == list(want)
+                for (w, F), (w_want, F_want) in zip(got.values(), want.values()):
+                    assert w == w_want
+                    assert F.biclosed.chains() == F_want.biclosed.chains()
+                keys = [topes.symdiff_positive(F, base) for F in members]
+                pairs = [
+                    (H1, H2)
+                    for H1, d1 in zip(members, keys)
+                    for H2, d2 in zip(members, keys)
+                    if not d1 <= d2 or len(d2) - len(d1) <= 2  # radius <= 3
+                ]
+                for H1, H2 in rng.sample(pairs, min(6, len(pairs))):
+                    report = _report_or_raised(
+                        _interval_lattice_by_block, H1, H2, base,
+                        _walk_by_representatives,
+                    )
+                    assert _report_or_raised(
+                        topes.interval_lattice_check, H1, H2, base
+                    ) == report
+                    if isinstance(report, dict):
+                        report = report["interval_size"] > 1, report["is_lattice"]
+                    outcomes.add(report)
+            other = center.negated()
+            for walk in (_walk_by_representatives, topes.tope_block):
+                with pytest.raises(topes.DifferentBlocks):
+                    walk(center, other, 1)
+            assert _report_or_raised(
+                topes.interval_lattice_check, center, center, other
+            ) == "DifferentBlocks"
+    assert {"NotComparable", (True, True), (False, True)} <= outcomes, outcomes
+
+
+def test_interval_lattice_check_builds_no_element_or_set(monkeypatch):
+    """The interval check walks pairs alone: it creates no AffineWeylElement
+    and no BiclosedSet, on blocks of every A3 class, while `tope_block`
+    creates both for its representatives."""
+    cases = []
+    for B in _biclosed_by_class("A3", random.Random(101), 1):
+        center = topes.from_biclosed(B)
+        reps = topes.tope_block(center, center, 2).reps
+        H2 = topes.from_biclosed(dot_action(reps[max(reps, key=len)][0], B))
+        cases.append((center, H2))
+    made = []
+    for cls in (AffineWeylElement, BiclosedSet):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            made.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    sizes = [
+        topes.interval_lattice_check(H1, H2, H1)["interval_size"]
+        for H1, H2 in cases
+    ]
+    assert made == []
+    assert len(cases) == 5 and max(sizes) > 2
+    topes.tope_block(cases[0][0], cases[0][0], 1)
+    assert {"AffineWeylElement", "BiclosedSet"} <= set(made)
 
 
 @pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
