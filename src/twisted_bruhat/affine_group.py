@@ -323,6 +323,28 @@ def from_word(datum: CartanDatum, letters) -> AffineWeylElement:
     return AffineWeylElement(datum, table.elements[n], c)
 
 
+def affine_tops(build, k_sign):
+    """The chain tops of N(build(p, q, k)) as exact affine forms
+    (c_p, c_q, c_k, c_0) in the parameters (p, q, k), such as (m1, m2, k)
+    or (j, 0, k), or None if the finite part moves.
+
+    The element is U t_{V + K Lambda} with U fixed, so each top
+    (mu, U(V + K Lambda)) - [U^{-1} mu > 0] is affine in K: four
+    evaluations inside the domain of k (`a2.Family.k_sign`) give it exactly.
+    """
+    k0, step = (-1, -1) if k_sign < 0 else (0, 1)
+    points = ((0, 0, k0), (1, 0, k0), (0, 1, k0), (0, 0, k0 + step))
+    elems = [build(*point) for point in points]
+    if len({e.fin.imgs for e in elems}) != 1:
+        return None
+    t0, t1, t2, tk = (e.chain_tops() for e in elems)
+    forms = {}
+    for mu, top in t0.items():
+        ck = (tk[mu] - top) * step
+        forms[mu] = (t1[mu] - top, t2[mu] - top, ck, top - ck * k0)
+    return forms
+
+
 def parse_word(datum: CartanDatum, text: str):
     text = text.strip()
     if text in ("", "e"):

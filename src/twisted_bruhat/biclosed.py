@@ -126,8 +126,11 @@ class BiclosedSet:
     def count_in_chain(self, base, lo: int, hi: int) -> int:
         """|B intersect {base + k delta : lo <= k <= hi}| in O(1), for
         lo >= k0: the levels of [lo, hi] at or above e if tail, else those
-        below e."""
-        tail, e = self.chains()[tuple(base)]
+        below e.  A base outside the finite roots raises ValueError."""
+        try:
+            tail, e = self.chains()[tuple(base)]
+        except KeyError:
+            raise ValueError(f"not a root: {tuple(base)}") from None
         if hi < lo:
             return 0
         if tail:
@@ -155,8 +158,11 @@ class BiclosedSet:
 
     def lowest(self, mu, member: bool):
         """The lowest level k >= k0 of mu + k delta whose membership in B is
-        `member`, or None (`_lowest`)."""
-        return _lowest(self.datum.weyl_table().k0, self.chains(), mu, member)
+        `member`, or None (`_lowest`); ValueError if mu is not a root."""
+        try:
+            return _lowest(self.datum.weyl_table().k0, self.chains(), mu, member)
+        except KeyError:
+            raise ValueError(f"not a root: {tuple(mu)}") from None
 
     def line_tops(self):
         """Per finite root nu: the top level of the line nu + Z delta whose

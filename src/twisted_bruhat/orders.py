@@ -40,6 +40,7 @@ from typing import NamedTuple
 from .affine_group import (
     AffineWeylElement,
     affine_simple_roots,
+    affine_tops,
     format_word,
     identity,
     is_positive_affine,
@@ -165,6 +166,28 @@ def _pieces(chains, base, lines):
             starts.append(t)
             affine.append((A, C))
     return starts, affine
+
+
+def affine_length(build, B):
+    """l_B(build(p, q, k)) as an exact affine form (c_p, c_q, c_k, c_0), or
+    None.  Over mu > 0 and -mu, N(w^{-1}) has the tops t and -1 - t, affine
+    in (p, q, k) (`affine_tops`), so the pair adds g(t), a sum of hinges read
+    off B's (tail, e) pairs (`_pieces`).  Where each g is one piece A t + C,
+    l_B is the sum of A t + C over the pairs; else None.
+    """
+    tops = affine_tops(lambda p, q, k: build(p, q, k).inverse(), 0)
+    if tops is None:
+        return None
+    k0, form = B.datum.weyl_table().k0, [0, 0, 0, 0]
+    for mu in B.datum.positive_roots:
+        neg = tuple(-x for x in mu)
+        lines = [(mu, k0[mu], 0, 1), (neg, k0[neg], -1, -1)]
+        g = set(_pieces(B.chains(), 0, lines)[1])
+        if len(g) > 1 or [a + b for a, b in zip(tops[mu], tops[neg])] != [0, 0, 0, -1]:
+            return None
+        ((A, C),) = g
+        form = [f + A * c + d for f, c, d in zip(form, tops[mu], (0, 0, 0, C))]
+    return tuple(form)
 
 
 def _values(pieces, lo, hi):

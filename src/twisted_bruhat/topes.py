@@ -127,7 +127,7 @@ def tope_leq(F: Hemispace, G: Hemispace, base: Hemispace) -> bool:
 # ----- exact cone queries ---------------------------------------------------
 
 
-def _vec(datum, r):
+def _vec(r):
     base, k = r
     return tuple(base) + (k,)
 
@@ -135,7 +135,7 @@ def _vec(datum, r):
 def cone_member(datum: CartanDatum, target, generators):
     """Exact feasibility of target in cone(generators), with certificate."""
     return cone_membership(
-        [_vec(datum, g) for g in generators], _vec(datum, target)
+        [_vec(g) for g in generators], _vec(target)
     )
 
 
@@ -160,7 +160,7 @@ def check_convex_truncated(H: Hemispace, level_bound: int):
         (h_roots if H.contains(r) else targets).append(r)
     functionals, checked, violation = [], 0, None
     for checked, target in enumerate(targets, 1):
-        t = _vec(datum, target)
+        t = _vec(target)
         if any(_dot(y, t) > 0 for y in functionals):
             continue
         cert = cone_member(datum, target, h_roots)
@@ -196,8 +196,8 @@ def _check_witness(H: Hemispace, v):
     """Raise CertificationFailed unless the generators of the witness `v` are
     in H, its target is not, and sum c . g with every c > 0 is the target."""
     gens, coeffs = v["generators"], v["coefficients"]
-    combo = [_dot(coeffs, col) for col in zip(*(_vec(H.datum, g) for g in gens))]
-    if (len(gens) != len(coeffs) or tuple(combo) != _vec(H.datum, v["target"])
+    combo = [_dot(coeffs, col) for col in zip(*(_vec(g) for g in gens))]
+    if (len(gens) != len(coeffs) or tuple(combo) != _vec(v["target"])
             or not all(map(H.contains, gens)) or H.contains(v["target"])
             or min(coeffs) <= 0):
         raise CertificationFailed(f"non-convexity witness does not verify: {v}")
@@ -261,8 +261,8 @@ def _walk(center: Hemispace, base: Hemispace, radius: int):
     to the tope at index `parent`, whose pairs it reflects
     (`reflected_pairs`); the center comes first, with parent and r None.
     A neighbour is recognised by its tuple of pairs (tail, e), a normal
-    form of its set, so each tope appears once; the walk builds no group
-    element and no set."""
+    form of its set, so each tope appears once.  As s_r s_r = e, no tope is
+    reflected by its own r; the walk builds no group element and no set."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     roots = _block_generators(center)
@@ -275,9 +275,11 @@ def _walk(center: Hemispace, base: Hemispace, radius: int):
     for _ in range(radius):
         end = len(walk)
         for parent in range(start, end):
-            chains = walk[parent][0]
+            chains, _, link = walk[parent]
             tops = pair_line_tops(table.k0, chains)
             for r in roots:
+                if r == link:
+                    continue
                 out = reflected_pairs(table, chains, tops, r)
                 pairs = tuple(out.values())
                 if pairs not in seen:

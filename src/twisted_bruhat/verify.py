@@ -10,7 +10,8 @@ from itertools import product
 from operator import sub
 
 from . import a2, generic, topes
-from .affine_group import format_word, from_word, identity, reflection
+from .affine_group import affine_tops, format_word, from_word, identity
+from .affine_group import reflection
 from .biclosed import (
     BiclosedSet,
     dot_action,
@@ -20,6 +21,7 @@ from .biclosed import (
 from .finite import build_system, enumerate_P_triples
 from .orders import (
     TargetNotReached,
+    affine_length,
     antichain_at_level,
     downset_corank,
     interval,
@@ -113,74 +115,21 @@ def check_corank_finiteness():
     return "corank finiteness", True, f"{total} downset elements, 0 failures"
 
 
-def _affine_tops(build, k_sign):
-    """The chain tops of N(build(p, q, k)) as exact affine forms
-    (c_p, c_q, c_k, c_0) in the parameters (p, q, k), such as (m1, m2, k)
-    or (j, 0, k), or None if the finite part moves.
-
-    The element is U t_{V + K Lambda} with U fixed, so each top
-    (mu, U(V + K Lambda)) - [U^{-1} mu > 0] is affine in K: four
-    evaluations inside the domain of k (`a2.Family.k_sign`) give it exactly.
-    """
-    k0, step = (-1, -1) if k_sign < 0 else (0, 1)
-    points = ((0, 0, k0), (1, 0, k0), (0, 1, k0), (0, 0, k0 + step))
-    elems = [build(*point) for point in points]
-    if len({e.fin.imgs for e in elems}) != 1:
-        return None
-    t0, t1, t2, tk = (e.chain_tops() for e in elems)
-    forms = {}
-    for mu, top in t0.items():
-        ck = (tk[mu] - top) * step
-        forms[mu] = (t1[mu] - top, t2[mu] - top, ck, top - ck * k0)
-    return forms
-
-
-def _alcove_length(build, k0):
-    """l_B(w) for B = (Phi+)^hat as an affine form (c_p, c_q, c_k, c_0) in
-    the parameters (p, q, k) of w = build(p, q, k), or None.
-
-    Over mu > 0, N(w^{-1}) has the levels 0..t_mu, all in B, and over -mu
-    the levels 1..t_{-mu}, none in B.  Where t_mu + t_{-mu} = -1 the pair
-    adds max(0, t_{-mu}) - max(0, t_mu + 1) = t_{-mu} to l_B(w).
-    """
-    tops = _affine_tops(lambda p, q, k: build(p, q, k).inverse(), 0)
-    if tops is None:
-        return None
-    for mu, top in tops.items():
-        pair = tuple(a + b for a, b in zip(top, tops[tuple(-x for x in mu)]))
-        if pair != (0, 0, 0, -1):
-            return None
-    negative = [top for mu, top in tops.items() if k0[mu]]
-    return tuple(map(sum, zip(*negative)))
-
-
-def _alcove_k0():
-    """k0 of the A2 roots (1 iff negative), or None if `a2`'s B is not
-    (Phi+)^hat, the twisting set that `_alcove_length` assumes."""
-    B = a2.alcove_biclosed()
-    if not B.equals(full_positive_biclosed(B.datum)):
-        return None
-    return B.datum.weyl_table().k0
-
-
 def check_class_deltas():
     """The cover deltas l_B(s_{gamma+k delta} w) - l_B(w) = slope * k + const
     of `a2._CLASS_DELTAS` hold for every w and k: over the class elements
     w = u t_{m1 a^vee + m2 b^vee} both lengths are exact affine forms in
-    (m1, m2, k) (`_alcove_length`), and the delta is (0, 0, slope, const).
+    (m1, m2, k) (`affine_length`), and the delta is (0, 0, slope, const).
     """
-    k0 = _alcove_k0()
-    if k0 is None:
-        return "class-delta formulas", False, "B is not (Phi+)^hat"
-    datum = a2.datum()
+    B, datum = a2.alcove_biclosed(), a2.datum()
     mismatches = []
     for tag, u in a2._class_table().items():
         z = lambda m1, m2, k: u * a2.translation(m1, m2)
-        before = _alcove_length(z, k0)
+        before = affine_length(z, B)
         for gamma, (slope, const) in a2._CLASS_DELTAS[tag].items():
-            after = _alcove_length(
+            after = affine_length(
                 lambda m1, m2, k: reflection(datum, (gamma, k)) * z(m1, m2, k),
-                k0,
+                B,
             )
             delta = None
             if None not in (before, after):
@@ -204,7 +153,7 @@ def check_dihedral_cosets():
     t1 - t2 + 2 s j, j >= j0, must be two rays, s = +1 up from some a and
     s = -1 down from a - 2: they cover V1 - V2 once; k' is free.  Each
     family (s, r, form) has l_B exact and affine over (j, 0, k)
-    (`_alcove_length`): it must be (0, 0, slope, const[r mod 2]).
+    (`affine_length`): it must be (0, 0, slope, const[r mod 2]).
     """
     name = "dihedral cosets"
     t, u, v = a2.translation, a2.u_element(), a2.v_element()
@@ -227,19 +176,17 @@ def check_dihedral_cosets():
         if len(found) != 2 or ends.keys() != {1, -1} or ends[-1] != ends[1] - 2:
             shown = ", ".join(f"s={s:+d} at {a}" for s, a in sorted(found))
             return name, False, f"class {key} has rays [{shown}]"
-    k0 = _alcove_k0()
-    if k0 is None:
-        return name, False, "B is not (Phi+)^hat"
+    B = a2.alcove_biclosed()
     mismatches = []
     for form, (slope, const) in a2._FORM_LENGTHS.items():
         head, period = form[:-3].split("(")  # 'u(vu)^k': 'u', 'vu'
         mu = a2.MU if period == "uv" else tuple(-x for x in a2.MU)  # vu = t_-mu
         for (s, (l1, l2)), r in product(a2.LAMBDA.items(), range(6)):
             top = a2.coset_prefix(s * r).inverse()
-            length = _alcove_length(
+            length = affine_length(
                 lambda j, _, k: top * t(-j * l1, -j * l2) * parts[head]
                 * t(k * mu[0], k * mu[1]),
-                k0,
+                B,
             )
             if length != (0, 0, slope, const[r % 2]):
                 mismatches.append((form, ("even", "odd")[r % 2]))
@@ -270,7 +217,7 @@ def check_inversion_formulas():
     mismatches = []
     chains = 0
     for name, family in a2.CLOSED_FORMS.items():
-        group = _affine_tops(
+        group = affine_tops(
             lambda m1, m2, k: a2.closed_form_element(name, 2 * m1, 2 * m2, k),
             family.k_sign,
         )

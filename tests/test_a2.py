@@ -20,7 +20,10 @@ from twisted_bruhat import (
     upper_covers,
 )
 from twisted_bruhat import a2, verify
-from twisted_bruhat.orders import CertificationFailed, length_ball
+from twisted_bruhat.affine_group import AffineWeylElement, affine_tops
+from twisted_bruhat.biclosed import full_positive_biclosed
+from twisted_bruhat.orders import CertificationFailed, affine_length, length_ball
+from conftest import random_biclosed, random_element
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +102,147 @@ def test_class_delta_proof_reports_each_entry(monkeypatch, tag, gamma, i):
 
 
 def test_class_delta_proof_refuses_other_twisting_sets(monkeypatch):
-    """The pair argument needs B = (Phi+)^hat: another B is refused."""
+    """The table holds for B = (Phi+)^hat alone: for another B the proof
+    fails and reports the deltas it reads for B.  The complement's are the
+    table negated, and those of s_1 . (Phi+)^hat at class T are class saT's
+    row; the first three mismatches are class T's rays."""
     alcove = a2.alcove_biclosed()
-    for other in (alcove.complement(),
-                  dot_action(from_word(alcove.datum, (1,)), alcove)):
+    row = a2._CLASS_DELTAS["T"]
+    for other, want in (
+        (alcove.complement(), {g: (-s, -c) for g, (s, c) in row.items()}),
+        (dot_action(from_word(alcove.datum, (1,)), alcove),
+         a2._CLASS_DELTAS["saT"]),
+    ):
         monkeypatch.setattr(a2, "alcove_biclosed", lambda: other)
         _, ok, detail = verify.check_class_deltas()
-        assert not ok and detail == "B is not (Phi+)^hat", detail
+        shown = [("T", gamma, (0, 0, *delta)) for gamma, delta in want.items()]
+        assert not ok and detail.endswith(f"mismatches: {shown}"), detail
+
+
+# ----- oracle: the former alcove-only twisted length -------------------------
+
+
+def _alcove_length(build, k0):
+    """The former `verify._alcove_length`: l_B(w) for B = (Phi+)^hat as an
+    affine form (c_p, c_q, c_k, c_0) in the parameters (p, q, k) of
+    w = build(p, q, k), or None.
+
+    Over mu > 0, N(w^{-1}) has the levels 0..t_mu, all in B, and over -mu
+    the levels 1..t_{-mu}, none in B.  Where t_mu + t_{-mu} = -1 the pair
+    adds max(0, t_{-mu}) - max(0, t_mu + 1) = t_{-mu} to l_B(w).
+    """
+    tops = affine_tops(lambda p, q, k: build(p, q, k).inverse(), 0)
+    if tops is None:
+        return None
+    for mu, top in tops.items():
+        pair = tuple(a + b for a, b in zip(top, tops[tuple(-x for x in mu)]))
+        if pair != (0, 0, 0, -1):
+            return None
+    negative = [top for mu, top in tops.items() if k0[mu]]
+    return tuple(map(sum, zip(*negative)))
+
+
+def _alcove_k0():
+    """The former `verify._alcove_k0`: k0 of the A2 roots (1 iff negative),
+    or None if `a2`'s B is not (Phi+)^hat, the twisting set that
+    `_alcove_length` assumes."""
+    B = a2.alcove_biclosed()
+    if not B.equals(full_positive_biclosed(B.datum)):
+        return None
+    return B.datum.weyl_table().k0
+
+
+def test_affine_length_matches_the_alcove_formula(monkeypatch):
+    """On every family the two rank-2 proofs read, the 6 class families,
+    their 18 rays and the 48 coset families, `affine_length` gives the
+    former alcove-only formula's form, never None."""
+    k0 = _alcove_k0()
+    read = []
+
+    def recorded(build, B, _real=verify.affine_length):
+        # the families are lambdas over loop variables: read them now
+        read.append((_real(build, B), _alcove_length(build, k0)))
+        return read[-1][0]
+
+    monkeypatch.setattr(verify, "affine_length", recorded)
+    assert verify.check_class_deltas()[1]
+    assert len(read) == 6 + 18
+    assert verify.check_dihedral_cosets()[1]
+    assert len(read) == 6 + 18 + 48
+    assert all(got == want is not None for got, want in read), read
+
+
+def _random_family(datum, rng):
+    """x t_{p a + q b + k c} y for random x, y and random a, b, c over the
+    simple coroots: the finite part stays put."""
+    x, y = random_element(datum, rng, 4), random_element(datum, rng, 4)
+    a, b, c = ([rng.randint(-1, 1) for _ in range(datum.rank)] for _ in "abc")
+    fin = datum.identity()
+    return lambda p, q, k: x * AffineWeylElement(
+        datum, fin, [p * i + q * j + k * l for i, j, l in zip(a, b, c)]
+    ) * y
+
+
+def test_affine_length_matches_twisted_length_pointwise():
+    """On random families x t_{p a + q b + k c} y and random B of all four
+    types, A3 Mixed included, every form `affine_length` returns is
+    l_B(w) at 15 random points (p, q, k); draws go on until 20 forms have
+    been seen, and at least one draw of each type gives None."""
+    rng = random.Random(52)
+    forms, none = 0, set()
+    for draw in range(2000):
+        label = ("A2", "A3", "B2", "G2")[draw % 4]
+        B = random_biclosed(label, rng, mixed=label == "A3" and draw % 8 == 1)
+        build = _random_family(B.datum, rng)
+        form = affine_length(build, B)
+        if form is None:
+            none.add(label)
+            continue
+        for _ in range(15):
+            point = [rng.randint(-4, 4) for _ in range(3)]
+            want = sum(c * x for c, x in zip(form, point + [1]))
+            assert twisted_length_left(build(*point), B) == want, (B, point)
+        forms += 1
+        if forms >= 20 and len(none) == 4:
+            break
+    assert forms >= 20 and len(none) == 4, (draw, forms, none)
+
+
+def test_affine_tops_refuse_a_moving_finite_part():
+    """The tops are affine only while the finite part stays put: a family
+    whose finite part moves with p, q or k has no tops and no length."""
+    d = a2.datum()
+    s_a, t = from_word(d, (1,)), a2.translation
+    B = a2.alcove_biclosed()
+    for moving in (
+        lambda p, q, k: t(p, q) * (s_a if p % 2 else identity(d)),
+        lambda p, q, k: t(p, q) * (s_a if q % 2 else identity(d)),
+        lambda p, q, k: (s_a if k % 2 else identity(d)) * t(k, p),
+    ):
+        assert affine_tops(moving, 0) is None
+        assert affine_tops(moving, -1) is None
+        assert affine_length(moving, B) is None
+
+
+def test_twisted_class_deltas_are_a_right_translate_of_the_table():
+    """For every u in W(A2) and every class c, the deltas of
+    u . (Phi+)^hat at c that `affine_length` reads are the table's row at
+    the class of c u: 6 x 6 classes x 3 rays."""
+    alcove, datum = a2.alcove_biclosed(), a2.datum()
+    rays = 0
+    for u in a2._class_table().values():
+        B = dot_action(u, alcove)
+        for c in a2._class_table().values():
+            z = lambda m1, m2, k: c * a2.translation(m1, m2)
+            before = affine_length(z, B)
+            for gamma, (slope, const) in a2._CLASS_DELTAS[a2.class_of(c * u)].items():
+                after = affine_length(
+                    lambda m1, m2, k: reflection(datum, (gamma, k)) * z(m1, m2, k),
+                    B,
+                )
+                assert [x - y for x, y in zip(after, before)] == [0, 0, slope, const]
+                rays += 1
+    assert rays == 108
 
 
 def test_closed_forms_match_inversion_sets():

@@ -3,13 +3,13 @@ only the modules it uses, the benchmark tracer's targets exist, certificate
 and integrality checks are explicit code rather than `assert` (which
 `python -O` strips), arithmetic stays exact, only a fenced set of modules
 imports `fractions` and none imports `dataclasses`, only a fenced set of
-modules reads a biclosed set's chains and none a hemispace sign, only
-`finite` derives k0, root pairings and reflections or tests a root's sign
-(the rest read them off `WeylTable`), only `affine_group` reads an
-element's pairings, finite root arithmetic and the finite Weyl group's
-operations stay integer, every definition in src/ is used by the library,
-its demos or its benchmark, not only by tests, and every Python file
-parses as Python 3.10."""
+modules reads a biclosed set's chains or an element's chain tops and none
+a hemispace sign, only `finite` derives k0, root pairings and reflections
+or tests a root's sign (the rest read them off `WeylTable`), only
+`affine_group` reads an element's pairings, finite root arithmetic and the
+finite Weyl group's operations stay integer, every definition in src/ is
+used by the library, its demos or its benchmark, not only by tests, and
+every Python file parses as Python 3.10."""
 
 import ast
 import importlib
@@ -217,6 +217,22 @@ def test_chain_format_is_fenced():
                 callers.add(filename)
     assert signs == []
     allowed = {"biclosed.py", "orders.py", "topes.py"}
+    assert callers <= allowed, sorted(callers - allowed)
+
+
+def test_chain_tops_are_fenced():
+    """Only `affine_group`, `biclosed` and `orders` call `.chain_tops()`:
+    affine families are evaluated once (`affine_group.affine_tops`) and
+    read as twisted lengths once (`orders.affine_length`), so `verify`
+    states claims and keeps no evaluator of its own."""
+    callers = {
+        filename
+        for filename in MODULES
+        for node in ast.walk(_tree(SRC / filename))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "chain_tops"
+    }
+    allowed = {"affine_group.py", "biclosed.py", "orders.py"}
     assert callers <= allowed, sorted(callers - allowed)
 
 

@@ -133,11 +133,13 @@ def test_in_hemispace_matches_pointwise_definition(label):
 def test_membership_refuses_non_roots(r):
     """A base outside the finite roots is refused with a ValueError naming
     it, not a KeyError, by every membership entry point, at a positive and
-    at a negative level."""
+    at a negative level, and by the two chain readers."""
     B = full_positive_biclosed(build_system("A2"))
     for contains in (
         B.contains, B.in_hemispace, from_biclosed(B).contains,
         lambda r: is_positive_affine(B.datum, r),
+        lambda r: B.count_in_chain(r[0], 0, 3),
+        lambda r: B.lowest(r[0], True),
     ):
         with pytest.raises(ValueError) as got:
             contains(r)

@@ -52,10 +52,10 @@ def partition_check(H, level: int) -> bool:
 
 
 def _closure(datum, subset, universe):
-    gens = [topes._vec(datum, r) for r in subset]
+    gens = [topes._vec(r) for r in subset]
     return frozenset(
         r for r in universe
-        if cone_membership(gens, topes._vec(datum, r)).feasible
+        if cone_membership(gens, topes._vec(r)).feasible
     )
 
 
@@ -224,9 +224,9 @@ def assert_violation_certificate(H, v):
     combo = [Fraction(0)] * dim
     for g, c in zip(v["generators"], v["coefficients"]):
         assert c > 0
-        vec = topes._vec(H.datum, g)
+        vec = topes._vec(g)
         combo = [x + c * y for x, y in zip(combo, vec)]
-    assert combo == list(topes._vec(H.datum, v["target"]))
+    assert combo == list(topes._vec(v["target"]))
 
 
 def test_convexity_refuses_a_non_basic_certificate(monkeypatch, a2):
@@ -286,14 +286,14 @@ def _convexity_by_lp_per_target(H, level_bound):
     datum = H.datum
     universe = topes.all_roots_to_level(datum, level_bound)
     h_roots = [r for r in universe if H.contains(r)]
-    gens = [topes._vec(datum, g) for g in h_roots]
+    gens = [topes._vec(g) for g in h_roots]
     checked = 0
     violation = None
     for target in universe:
         if H.contains(target):
             continue
         checked += 1
-        cert = cone_membership(gens, topes._vec(datum, target))
+        cert = cone_membership(gens, topes._vec(target))
         if cert.feasible:
             support = [
                 (g, c) for g, c in zip(h_roots, cert.coefficients) if c != 0
@@ -394,8 +394,8 @@ def test_convexity_reuses_farkas_functionals(monkeypatch):
             for target, generators, cert in solved:
                 assert generators == h_roots
                 y = cert.functional
-                assert _dot(y, topes._vec(datum, target)) > 0
-                assert all(_dot(y, topes._vec(datum, g)) <= 0 for g in generators)
+                assert _dot(y, topes._vec(target)) > 0
+                assert all(_dot(y, topes._vec(g)) <= 0 for g in generators)
 
 
 # The former +-delta search for the witness of a Mixed hemispace, kept as
@@ -845,6 +845,31 @@ def test_walk_over_pairs_matches_representative_walk(label):
                 topes.interval_lattice_check, center, center, other
             ) == "DifferentBlocks"
     assert {"NotComparable", (True, True), (False, True)} <= outcomes, outcomes
+
+
+@pytest.mark.parametrize("label", ("A2", "B2", "G2", "A3"))
+def test_walk_reflects_no_tope_back_to_its_parent(label, monkeypatch):
+    """s_r s_r = e, so the walk reflects the center by every generator and
+    every other tope it expands by all but the root that reached it: on
+    centers of every class, radius <= 3, `reflected_pairs` runs
+    |generators| + (expanded - 1)(|generators| - 1) times."""
+    calls = []
+
+    def counted(*args, _real=topes.reflected_pairs):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(topes, "reflected_pairs", counted)
+    for i, B in enumerate(_biclosed_by_class(label, random.Random(102), 1)):
+        center, radius = topes.from_biclosed(B), i % 4
+        n = len(topes._block_generators(center))
+        calls.clear()
+        walk = topes._walk(center, center, radius)
+        depth = [0]
+        for _, parent, _ in walk[1:]:
+            depth.append(depth[parent] + 1)
+        expanded = sum(d < radius for d in depth)
+        assert len(calls) == (n + (expanded - 1) * (n - 1) if radius else 0)
 
 
 def test_interval_lattice_check_builds_no_element_or_set(monkeypatch):
