@@ -28,6 +28,7 @@ words and Ntilde(x) = {reflections t : alpha_t in N(x)}.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .linprog import CertificationFailed, _dot
 
@@ -371,29 +372,46 @@ def is_straight_word(w: CoxElement) -> bool:
     return l1 > 0
 
 
-def _height(v) -> int:
-    return sum(abs(x) for x in v)
-
-
 def in_A(w: CoxElement, gamma) -> bool:
-    """gamma in N(w^inf) iff w^{-m}(gamma) < 0 for some m; bounded scan.
+    """gamma in N(w^inf) iff w^{-m}(gamma) < 0 for some m >= 1.
 
-    The scan stops early once the iterates' heights have grown strictly for
-    several consecutive steps while staying positive (they then stay
-    positive: the straight element moves every surviving root away from the
-    walls), and otherwise gives up after _IN_A_BUDGET steps.
+    Each step applies w^{-1} by one integer dot product per row of its
+    matrix; the min, max and sum of the iterate give its sign and height.
+    Two stops are exact.  A negative iterate puts gamma in A.  A repeated
+    iterate means the orbit is periodic (w^{-1} is invertible) and all
+    positive, so gamma is not in A; every period has a step whose height
+    does not grow, and the iterate after it recurs one period later, so
+    keeping only those iterates finds every repeat.  One stop is a
+    heuristic: after 3 l(w) steps of growing height the answer is False,
+    on the unproved ground that the iterates then stay positive.
+    Otherwise the scan gives up after _IN_A_BUDGET steps (BudgetExceeded).
+
+    gamma must be a positive root: a vector of the wrong length, with a
+    negative coordinate, or of doubled norm other than 2 (zero included)
+    is refused.  On (2,3,inf) this test is exact for coordinates in 0..24;
+    on other matrices it is only necessary.
     """
-    v = gamma
-    growth_streak = 0
-    prev_h = _height(v)
+    if (len(gamma) != w.cm.rank or min(gamma) < 0
+            or inner(w.cm, gamma, gamma) != 2):
+        raise ValueError(f"not a positive root: {tuple(gamma)}")
+    rows = tuple(zip(*w.inv_imgs))
+    stop = 3 * w.length()
+    v, h, streak, seen = tuple(gamma), sum(gamma), 0, set()
     for _ in range(_IN_A_BUDGET):
-        v = w.inv_apply(v)
-        if not is_positive_root(v):
+        v = tuple([sum(map(mul, row, v)) for row in rows])
+        if min(v) < 0:
+            if max(v) > 0:
+                raise ValueError(f"mixed-sign vector is not a root: {v}")
             return True
-        h = _height(v)
-        growth_streak = growth_streak + 1 if h > prev_h else 0
-        prev_h = h
-        if growth_streak >= 3 * w.length():
+        prev_h, h = h, sum(v)
+        if h > prev_h:
+            streak += 1
+        elif v in seen:
+            return False
+        else:
+            streak = 0
+            seen.add(v)
+        if streak >= stop:
             return False
     raise BudgetExceeded("A-membership scan did not stabilize")
 

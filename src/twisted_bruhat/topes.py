@@ -132,11 +132,9 @@ def _vec(r):
     return tuple(base) + (k,)
 
 
-def cone_member(datum: CartanDatum, target, generators):
+def cone_member(target, generators):
     """Exact feasibility of target in cone(generators), with certificate."""
-    return cone_membership(
-        [_vec(g) for g in generators], _vec(target)
-    )
+    return cone_membership([_vec(g) for g in generators], _vec(target))
 
 
 def check_convex_truncated(H: Hemispace, level_bound: int):
@@ -154,16 +152,15 @@ def check_convex_truncated(H: Hemispace, level_bound: int):
     """
     if level_bound < 0:
         raise ValueError("level_bound must be >= 0")
-    datum = H.datum
     h_roots, targets = [], []
-    for r in all_roots_to_level(datum, level_bound):
+    for r in all_roots_to_level(H.datum, level_bound):
         (h_roots if H.contains(r) else targets).append(r)
     functionals, checked, violation = [], 0, None
     for checked, target in enumerate(targets, 1):
         t = _vec(target)
         if any(_dot(y, t) > 0 for y in functionals):
             continue
-        cert = cone_member(datum, target, h_roots)
+        cert = cone_member(target, h_roots)
         if not cert.feasible:
             y = cert.functional
             L = lcm(*(c.denominator for c in y))

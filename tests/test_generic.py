@@ -129,6 +129,134 @@ def test_in_A_membership(cm):
     assert generic.in_A(w, (1, 0, 0))
 
 
+# ----- oracle: the former in_A loop, one inv_apply per step ----------------
+
+
+def _height(v):
+    return sum(abs(x) for x in v)
+
+
+def _in_A_by_steps(w, gamma):
+    """in_A before the cycle stop: a negative iterate, the growth streak or
+    BudgetExceeded, with one inv_apply and is_positive_root per step."""
+    v = gamma
+    growth_streak = 0
+    prev_h = _height(v)
+    for _ in range(generic._IN_A_BUDGET):
+        v = w.inv_apply(v)
+        if not generic.is_positive_root(v):
+            return True
+        h = _height(v)
+        growth_streak = growth_streak + 1 if h > prev_h else 0
+        prev_h = h
+        if growth_streak >= 3 * w.length():
+            return False
+    raise generic.BudgetExceeded("A-membership scan did not stabilize")
+
+
+def _orbit_repeats_positive(w, gamma, steps):
+    """Apply the matrix of w^{-1} `steps` times, keeping every iterate: True
+    iff some iterate repeats before any goes negative."""
+    seen, v = {tuple(gamma)}, tuple(gamma)
+    for _ in range(steps):
+        v = tuple(
+            sum(col[k] * c for col, c in zip(w.inv_imgs, v))
+            for k in range(len(v))
+        )
+        if any(x < 0 for x in v):
+            return False
+        if v in seen:
+            return True
+        seen.add(v)
+    return False
+
+
+def _seeded_words():
+    rng = random.Random(0)
+    return [
+        tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 8)))
+        for _ in range(40)
+    ]
+
+
+def test_in_A_matches_step_oracle(cm):
+    """Wherever the former loop answers, in_A gives the same answer.  Where
+    it gave up, in_A answers False, and the orbit, followed to 4 x 64 steps,
+    repeats with no negative iterate."""
+    cases = [(generic.target_element(cm), r) for r in generic._root_pool(cm, 6)]
+    roots = generic._root_pool(cm, 4)
+    assert len(roots) == 22
+    cases += [
+        (generic.from_word(cm, word), r) for word in _seeded_words() for r in roots
+    ]
+    gave_up = 0
+    for w, r in cases:
+        try:
+            expected = _in_A_by_steps(w, r)
+        except generic.BudgetExceeded:
+            gave_up += 1
+            assert generic.in_A(w, r) is False, (w, r)
+            assert _orbit_repeats_positive(w, r, 4 * generic._IN_A_BUDGET), (w, r)
+        else:
+            assert generic.in_A(w, r) is expected, (w, r)
+    assert gave_up == 455
+
+
+def test_in_A_stops_on_a_periodic_orbit(cm):
+    """Under s1, a2 -> a1 + a2 -> a2: the orbit never goes negative."""
+    s1 = generic.from_word(cm, (1,))
+    with pytest.raises(generic.BudgetExceeded):
+        _in_A_by_steps(s1, (0, 1, 0))
+    assert generic.in_A(s1, (0, 1, 0)) is False
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [(0, -1, 0), (1, -1, 0), (1, 1, 1), (2, 1, 0), (0, 0, 0), (-1, 0, 0),
+     (1, 0), (0, 1, 0, 0), ()],
+)
+def test_in_A_refuses_non_positive_roots(cm, gamma):
+    """A negative coordinate, a doubled norm other than 2 (0 for (1, 1, 1)
+    and the zero vector, 6 for (2, 1, 0)) or a wrong length is refused."""
+    w = generic.target_element(cm)
+    with pytest.raises(ValueError, match="not a positive root"):
+        generic.in_A(w, gamma)
+
+
+def test_in_A_norm_check_is_exact_in_a_box(cm):
+    """On (2,3,inf), every nonnegative vector with coordinates in 0..24 and
+    doubled norm 2 is a root: in_A refuses exactly what reflection_in
+    refuses there."""
+    w = generic.target_element(cm)
+    norm_two = 0
+    for v in itertools.product(range(25), repeat=3):
+        if generic.inner(cm, v, v) == 2:
+            norm_two += 1
+            assert not _is_refused(cm, v), v
+        try:
+            generic.in_A(w, v)
+        except ValueError:
+            assert _is_refused(cm, v), v
+        else:
+            assert not _is_refused(cm, v), v
+    assert norm_two == 162
+
+
+def test_in_A_reads_the_matrix_alone(cm, monkeypatch):
+    """in_A steps with its own dot products: it calls neither inv_apply nor
+    is_positive_root."""
+    w = generic.target_element(cm)
+    roots = generic._root_pool(cm, 6)
+    expected = [generic.in_A(w, r) for r in roots]
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(generic.CoxElement, "inv_apply", refuse)
+    monkeypatch.setattr(generic, "is_positive_root", refuse)
+    assert [generic.in_A(w, r) for r in roots] == expected
+
+
 def test_budget_exceeded(cm):
     w = generic.from_word(cm, (2, 3) * 33)
     assert w.length() == 66

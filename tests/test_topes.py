@@ -233,7 +233,7 @@ def test_convexity_refuses_a_non_basic_certificate(monkeypatch, a2):
     """The simplex returns a basic solution, with at most one generator per
     dimension; a certificate with more is refused, not reported."""
 
-    def wide(datum, target, generators):
+    def wide(target, generators):
         n = len(target[0]) + 2
         return ConeCertificate(
             True, (1,) * n + (0,) * (len(generators) - n), ()
@@ -372,8 +372,8 @@ def test_convexity_reuses_farkas_functionals(monkeypatch):
     solved = []
     cone_member = topes.cone_member
 
-    def counted(datum, target, generators):
-        cert = cone_member(datum, target, generators)
+    def counted(target, generators):
+        cert = cone_member(target, generators)
         solved.append((target, generators, cert))
         return cert
 
