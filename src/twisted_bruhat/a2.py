@@ -9,8 +9,9 @@ in full); other twisting sets go through the generic engine.
 
 Translation indexing: ``translation(m1, m2)`` is t_{m1 a^vee + m2 b^vee}
 (coroot-lattice coordinates).  The inversion-set table `CLOSED_FORMS` is
-written in these coordinates, where every chain bound is an integer affine
-form in (m1, m2, k).  `closed_form_set`, `closed_form_element` and
+written in these coordinates: one integer affine top t(m1, m2, k) per
+delta-line, read over mu > 0; over -mu the top is -1 - t, as for every
+element (`root_tops`).  `closed_form_set`, `closed_form_element` and
 `translation_inversion` take the paper's parameters: in its normalization
 (a,a) = 1 the same element is t_{k1 a + k2 b} with k1 = 2 m1, k2 = 2 m2,
 and odd k1, k2 raise ValueError.
@@ -112,121 +113,77 @@ def predicted_delta(w: AffineWeylElement, gamma, k: int) -> int:
 
 
 class Family(NamedTuple):
-    """One inversion-set family: an element spec and the chains of N(.).
+    """One inversion-set family: an element spec and the tops of N(.).
 
     The element is t_v x_1 ... x_j s_{gamma + k delta}, with t_v =
     translation(m1, m2) when `translation` is set, `word` the finite
     letters (1 = s_a, 2 = s_b), and the reflection present when `gamma` is.
     `k_sign` is the domain of k: 1 for k >= 0, -1 for k < 0, 0 for every k.
-    N(element) is the union over `chains` of {(base, l) : lo <= l <= hi},
-    with hi = c_m1 m1 + c_m2 m2 + c_k k + c_0 written (c_m1, c_m2, c_k, c_0).
+    `tops` holds one affine top per positive root mu, t = c_m1 m1 + c_m2 m2
+    + c_k k + c_0 written (c_m1, c_m2, c_k, c_0): N(element) holds the
+    levels 0..t over mu and 1..-1-t over -mu (`root_tops`).
     """
 
     translation: bool
     word: tuple
     gamma: tuple | None
     k_sign: int
-    chains: tuple
+    tops: dict
 
 
-#: name -> Family, the twenty closed forms of the paper.  Bases are in
-#: simple-root coordinates; each line holds a root and its negative.
+#: name -> Family, the twenty closed forms of the paper.  Roots are in
+#: simple-root coordinates; the top over mu > 0 fixes N(.) on the line of mu.
 CLOSED_FORMS = {
-    's(a+kd), k>=0': Family(False, (), ALPHA, 1, (
-        ((1, 0), 0, (0, 0, 2, 0)), ((0, -1), 1, (0, 0, 1, 0)),
-        ((1, 1), 0, (0, 0, 1, -1)),
-    )),
-    's(a+kd), k<0': Family(False, (), ALPHA, -1, (
-        ((-1, 0), 1, (0, 0, -2, -1)), ((0, 1), 0, (0, 0, -1, -1)),
-        ((-1, -1), 1, (0, 0, -1, 0)),
-    )),
-    's(a+b+kd), k>=0': Family(False, (), AB, 1, (
-        ((1, 1), 0, (0, 0, 2, 0)), ((1, 0), 0, (0, 0, 1, 0)),
-        ((0, 1), 0, (0, 0, 1, 0)),
-    )),
-    's(a+b+kd), k<0': Family(False, (), AB, -1, (
-        ((-1, -1), 1, (0, 0, -2, -1)), ((-1, 0), 1, (0, 0, -1, -1)),
-        ((0, -1), 1, (0, 0, -1, -1)),
-    )),
-    's(b+kd), k>=0': Family(False, (), BETA, 1, (
-        ((0, 1), 0, (0, 0, 2, 0)), ((-1, 0), 1, (0, 0, 1, 0)),
-        ((1, 1), 0, (0, 0, 1, -1)),
-    )),
-    's(b+kd), k<0': Family(False, (), BETA, -1, (
-        ((0, -1), 1, (0, 0, -2, -1)), ((1, 0), 0, (0, 0, -1, -1)),
-        ((-1, -1), 1, (0, 0, -1, 0)),
-    )),
-    't': Family(True, (), None, 0, (
-        ((1, 0), 0, (2, -1, 0, -1)), ((-1, 0), 1, (-2, 1, 0, 0)),
-        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
-        ((1, 1), 0, (1, 1, 0, -1)), ((-1, -1), 1, (-1, -1, 0, 0)),
-    )),
-    't.s(a+kd)': Family(True, (), ALPHA, 0, (
-        ((1, 0), 0, (2, -1, 2, 0)), ((-1, 0), 1, (-2, 1, -2, -1)),
-        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
-        ((1, 1), 0, (1, 1, 1, -1)), ((-1, -1), 1, (-1, -1, -1, 0)),
-    )),
-    't.s(a+b+kd)': Family(True, (), AB, 0, (
-        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
-        ((0, 1), 0, (-1, 2, 1, 0)), ((0, -1), 1, (1, -2, -1, -1)),
-        ((1, 1), 0, (1, 1, 2, 0)), ((-1, -1), 1, (-1, -1, -2, -1)),
-    )),
-    't.sa': Family(True, (1,), None, 0, (
-        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
-        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
-        ((1, 1), 0, (1, 1, 0, -1)), ((-1, -1), 1, (-1, -1, 0, 0)),
-    )),
-    't.sa.s(a+kd)': Family(True, (1,), ALPHA, 0, (
-        ((1, 0), 0, (2, -1, -2, -1)), ((-1, 0), 1, (-2, 1, 2, 0)),
-        ((0, 1), 0, (-1, 2, 1, -1)), ((0, -1), 1, (1, -2, -1, 0)),
-        ((1, 1), 0, (1, 1, -1, -1)), ((-1, -1), 1, (-1, -1, 1, 0)),
-    )),
-    't.sa.s(b+kd)': Family(True, (1,), BETA, 0, (
-        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
-        ((0, 1), 0, (-1, 2, 1, -1)), ((0, -1), 1, (1, -2, -1, 0)),
-        ((1, 1), 0, (1, 1, 2, 0)), ((-1, -1), 1, (-1, -1, -2, -1)),
-    )),
-    't.sa.s(a+b+kd)': Family(True, (1,), AB, 0, (
-        ((1, 0), 0, (2, -1, -1, -1)), ((-1, 0), 1, (-2, 1, 1, 0)),
-        ((0, 1), 0, (-1, 2, 2, 0)), ((0, -1), 1, (1, -2, -2, -1)),
-        ((1, 1), 0, (1, 1, 1, 0)), ((-1, -1), 1, (-1, -1, -1, -1)),
-    )),
-    't.sa.sb': Family(True, (1, 2), None, 0, (
-        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
-        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
-        ((1, 1), 0, (1, 1, 0, 0)), ((-1, -1), 1, (-1, -1, 0, -1)),
-    )),
-    't.sa.sb.s(a+kd)': Family(True, (1, 2), ALPHA, 0, (
-        ((1, 0), 0, (2, -1, -1, 0)), ((-1, 0), 1, (-2, 1, 1, -1)),
-        ((0, 1), 0, (-1, 2, 2, 0)), ((0, -1), 1, (1, -2, -2, -1)),
-        ((1, 1), 0, (1, 1, 1, 0)), ((-1, -1), 1, (-1, -1, -1, -1)),
-    )),
-    't.sa.sb.s(b+kd)': Family(True, (1, 2), BETA, 0, (
-        ((1, 0), 0, (2, -1, -1, 0)), ((-1, 0), 1, (-2, 1, 1, -1)),
-        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
-        ((1, 1), 0, (1, 1, -2, -1)), ((-1, -1), 1, (-1, -1, 2, 0)),
-    )),
-    't.sa.sb.s(a+b+kd)': Family(True, (1, 2), AB, 0, (
-        ((1, 0), 0, (2, -1, -2, -1)), ((-1, 0), 1, (-2, 1, 2, 0)),
-        ((0, 1), 0, (-1, 2, 1, 0)), ((0, -1), 1, (1, -2, -1, -1)),
-        ((1, 1), 0, (1, 1, -1, -1)), ((-1, -1), 1, (-1, -1, 1, 0)),
-    )),
-    't.sa.sb.sa': Family(True, (1, 2, 1), None, 0, (
-        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
-        ((0, 1), 0, (-1, 2, 0, 0)), ((0, -1), 1, (1, -2, 0, -1)),
-        ((1, 1), 0, (1, 1, 0, 0)), ((-1, -1), 1, (-1, -1, 0, -1)),
-    )),
-    't.sa.sb.sa.s(a+kd)': Family(True, (1, 2, 1), ALPHA, 0, (
-        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
-        ((0, 1), 0, (-1, 2, -2, -1)), ((0, -1), 1, (1, -2, 2, 0)),
-        ((1, 1), 0, (1, 1, -1, 0)), ((-1, -1), 1, (-1, -1, 1, -1)),
-    )),
-    't.sa.sb.sa.s(a+b+kd)': Family(True, (1, 2, 1), AB, 0, (
-        ((1, 0), 0, (2, -1, -1, -1)), ((-1, 0), 1, (-2, 1, 1, 0)),
-        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
-        ((1, 1), 0, (1, 1, -2, -1)), ((-1, -1), 1, (-1, -1, 2, 0)),
-    )),
+    's(a+kd), k>=0': Family(False, (), ALPHA, 1, {
+        ALPHA: (0, 0, 2, 0), BETA: (0, 0, -1, -1), AB: (0, 0, 1, -1)}),
+    's(a+kd), k<0': Family(False, (), ALPHA, -1, {
+        ALPHA: (0, 0, 2, 0), BETA: (0, 0, -1, -1), AB: (0, 0, 1, -1)}),
+    's(a+b+kd), k>=0': Family(False, (), AB, 1, {
+        ALPHA: (0, 0, 1, 0), BETA: (0, 0, 1, 0), AB: (0, 0, 2, 0)}),
+    's(a+b+kd), k<0': Family(False, (), AB, -1, {
+        ALPHA: (0, 0, 1, 0), BETA: (0, 0, 1, 0), AB: (0, 0, 2, 0)}),
+    's(b+kd), k>=0': Family(False, (), BETA, 1, {
+        ALPHA: (0, 0, -1, -1), BETA: (0, 0, 2, 0), AB: (0, 0, 1, -1)}),
+    's(b+kd), k<0': Family(False, (), BETA, -1, {
+        ALPHA: (0, 0, -1, -1), BETA: (0, 0, 2, 0), AB: (0, 0, 1, -1)}),
+    't': Family(True, (), None, 0, {
+        ALPHA: (2, -1, 0, -1), BETA: (-1, 2, 0, -1), AB: (1, 1, 0, -1)}),
+    't.s(a+kd)': Family(True, (), ALPHA, 0, {
+        ALPHA: (2, -1, 2, 0), BETA: (-1, 2, -1, -1), AB: (1, 1, 1, -1)}),
+    't.s(a+b+kd)': Family(True, (), AB, 0, {
+        ALPHA: (2, -1, 1, 0), BETA: (-1, 2, 1, 0), AB: (1, 1, 2, 0)}),
+    't.sa': Family(True, (1,), None, 0, {
+        ALPHA: (2, -1, 0, 0), BETA: (-1, 2, 0, -1), AB: (1, 1, 0, -1)}),
+    't.sa.s(a+kd)': Family(True, (1,), ALPHA, 0, {
+        ALPHA: (2, -1, -2, -1), BETA: (-1, 2, 1, -1), AB: (1, 1, -1, -1)}),
+    't.sa.s(b+kd)': Family(True, (1,), BETA, 0, {
+        ALPHA: (2, -1, 1, 0), BETA: (-1, 2, 1, -1), AB: (1, 1, 2, 0)}),
+    't.sa.s(a+b+kd)': Family(True, (1,), AB, 0, {
+        ALPHA: (2, -1, -1, -1), BETA: (-1, 2, 2, 0), AB: (1, 1, 1, 0)}),
+    't.sa.sb': Family(True, (1, 2), None, 0, {
+        ALPHA: (2, -1, 0, 0), BETA: (-1, 2, 0, -1), AB: (1, 1, 0, 0)}),
+    't.sa.sb.s(a+kd)': Family(True, (1, 2), ALPHA, 0, {
+        ALPHA: (2, -1, -1, 0), BETA: (-1, 2, 2, 0), AB: (1, 1, 1, 0)}),
+    't.sa.sb.s(b+kd)': Family(True, (1, 2), BETA, 0, {
+        ALPHA: (2, -1, -1, 0), BETA: (-1, 2, -1, -1), AB: (1, 1, -2, -1)}),
+    't.sa.sb.s(a+b+kd)': Family(True, (1, 2), AB, 0, {
+        ALPHA: (2, -1, -2, -1), BETA: (-1, 2, 1, 0), AB: (1, 1, -1, -1)}),
+    't.sa.sb.sa': Family(True, (1, 2, 1), None, 0, {
+        ALPHA: (2, -1, 0, 0), BETA: (-1, 2, 0, 0), AB: (1, 1, 0, 0)}),
+    't.sa.sb.sa.s(a+kd)': Family(True, (1, 2, 1), ALPHA, 0, {
+        ALPHA: (2, -1, 1, 0), BETA: (-1, 2, -2, -1), AB: (1, 1, -1, 0)}),
+    't.sa.sb.sa.s(a+b+kd)': Family(True, (1, 2, 1), AB, 0, {
+        ALPHA: (2, -1, -1, -1), BETA: (-1, 2, -1, -1), AB: (1, 1, -2, -1)}),
 }
+
+
+def root_tops(family: Family):
+    """{root: top} over every root: t over mu > 0 and -1 - t over -mu, as
+    in every element's `chain_tops`; each chain starts at k0(root)."""
+    tops = dict(family.tops)
+    for mu, (c1, c2, ck, c0) in family.tops.items():
+        tops[tuple(-x for x in mu)] = (-c1, -c2, -ck, -1 - c0)
+    return tops
 
 
 def _chain_set(chains):
@@ -254,9 +211,10 @@ def closed_form_set(name, k1=0, k2=0, k=0):
     """N(closed_form_element(name, k1, k2, k)) read off the table."""
     family = CLOSED_FORMS[name]
     point = _point(family, k1, k2, k)
+    k0 = datum().weyl_table().k0
     return _chain_set(
-        (base, lo, sum(c * x for c, x in zip(hi, point)))
-        for base, lo, hi in family.chains
+        (base, k0[base], sum(c * x for c, x in zip(top, point)))
+        for base, top in root_tops(family).items()
     )
 
 

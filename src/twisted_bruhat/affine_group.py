@@ -110,9 +110,6 @@ class AffineWeylElement:
             self._inv._inv = self
         return self._inv
 
-    def is_identity(self) -> bool:
-        return self.fin.is_identity() and all(x == 0 for x in self.trans)
-
     # ----- integer root data -------------------------------------------
 
     def _pairings(self):

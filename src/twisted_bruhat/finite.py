@@ -64,7 +64,9 @@ class CartanDatum:
         self.positive_roots = tuple(
             sorted(r for r in self.roots if self.is_positive(r))
         )
-        self.highest_root = self._find_highest_root()
+        # in an irreducible system the highest root is the unique root of
+        # largest height
+        self.highest_root = max(self.positive_roots, key=sum)
         self._table = None
 
     # ----- basic linear algebra over the simple basis ------------------
@@ -119,17 +121,6 @@ class CartanDatum:
             roots |= nxt
             frontier = nxt
         return tuple(sorted(roots))
-
-    def _find_highest_root(self):
-        # Maximal element of the root order: theta - r has nonnegative
-        # coefficients for every root r.
-        for theta in self.positive_roots:
-            if all(
-                all(t - x >= 0 for t, x in zip(theta, r))
-                for r in self.positive_roots
-            ):
-                return theta
-        raise AssertionError("no highest root found")
 
     # ----- Weyl group --------------------------------------------------
 
@@ -221,9 +212,6 @@ class WeylElement:
     def inverse(self) -> "WeylElement":
         t = self.datum.weyl_table()
         return t.elements[t.inv[t.index[self]]]
-
-    def is_identity(self) -> bool:
-        return self.imgs == self.datum.simple_roots
 
     def length(self) -> int:
         """The number of positive roots u sends negative, read off the

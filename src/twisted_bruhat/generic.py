@@ -44,6 +44,8 @@ class CoxeterMatrix:
 
     def __init__(self, rank: int, bonds: tuple):
         # bonds: symmetric tuple-of-tuples, entries in {1 on diag, 2, 3, INF}
+        if len(bonds) != rank or any(len(row) != rank for row in bonds):
+            raise ValueError(f"bonds must be {rank} rows of {rank} entries")
         for i in range(rank):
             if bonds[i][i] != 1:
                 raise ValueError("diagonal bond entries must be 1")
@@ -137,11 +139,6 @@ class CoxElement:
 
     def inverse(self) -> "CoxElement":
         return CoxElement(self.cm, self.inv_imgs, self.imgs)
-
-    def is_identity(self) -> bool:
-        return all(
-            col == _simple_vec(self.cm, i) for i, col in enumerate(self.imgs)
-        )
 
     def word(self):
         """Lexicographically least reduced word (1-based letters).
@@ -319,40 +316,40 @@ def w_prime(cm: CoxeterMatrix) -> ReflectionSubgroup:
     return ReflectionSubgroup(cm, r_generators(cm))
 
 
-def canonical_check(sub: ReflectionSubgroup, t: CoxElement) -> bool:
-    """True iff Ntilde(t) intersect T_{W'} = {t}: t is a canonical generator.
+def _generator_pairings(sub: ReflectionSubgroup):
+    """2(a, b) over the pairs of generator roots, which must all be <= 0.
 
     Positive roots whose pairs all have 2(a, b) in {0, -1} or <= -2 are the
     canonical simple roots of the reflection subgroup they generate (the
     dihedral criterion of Dyer, J. Algebra 135 (1990), and Deodhar, Arch.
     Math. 53 (1989)); for the integer values here that is 2(a, b) <= 0.
-    Then the canonical generators are exactly the generators.  A subgroup
-    whose generators fail the criterion raises ValueError.
+    Then the canonical generators are exactly the generators, and the pair
+    (a, b) has m = 2, 3 or inf.  Generators that fail the criterion raise
+    ValueError.
     """
     roots = sub.generator_roots()
-    for i, a in enumerate(roots):
-        if any(inner(sub.cm, a, b) > 0 for b in roots[i + 1:]):
-            raise ValueError("generator roots fail the dihedral criterion")
+    pairings = [
+        inner(sub.cm, a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
+    ]
+    if any(p > 0 for p in pairings):
+        raise ValueError("generator roots fail the dihedral criterion")
+    return pairings
+
+
+def canonical_check(sub: ReflectionSubgroup, t: CoxElement) -> bool:
+    """True iff Ntilde(t) intersect T_{W'} = {t}: t is a canonical generator
+    (`_generator_pairings`)."""
+    _generator_pairings(sub)
     return t in sub.generators
 
 
 def universal_check(sub: ReflectionSubgroup, budget: int = 12) -> bool:
-    """No relation among the generators up to the budget, and pairwise
-    2(a, b) = -2 (so every pairwise product has infinite order)."""
+    """True iff W' is universal: every pair of canonical generators has
+    m = inf, that is 2(a, b) <= -2 (`_generator_pairings`).  The answer is
+    exact; `budget` is unused, and must be >= 0."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    roots = sub.generator_roots()
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if inner(sub.cm, roots[i], roots[j]) != -2:
-                return False
-            p = sub.generators[i] * sub.generators[j]
-            q = p
-            for _ in range(budget):
-                if q.is_identity():
-                    return False
-                q = q * p
-    return True
+    return all(p <= -2 for p in _generator_pairings(sub))
 
 
 # ----- the periodic twisting set A = N(target^inf) --------------------------

@@ -278,11 +278,12 @@ def scan_ray(w, B, gamma):
 def covers(w, B):
     """All strong-order covers of w: (lower, upper, certificates).
 
-    lower/upper are lists of (reflection affine root, element), sorted by
-    (base canonical order, level).  Only the covers are built as elements,
-    each with no group product: s_{gamma+k delta} w is an integer step
-    along its ray from w (`left_reflections`).  Their twisted lengths
-    l_B(w) +- 1 are seeded into B's cache.
+    lower/upper are lists of (reflection affine root, element) in
+    (base canonical order, level) order, the order of the scan.  Only the
+    covers are built as elements, each with no group product:
+    s_{gamma+k delta} w is an integer step along its ray from w
+    (`left_reflections`).  Their twisted lengths l_B(w) +- 1 are seeded
+    into B's cache.
     """
     lower, upper, certs = [], [], []
     lw = twisted_length_left(w, B)
@@ -294,8 +295,6 @@ def covers(w, B):
             d = deltas[k]
             B._lB[z] = lw + d
             (upper if d == 1 else lower).append(((gamma, k), z))
-    lower.sort(key=lambda p: p[0])
-    upper.sort(key=lambda p: p[0])
     return lower, upper, certs
 
 

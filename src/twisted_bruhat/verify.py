@@ -196,24 +196,14 @@ def check_dihedral_cosets():
     return name, not mismatches, f"{detail}; mismatches: {mismatches}"
 
 
-def _empty_on_domain(lo, hi, k_sign):
-    """hi(m1, m2, k) < lo for all integers m1, m2 and every k of the domain:
-    no slope along a free direction, and below lo at the k endpoint."""
-    c1, c2, ck, c0 = hi
-    if c1 or c2 or (ck and ck * k_sign >= 0):
-        return False
-    return c0 + ck * min(k_sign, 0) < lo
-
-
 def check_inversion_formulas():
     """Every closed-form N(.) family matches the group computation for every
     parameter of its domain.
 
-    A table chain agrees with the group's chain over its base for every
-    parameter iff both have the same lo and the same affine top, or both are
-    empty on the whole domain; an unlisted base needs an empty group chain.
+    N over the line of mu fixes the line's top exactly (top -1 is empty on
+    both sides), so a family holds for every parameter iff the table's top
+    over each root is the group's affine top (`a2.root_tops`).
     """
-    k0 = a2.datum().weyl_table().k0
     mismatches = []
     chains = 0
     for name, family in a2.CLOSED_FORMS.items():
@@ -224,21 +214,9 @@ def check_inversion_formulas():
         if group is None:
             mismatches.append((name, "finite part moves"))
             continue
-        table = {}
-        for base, lo, hi in family.chains:
-            if base in table or base not in group:
-                mismatches.append((name, base))
-            table[base] = (lo, hi)
-        for mu, top in group.items():
-            chains += 1
-            lo = k0[mu]
-            listed = table.get(mu)
-            if listed == (lo, top) or (
-                _empty_on_domain(lo, top, family.k_sign)
-                and (listed is None or _empty_on_domain(*listed, family.k_sign))
-            ):
-                continue
-            mismatches.append((name, mu))
+        table = a2.root_tops(family)
+        chains += len(group)
+        mismatches += [(name, mu) for mu in group if table.get(mu) != group[mu]]
     ok = not mismatches
     return (
         "inversion formulas",

@@ -1,4 +1,5 @@
-"""The rank-2 alcove order: class deltas, closed-form inversion sets,
+"""The rank-2 alcove order: class deltas, closed-form inversion sets (with
+the former 102-chain table as the oracle of the one-top-per-line table),
 sphericity, the dihedral coset decomposition (with the former greedy
 descent as its oracle), automorphisms (defined here: only tests use them),
 the Poincare series, and the Hasse-figure fragment."""
@@ -266,32 +267,170 @@ def test_closed_forms_match_inversion_sets():
             )
 
 
+# ----- oracle: the former 102-chain table ------------------------------------
+
+#: The former `a2.CLOSED_FORMS`: per family the chains (base, lo, hi) of
+#: N(.), with hi an affine form (c_m1, c_m2, c_k, c_0); a base left out is
+#: empty on the family's domain.
+_FORMER_CHAINS = {
+    's(a+kd), k>=0': (
+        ((1, 0), 0, (0, 0, 2, 0)), ((0, -1), 1, (0, 0, 1, 0)),
+        ((1, 1), 0, (0, 0, 1, -1)),
+    ),
+    's(a+kd), k<0': (
+        ((-1, 0), 1, (0, 0, -2, -1)), ((0, 1), 0, (0, 0, -1, -1)),
+        ((-1, -1), 1, (0, 0, -1, 0)),
+    ),
+    's(a+b+kd), k>=0': (
+        ((1, 1), 0, (0, 0, 2, 0)), ((1, 0), 0, (0, 0, 1, 0)),
+        ((0, 1), 0, (0, 0, 1, 0)),
+    ),
+    's(a+b+kd), k<0': (
+        ((-1, -1), 1, (0, 0, -2, -1)), ((-1, 0), 1, (0, 0, -1, -1)),
+        ((0, -1), 1, (0, 0, -1, -1)),
+    ),
+    's(b+kd), k>=0': (
+        ((0, 1), 0, (0, 0, 2, 0)), ((-1, 0), 1, (0, 0, 1, 0)),
+        ((1, 1), 0, (0, 0, 1, -1)),
+    ),
+    's(b+kd), k<0': (
+        ((0, -1), 1, (0, 0, -2, -1)), ((1, 0), 0, (0, 0, -1, -1)),
+        ((-1, -1), 1, (0, 0, -1, 0)),
+    ),
+    't': (
+        ((1, 0), 0, (2, -1, 0, -1)), ((-1, 0), 1, (-2, 1, 0, 0)),
+        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
+        ((1, 1), 0, (1, 1, 0, -1)), ((-1, -1), 1, (-1, -1, 0, 0)),
+    ),
+    't.s(a+kd)': (
+        ((1, 0), 0, (2, -1, 2, 0)), ((-1, 0), 1, (-2, 1, -2, -1)),
+        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
+        ((1, 1), 0, (1, 1, 1, -1)), ((-1, -1), 1, (-1, -1, -1, 0)),
+    ),
+    't.s(a+b+kd)': (
+        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
+        ((0, 1), 0, (-1, 2, 1, 0)), ((0, -1), 1, (1, -2, -1, -1)),
+        ((1, 1), 0, (1, 1, 2, 0)), ((-1, -1), 1, (-1, -1, -2, -1)),
+    ),
+    't.sa': (
+        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
+        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
+        ((1, 1), 0, (1, 1, 0, -1)), ((-1, -1), 1, (-1, -1, 0, 0)),
+    ),
+    't.sa.s(a+kd)': (
+        ((1, 0), 0, (2, -1, -2, -1)), ((-1, 0), 1, (-2, 1, 2, 0)),
+        ((0, 1), 0, (-1, 2, 1, -1)), ((0, -1), 1, (1, -2, -1, 0)),
+        ((1, 1), 0, (1, 1, -1, -1)), ((-1, -1), 1, (-1, -1, 1, 0)),
+    ),
+    't.sa.s(b+kd)': (
+        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
+        ((0, 1), 0, (-1, 2, 1, -1)), ((0, -1), 1, (1, -2, -1, 0)),
+        ((1, 1), 0, (1, 1, 2, 0)), ((-1, -1), 1, (-1, -1, -2, -1)),
+    ),
+    't.sa.s(a+b+kd)': (
+        ((1, 0), 0, (2, -1, -1, -1)), ((-1, 0), 1, (-2, 1, 1, 0)),
+        ((0, 1), 0, (-1, 2, 2, 0)), ((0, -1), 1, (1, -2, -2, -1)),
+        ((1, 1), 0, (1, 1, 1, 0)), ((-1, -1), 1, (-1, -1, -1, -1)),
+    ),
+    't.sa.sb': (
+        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
+        ((0, 1), 0, (-1, 2, 0, -1)), ((0, -1), 1, (1, -2, 0, 0)),
+        ((1, 1), 0, (1, 1, 0, 0)), ((-1, -1), 1, (-1, -1, 0, -1)),
+    ),
+    't.sa.sb.s(a+kd)': (
+        ((1, 0), 0, (2, -1, -1, 0)), ((-1, 0), 1, (-2, 1, 1, -1)),
+        ((0, 1), 0, (-1, 2, 2, 0)), ((0, -1), 1, (1, -2, -2, -1)),
+        ((1, 1), 0, (1, 1, 1, 0)), ((-1, -1), 1, (-1, -1, -1, -1)),
+    ),
+    't.sa.sb.s(b+kd)': (
+        ((1, 0), 0, (2, -1, -1, 0)), ((-1, 0), 1, (-2, 1, 1, -1)),
+        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
+        ((1, 1), 0, (1, 1, -2, -1)), ((-1, -1), 1, (-1, -1, 2, 0)),
+    ),
+    't.sa.sb.s(a+b+kd)': (
+        ((1, 0), 0, (2, -1, -2, -1)), ((-1, 0), 1, (-2, 1, 2, 0)),
+        ((0, 1), 0, (-1, 2, 1, 0)), ((0, -1), 1, (1, -2, -1, -1)),
+        ((1, 1), 0, (1, 1, -1, -1)), ((-1, -1), 1, (-1, -1, 1, 0)),
+    ),
+    't.sa.sb.sa': (
+        ((1, 0), 0, (2, -1, 0, 0)), ((-1, 0), 1, (-2, 1, 0, -1)),
+        ((0, 1), 0, (-1, 2, 0, 0)), ((0, -1), 1, (1, -2, 0, -1)),
+        ((1, 1), 0, (1, 1, 0, 0)), ((-1, -1), 1, (-1, -1, 0, -1)),
+    ),
+    't.sa.sb.sa.s(a+kd)': (
+        ((1, 0), 0, (2, -1, 1, 0)), ((-1, 0), 1, (-2, 1, -1, -1)),
+        ((0, 1), 0, (-1, 2, -2, -1)), ((0, -1), 1, (1, -2, 2, 0)),
+        ((1, 1), 0, (1, 1, -1, 0)), ((-1, -1), 1, (-1, -1, 1, -1)),
+    ),
+    't.sa.sb.sa.s(a+b+kd)': (
+        ((1, 0), 0, (2, -1, -1, -1)), ((-1, 0), 1, (-2, 1, 1, 0)),
+        ((0, 1), 0, (-1, 2, -1, -1)), ((0, -1), 1, (1, -2, 1, 0)),
+        ((1, 1), 0, (1, 1, -2, -1)), ((-1, -1), 1, (-1, -1, 2, 0)),
+    ),
+}
+
+
+def _empty_on_domain(lo, hi, k_sign):
+    """The former `verify._empty_on_domain`: hi(m1, m2, k) < lo for all
+    integers m1, m2 and every k of the domain: no slope along a free
+    direction, and below lo at the k endpoint."""
+    c1, c2, ck, c0 = hi
+    if c1 or c2 or (ck and ck * k_sign >= 0):
+        return False
+    return c0 + ck * min(k_sign, 0) < lo
+
+
+def test_tops_restate_the_former_chains():
+    """Each former chain starts at k0 of its base and ends at the base's
+    top from `root_tops`, over every root; each base that a family leaves
+    out is empty on the family's domain."""
+    k0 = a2.datum().weyl_table().k0
+    assert _FORMER_CHAINS.keys() == a2.CLOSED_FORMS.keys()
+    assert sum(map(len, _FORMER_CHAINS.values())) == 102
+    for name, chains in _FORMER_CHAINS.items():
+        family = a2.CLOSED_FORMS[name]
+        tops = a2.root_tops(family)
+        assert tops.keys() == set(a2.datum().roots), name
+        listed = {base: (lo, hi) for base, lo, hi in chains}
+        assert len(listed) == len(chains), name
+        for base, top in tops.items():
+            if base in listed:
+                assert listed[base] == (k0[base], top), (name, base)
+            else:
+                assert _empty_on_domain(k0[base], top, family.k_sign), (name, base)
+
+
+@pytest.mark.parametrize("gamma", ("a", "b", "a+b"))
+def test_reflection_tops_hold_for_every_k(monkeypatch, gamma):
+    """The k >= 0 and k < 0 families of s(gamma + k delta) have the same
+    tops, so the proof passes with either domain, or with every k."""
+    pair = (f"s({gamma}+kd), k>=0", f"s({gamma}+kd), k<0")
+    up, down = (a2.CLOSED_FORMS[name] for name in pair)
+    assert up.tops == down.tops
+    for k_sign in (-1, 1, 0):
+        for name in pair:
+            monkeypatch.setitem(
+                a2.CLOSED_FORMS, name,
+                a2.CLOSED_FORMS[name]._replace(k_sign=k_sign),
+            )
+        _, ok, detail = verify.check_inversion_formulas()
+        assert ok, (k_sign, detail)
+
+
 def _perturbed_tables():
     """(family name, perturbed family): each must fail the proof."""
     forms = a2.CLOSED_FORMS
     for name, i in (("t.sa.s(a+kd)", 0), ("t.sa.s(a+kd)", 1),
                     ("t.sa.s(a+kd)", 2), ("t.sa.s(a+kd)", 3),
                     ("s(b+kd), k<0", 2), ("s(b+kd), k<0", 3)):
-        (base, lo, hi), *rest = forms[name].chains
-        hi = hi[:i] + (hi[i] + 1,) + hi[i + 1:]
+        (mu, top), *rest = forms[name].tops.items()
+        top = top[:i] + (top[i] + 1,) + top[i + 1:]
         yield f"{name} coefficient {i} off by one", name, forms[name]._replace(
-            chains=((base, lo, hi), *rest))
-    # the last chain of s(a+kd), k>=0 is empty at k = 0 but not beyond
+            tops=dict([(mu, top), *rest]))
+    # the last line of s(a+kd), k>=0 is empty at k = 0 but not beyond
     for name in ("t", "s(a+kd), k>=0"):
-        chains = forms[name].chains
-        yield f"{name} chain dropped", name, forms[name]._replace(
-            chains=chains[:-1])
-        yield f"{name} base listed twice", name, forms[name]._replace(
-            chains=chains + chains[:1])
-    # chains over bases the group leaves empty, nonempty for large m1 or m2
-    family = forms["s(a+kd), k>=0"]
-    for extra in (((-1, 0), 1, (1, 0, -2, -1)), ((0, 1), 0, (0, 1, -1, -1))):
-        yield f"chain {extra} added", "s(a+kd), k>=0", family._replace(
-            chains=family.chains + (extra,))
-    for name in ("s(a+kd), k>=0", "s(a+kd), k<0"):
-        family = forms[name]
-        yield f"{name} domain flipped", name, family._replace(
-            k_sign=-family.k_sign)
+        *kept, _ = forms[name].tops.items()
+        yield f"{name} line dropped", name, forms[name]._replace(tops=dict(kept))
 
 
 @pytest.mark.parametrize(

@@ -255,8 +255,9 @@ def _word_by_rebuilding(w):
     simples = [(a, 0) for a in d.simple_roots]
     simples.append((tuple(-x for x in d.highest_root), 1))
     gens = simple_reflections(d)
+    e = identity(d)
     out = []
-    while not w.is_identity():
+    while w != e:
         i = next(i for i, a in enumerate(simples) if w.in_inversion_set(a))
         out.append(i + 1)
         w = gens[i] * w

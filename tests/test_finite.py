@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 import pytest
 
@@ -103,6 +104,9 @@ def test_root_system_counts(label):
     assert len(d.weyl_table().elements) == n_weyl
     assert len(list(enumerate_biclosed_finite(d))) == n_bic
     assert len(list(enumerate_P_triples(d))) == n_triples
+    # the former search's definition: theta - r >= 0 for every root r
+    assert d.highest_root == highest
+    assert all(min(map(sub, highest, r)) >= 0 for r in d.positive_roots)
 
 
 def _weyl_elements(d):
@@ -201,7 +205,7 @@ def _word_by_descents(w):
     least i with w^{-1}(a_i) < 0, i.e. with w(r) = -a_i for a positive r."""
     d = w.datum
     out = []
-    while not w.is_identity():
+    while w != d.identity():
         i = next(
             i
             for i, a in enumerate(d.simple_roots)
@@ -216,8 +220,8 @@ def _word_by_descents(w):
 def test_table_inverse_and_word(label):
     d = build_system(label)
     for w in d.weyl_table().elements:
-        assert (w * w.inverse()).is_identity()
-        assert (w.inverse() * w).is_identity()
+        assert w * w.inverse() == d.identity()
+        assert w.inverse() * w == d.identity()
         assert w.word() == _word_by_descents(w)
 
 

@@ -24,6 +24,16 @@ def test_coxeter_matrix_validation():
         generic.CoxeterMatrix(2, ((1, 3), (4, 1)))  # asymmetric / bad bond
 
 
+@pytest.mark.parametrize("rank,bonds", [
+    (2, ((1, 3, 2), (3, 1, generic.INF), (2, generic.INF, 1))),
+    (2, ((1, 3, 2), (3, 1))),
+    (3, ((1, 3), (3, 1))),
+], ids=["3x3 at rank 2", "ragged", "2x2 at rank 3"])
+def test_coxeter_matrix_refuses_a_bond_table_of_the_wrong_shape(rank, bonds):
+    with pytest.raises(ValueError, match=f"bonds must be {rank} rows"):
+        generic.CoxeterMatrix(rank, bonds)
+
+
 def test_defining_relations(cm):
     s1, s2, s3 = generic.simple_reflections(cm)
     e = generic.identity(cm)
@@ -36,7 +46,7 @@ def test_defining_relations(cm):
     p23 = s2 * s3
     q = p23
     for _ in range(20):
-        assert not q.is_identity()
+        assert q != e
         q = q * p23
 
 
@@ -91,6 +101,27 @@ def test_r_generators_canonical_and_universal(cm):
     assert r1.word() == (1,)
     assert r2.word() == (2, 3, 2)
     assert r3.word() == (3, 2, 3, 2, 3)
+
+
+def test_universal_check_reads_the_dihedral_criterion(cm):
+    """Generator roots pairing to 2(a, b) <= -2 generate a universal group,
+    -4 as well as -2; a pair with bond 3 or 2 does not, and a positive
+    pairing fails the criterion."""
+    pair = lambda *roots: generic.ReflectionSubgroup(
+        cm, tuple(generic.reflection_in(cm, r) for r in roots))
+    assert generic.inner(cm, (0, 0, 1), (1, 4, 2)) == -4
+    sub = pair((0, 0, 1), (1, 4, 2))
+    assert generic.universal_check(sub, 12)
+    # the pair's product has infinite order: no small power is trivial
+    p = q = sub.generators[0] * sub.generators[1]
+    for _ in range(20):
+        assert q != generic.identity(cm)
+        q = q * p
+    s1, s2, s3 = generic.simple_reflections(cm)
+    assert not generic.universal_check(generic.ReflectionSubgroup(cm, (s1, s2)))
+    assert not generic.universal_check(generic.ReflectionSubgroup(cm, (s1, s3)))
+    with pytest.raises(ValueError, match="dihedral criterion"):
+        generic.universal_check(pair((1, 0, 0), (1, 1, 0)))
 
 
 def test_n_tilde_quotes(cm):
@@ -455,8 +486,9 @@ def test_canonical_check_rejects_non_canonical_generators(cm):
 
 def _word_oracle(w):
     gens = generic.simple_reflections(w.cm)
+    e = generic.identity(w.cm)
     out = []
-    while not w.is_identity():
+    while w != e:
         i = next(i for i in range(w.cm.rank) if not generic.is_positive_root(
             w.inv_apply(generic._simple_vec(w.cm, i))))
         out.append(i + 1)

@@ -111,7 +111,8 @@ def test_scan_ray_matches_element_construction():
 def test_covers_match_product_oracle():
     """Every cover that `covers` builds along its ray equals the former
     product reflection(d, root) * w, for each type and each biclosed
-    class, twisted and untwisted elements alike."""
+    class, twisted and untwisted elements alike; both lists come in the
+    (root, level) order that the former sort gave them."""
     rng = random.Random(51)
     classes = set()
     for label in ("A2", "A3", "B2", "G2"):
@@ -121,6 +122,8 @@ def test_covers_match_product_oracle():
             for w in (identity(d), random_element(d, rng, 6)):
                 lower, upper, _ = covers(w, B)
                 assert lower or upper
+                for side in (lower, upper):
+                    assert side == sorted(side, key=lambda p: p[0])
                 for root, z in lower + upper:
                     oracle = reflection(d, root) * w
                     assert z == oracle and z.trans == oracle.trans
