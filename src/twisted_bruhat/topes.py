@@ -101,8 +101,12 @@ def symdiff_positive(F: Hemispace, G: Hemispace) -> frozenset:
     roots F is constant from its threshold e_F up, and flipped below it.
     So F and G disagree on infinitely many levels (DifferentBlocks) when
     their tails differ, and otherwise exactly on the levels from
-    min(e_F, e_G) up to below max(e_F, e_G).
+    min(e_F, e_G) up to below max(e_F, e_G).  Hemispaces of two types
+    raise ValueError.
     """
+    if F.datum.type_label != G.datum.type_label:
+        raise ValueError(f"hemispaces of types {F.datum.type_label} and "
+                         f"{G.datum.type_label}")
     return _symdiff(F.biclosed.chains(), G.biclosed.chains())
 
 
@@ -254,18 +258,19 @@ def _block_generators(center: Hemispace):
 def _walk(center: Hemispace, base: Hemispace, radius: int):
     """[(chains, parent, r)] in order of discovery, over the radius-ball of
     the block {wH : w in W'} around `center`, which must lie in the same
-    block as `base` (DifferentBlocks).  The tope of `chains` is s_r applied
-    to the tope at index `parent`, whose pairs it reflects
-    (`reflected_pairs`); the center comes first, with parent and r None.
-    A neighbour is recognised by its tuple of pairs (tail, e), a normal
-    form of its set, so each tope appears once.  As s_r s_r = e, no tope is
-    reflected by its own r; the walk builds no group element and no set."""
+    block as `base` (DifferentBlocks) and have its type (ValueError).  The
+    tope of `chains` is s_r applied to the tope at index `parent`, whose
+    pairs it reflects (`reflected_pairs`); the center comes first, with
+    parent and r None.  A neighbour is recognised by its tuple of pairs
+    (tail, e), a normal form of its set, so each tope appears once.  As
+    s_r s_r = e, no tope is reflected by its own r; the walk builds no
+    group element and no set."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     roots = _block_generators(center)
     table = center.datum.weyl_table()
+    symdiff_positive(center, base)  # or DifferentBlocks, or ValueError
     chains = center.biclosed.chains()
-    _symdiff(chains, base.biclosed.chains())  # or DifferentBlocks
     walk = [(chains, None, None)]
     seen = {tuple(chains.values())}
     start = 0

@@ -6,11 +6,11 @@ truth for what 'verified' means."""
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 from operator import sub
 
 from . import a2, generic, topes
-from .affine_group import affine_tops, format_word, from_word, identity
+from .affine_group import affine_tops, from_word, identity
 from .affine_group import reflection
 from .biclosed import (
     BiclosedSet,
@@ -18,17 +18,14 @@ from .biclosed import (
     from_inversion_set,
     full_positive_biclosed,
 )
-from .finite import build_system, enumerate_P_triples
+from .finite import _GRAM_TABLE, build_system, enumerate_P_triples
 from .orders import (
     TargetNotReached,
     affine_length,
     antichain_at_level,
     downset_corank,
-    interval,
     level_set_sample,
-    lower_covers,
     no_local_extremum_check,
-    twisted_length_left,
     twisted_length_right,
     weak_leq,
 )
@@ -51,68 +48,57 @@ def random_biclosed(type_label, rng, mixed=False, twist_len=3):
     return BiclosedSet(twist, psi, d1, d2)
 
 
-def _backends(rng):
-    out = [("A2 alcove", a2.alcove_biclosed())]
-    out.append(("A2 random", random_biclosed("A2", rng)))
-    out.append(("A3 mixed", random_biclosed("A3", rng, mixed=True)))
-    out.append(("A3 random", random_biclosed("A3", rng)))
-    out.append(("B2 random", random_biclosed("B2", rng)))
-    out.append(("G2 random", random_biclosed("G2", rng)))
-    return out
+def _outer_slopes():
+    """(type, Q, gamma, (sigma_-, sigma_+)) for each type, P-triple Q (a
+    set with trivial twist) and gamma > 0: sigma_+ sums
+    (1 - 2[nu in Q]) <nu, gamma^vee> over the roots nu with
+    <nu, gamma^vee> > 0 (`WeylTable.srow`), and sigma_- over those < 0.
+
+    For B = x t P^hat and w = u t_v, beyond its outer hinges
+    (`orders._pieces`), Delta(k) = l_B(s_{gamma+k delta} w) - l_B(w) has
+    slope sum (1 - 2[x^-1 mu in P]) b_mu, b_mu = <u mu, gamma^vee>, over
+    the mu with b_mu > 0 as k -> +inf and b_mu < 0 as k -> -inf.  With
+    nu = u mu, that is the row of Q = (u x) P, again a P-triple as
+    y P(psi, d1, d2) = P(y psi, y d1, y d2).  So the rows cover every
+    (B, w, gamma); `scan_ray`'s certificate drift is (-sigma_-, sigma_+).
+    """
+    for label in _GRAM_TABLE:  # every shipped type
+        datum = build_system(label)
+        srow = datum.weyl_table().srow
+        for triple in enumerate_P_triples(datum):
+            Q = BiclosedSet(identity(datum), *triple)
+            for gamma in datum.positive_roots:
+                slopes = [0, 0]
+                for nu, (_, b) in srow[gamma].items():
+                    if b:
+                        slopes[b > 0] += (1 - 2 * (nu in Q.P_roots)) * b
+                yield label, Q, gamma, tuple(slopes)
 
 
-def _random_comparable_pair(B, rng):
-    datum = B.datum
-    y = from_word(datum, random_word(datum, rng, 5))
-    gap = rng.randint(1, 6)
-    x = y
-    for _ in range(gap):
-        los = lower_covers(x, B)
-        if not los:
-            break
-        _, x = rng.choice(los)
-    return x, y
+def _no_zero_slope(name, conclusion):
+    """FAIL at the first row of `_outer_slopes` with a zero slope.  Else on
+    each ray of each w, |Delta(k)| grows without bound at both ends, so w
+    has finitely many covers.  This rests on Dyer (J. Algebra 163, 1994):
+    <=_B is graded by l_B, so [x, y] and the corank-n layer below x are
+    what chains of l_B(y) - l_B(x), or n, covers reach from one end."""
+    rows = 0
+    for label, Q, gamma, slopes in _outer_slopes():
+        if 0 in slopes:
+            return name, False, (f"{label} {Q!r} gamma "
+                                 f"{Q.datum.root_name(gamma)}: slopes {slopes}")
+        rows += 1
+    detail = f"{rows} rows (type, P-triple, gamma), no zero outer slope"
+    return name, True, f"{detail}; {conclusion}"
 
 
 def check_local_finiteness():
-    """Intervals of grade gap <= 6 are finite and correctly graded."""
-    rng = random.Random(11)
-    backends = _backends(rng)
-    pairs_per = [9, 9, 8, 8, 8, 8]  # 50 pairs total
-    tried = 0
-    for (name, B), n_pairs in zip(backends, pairs_per):
-        for _ in range(n_pairs):
-            x, y = _random_comparable_pair(B, rng)
-            poset = interval(x, y, B)
-            tried += 1
-            if x != y and poset.nodes and not poset.check_grading():
-                return "local finiteness", False, f"bad grading on {name}"
-            if poset.nodes and not {x, y} <= set(poset.keys()):
-                return "local finiteness", False, f"endpoints lost on {name}"
-    return "local finiteness", True, f"{tried} intervals, all finite"
+    """Every interval of every <=_B is finite (`_no_zero_slope`)."""
+    return _no_zero_slope("local finiteness", "every interval is finite")
 
 
 def check_corank_finiteness():
-    """downset_corank terminates for n <= 4, and every y in the corank-n
-    layer below x has l_B(y) = l_B(x) - n."""
-    rng = random.Random(12)
-    backends = _backends(rng)
-    total = 0
-    for name, B in backends:
-        for _ in range(20):
-            x = from_word(B.datum, random_word(B.datum, rng, 4))
-            n = rng.randint(1, 4)
-            layer = downset_corank(x, B, n)
-            want = twisted_length_left(x, B) - n
-            for y in layer:
-                if twisted_length_left(y, B) != want:
-                    return "corank finiteness", False, (
-                        f"{name}: {format_word(y.word())} in the corank-{n} "
-                        f"layer below {format_word(x.word())} has l_B "
-                        f"{twisted_length_left(y, B)}, not {want}"
-                    )
-            total += len(layer)
-    return "corank finiteness", True, f"{total} downset elements, 0 failures"
+    """Every corank layer of every <=_B is finite (`_no_zero_slope`)."""
+    return _no_zero_slope("corank finiteness", "every corank layer is finite")
 
 
 def check_class_deltas():
@@ -347,14 +333,14 @@ def check_convexity_dichotomy():
 
 
 def check_tope_blocks():
-    """Block order == twisted weak order; sampled intervals are lattices."""
+    """Block order == twisted weak order on every pair of the radius-4
+    block; sampled intervals are lattices."""
     rng = random.Random(21)
     datum = build_system("A2")
     center_B = from_inversion_set(identity(datum))
     center = topes.from_biclosed(center_B)
-    items = list(topes.tope_block(center, center, radius=4).reps.items())
-    for _ in range(200):
-        (ka, (wa, _)), (kb, (wb, _)) = rng.sample(items, 2)
+    items = topes.tope_block(center, center, radius=4).reps.items()
+    for (ka, (wa, _)), (kb, (wb, _)) in permutations(items, 2):
         if (ka <= kb) != weak_leq(wa, wb, center_B):
             return "tope blocks", False, f"order mismatch at {wa!r}, {wb!r}"
     failures = 0

@@ -53,17 +53,27 @@ def test_check_antichain_reports_only_a_short_search(monkeypatch):
             verify.check_antichain()
 
 
-def test_check_corank_finiteness_names_an_element_off_its_layer(monkeypatch):
-    """A layer element whose twisted length is not l_B(x) - n is a FAIL
-    naming the backend, the element, x and both lengths."""
-    real = verify.downset_corank
+def test_a_zero_outer_slope_fails_both_finiteness_lines(monkeypatch):
+    """A row of the slope table with a zero slope makes both finiteness
+    lines FAIL, naming the row's type, triple and gamma; the rows before it
+    are read, the rows after it are not."""
+    rows = list(verify._outer_slopes())
+    assert len(rows) == 3302
+    assert all(0 not in slopes for *_, slopes in rows)
+    at = next(i for i, row in enumerate(rows) if row[1].classify() == "Mixed")
+    label, Q, gamma, (lo, _) = rows[at]
+    read = []
 
-    def with_x(x, B, n):
-        return real(x, B, n) | {x}
+    def with_zero():
+        for i, row in enumerate(rows):
+            read.append(i)
+            yield row if i != at else (label, Q, gamma, (lo, 0))
 
-    monkeypatch.setattr(verify, "downset_corank", with_x)
-    name, ok, detail = verify.check_corank_finiteness()
-    assert (name, ok) == ("corank finiteness", False)
-    assert detail.startswith("A2 alcove: ")
-    word, _, rest = detail[len("A2 alcove: "):].partition(" in the corank-")
-    assert f"layer below {word} has l_B " in rest
+    monkeypatch.setattr(verify, "_outer_slopes", with_zero)
+    want = f"{label} {Q!r} gamma {Q.datum.root_name(gamma)}: slopes ({lo}, 0)"
+    assert label == "A3" and repr(Q).startswith("twist:e psi:")
+    for check, name in ((verify.check_local_finiteness, "local finiteness"),
+                        (verify.check_corank_finiteness, "corank finiteness")):
+        del read[:]
+        assert check() == (name, False, want)
+        assert read == list(range(at + 1))

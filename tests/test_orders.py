@@ -26,7 +26,7 @@ from twisted_bruhat import (
     weak_chain,
     weak_leq,
 )
-from twisted_bruhat import a2, orders
+from twisted_bruhat import a2, orders, verify
 from twisted_bruhat.affine_group import format_word, simple_reflections
 from twisted_bruhat.finite import enumerate_P_triples
 from twisted_bruhat.poset import GradedPoset, PosetNode
@@ -427,6 +427,33 @@ def test_zero_outer_slope_fails_at_once():
         _scan_by_levels(B, profile, 10, d.coxeter_number)
 
 
+def test_outer_slope_table_matches_certificate_drift():
+    """`verify._outer_slopes` gives the drift of every certified ray: for
+    B = x t P^hat and w = u t_v, the row of Q = (u x) P and gamma is a
+    row of the table, and scan_ray's certificate drift is
+    (-sigma_-, sigma_+), on every class of every type."""
+    table = {}
+    for label, Q, gamma, slopes in verify._outer_slopes():
+        assert table.setdefault((label, Q.P_roots, gamma), slopes) == slopes
+    rng = random.Random(71)
+    rays, classes = 0, set()
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        for _ in range(3):
+            for B in _biclosed_of_each_class(label, rng):
+                classes.add(B.classify())
+                for _ in range(5):
+                    w = random_element(d, rng, 6)
+                    ux = w.fin * B.twist.fin
+                    Q = frozenset(map(ux.apply, B.P_roots))
+                    for gamma in d.positive_roots:
+                        assert (label, Q, gamma) in table
+                        lo, hi = table[label, Q, gamma]
+                        assert scan_ray(w, B, gamma)[3].drift == (-lo, hi)
+                        rays += 1
+    assert rays == 1230 and len(classes) == 5
+
+
 def test_breakpoints_beyond_former_cap_certify():
     """Delta = 2|k| + 1 up to k = 5, flat at 11 up to k = 12000, then
     rising by 2 per step.  The window ends from |k| <= 10 on lie on the
@@ -496,13 +523,22 @@ def test_elements_of_other_types_are_refused():
 
 
 def test_interval_grading_and_membership():
+    """An interval is graded, holds both ends and only elements between
+    them: on the A2 alcove order at grade gaps up to 3, and on every class
+    of every type at gaps up to 6."""
     rng = random.Random(42)
     d = build_system("A2")
-    B = full_positive_biclosed(d)
-    for _ in range(15):
-        y = random_element(d, rng, 5)
+    cases = [(full_positive_biclosed(d), 3)] * 15
+    classes = random.Random(73)
+    for label in ("A2", "A3", "B2", "G2"):
+        cases += [
+            (B, classes.randint(1, 6))
+            for B in _biclosed_of_each_class(label, classes)
+        ]
+    for B, gap in cases:
+        y = random_element(B.datum, rng, 5)
         x = y
-        for _ in range(3):
+        for _ in range(gap):
             los = lower_covers(x, B)
             if not los:
                 break
@@ -685,13 +721,43 @@ def test_strong_leq_antisymmetry_and_reflexivity():
 
 
 def test_downset_corank_matches_poincare_counts():
-    """Frozen layer sizes of the alcove order, both parities."""
+    """Frozen layer sizes of the alcove order, both parities; and on every
+    class of every type, each element of the corank-n layer below x,
+    n <= 4, has twisted length l_B(x) - n."""
     d = build_system("A2")
     B = full_positive_biclosed(d)
     even = [len(downset_corank(identity(d), B, n)) for n in range(9)]
     odd = [len(downset_corank(from_word(d, (1,)), B, n)) for n in range(9)]
     assert even == [1, 2, 4, 5, 7, 8, 10, 11, 13]
     assert odd == [1, 3, 4, 6, 7, 9, 10, 12, 13]
+    rng, found = random.Random(74), 0
+    for label in ("A2", "A3", "B2", "G2"):
+        for B in _biclosed_of_each_class(label, rng):
+            x, n = random_element(B.datum, rng, 4), rng.randint(1, 4)
+            layer = downset_corank(x, B, n)
+            want = twisted_length_left(x, B) - n
+            assert all(twisted_length_left(y, B) == want for y in layer)
+            found += len(layer)
+    assert found > 50
+
+
+def test_complement_reverses_covers():
+    """l_B(w) + l_{B^c}(w) = 0, so the lower covers of w for B are its
+    upper covers for B.complement(), in the same order, and the other way
+    round: every class of every type, A3 Mixed included."""
+    rng = random.Random(72)
+    cases = Counter()
+    for label in ("A2", "A3", "B2", "G2"):
+        d = build_system(label)
+        for _ in range(3):
+            for B in _biclosed_of_each_class(label, rng):
+                C = B.complement()
+                for _ in range(5):
+                    w = random_element(d, rng, 5)
+                    lower, upper, _ = covers(w, B)
+                    assert covers(w, C)[:2] == (upper, lower)
+                    cases[label, B.classify()] += 1
+    assert sum(cases.values()) == 255 and cases["A3", "Mixed"] == 15
 
 
 def test_empty_twist_weak_order_is_inversion_containment():

@@ -193,6 +193,28 @@ def test_different_blocks_detected(a2):
         topes.symdiff_positive(F, G)
 
 
+def test_hemispaces_of_two_types_are_refused():
+    """symdiff_positive, tope_leq, tope_block and interval_lattice_check
+    raise ValueError naming both types, in either order; A2 against B2
+    once answered as if the two agreed, and B2 against A2 raised a bare
+    KeyError."""
+    hs = {
+        label: topes.from_biclosed(full_positive_biclosed(build_system(label)))
+        for label in ("A2", "A3", "B2")
+    }
+    for a, b in (("A2", "B2"), ("B2", "A2"), ("A2", "A3"), ("A3", "A2")):
+        F, G = hs[a], hs[b]
+        calls = (
+            lambda: topes.symdiff_positive(F, G),
+            lambda: topes.tope_leq(F, F, G),
+            lambda: topes.tope_block(F, G, 2),
+            lambda: topes.interval_lattice_check(F, F, G),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"types {a} and {b}$"):
+                call()
+
+
 def test_tope_order_is_right_weak_order(a2):
     """F <= G based at Plus(N(e)) iff the elements compare in weak order."""
     rng = random.Random(84)
